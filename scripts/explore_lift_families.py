@@ -26,7 +26,6 @@ def main() -> None:
 
     ctx = HeckeContext(Tower(make_field(args.q), 40), STABILIZER)
     rng = random.Random(args.seed)
-    probes = [w for w in ctx.window(1, 1)]
 
     tables = [("canonical", CocycleTable(ctx))]
     tables += [(f"family {k}", perturbed_table(ctx, rng)) for k in range(args.families)]

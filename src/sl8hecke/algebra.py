@@ -26,7 +26,7 @@ from typing import Callable, Hashable
 
 from .hecke import CocycleTable
 from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff
-from .weyl import WeylElem
+from .weyl import WeylElem, _reduce
 
 
 class CoxeterError(ValueError):
@@ -57,12 +57,7 @@ class CoxeterSystem:
         for letter in word:
             if letter not in self.generators:
                 raise CoxeterError(f"unknown generator {letter!r}")
-        out: list[str] = []
-        for letter in word:
-            if out and out[-1] == letter:
-                out.pop()
-            else:
-                out.append(letter)
+        out = list(_reduce(word))
         m = self.braid_order
         if m is None or len(self.generators) < 2:
             return tuple(out)
@@ -71,15 +66,7 @@ class CoxeterSystem:
         while len(out) > m:
             head = out[:m]
             flipped = [self.generators[1 - self.generators.index(l)] for l in head]
-            rest = out[m:]
-            out = flipped + rest
-            reduced: list[str] = []
-            for letter in out:
-                if reduced and reduced[-1] == letter:
-                    reduced.pop()
-                else:
-                    reduced.append(letter)
-            out = reduced
+            out = list(_reduce(flipped + out[m:]))
         if len(out) == m and out and out[0] != self.generators[0]:
             out = [self.generators[1 - self.generators.index(l)] for l in out]
         return tuple(out)

@@ -146,35 +146,19 @@ def check_ge1(tower: Tower, level: str) -> GenericityReport:
 
 
 def check_ge0_witness(tower: Tower, level: str) -> Fraction:
-    """Evaluate the functional on its explicit diagonal witness; must be ord 0.
+    """Valuation of the functional on its explicit diagonal witness; must be 0."""
+    return witness_value(tower, level).ord()
+
+
+def witness_value(tower: Tower, level: str) -> LaurentElem:
+    """The exact pairing value at the witness (4 resp. 2 as constants of F).
 
     Depth 1/4: the witness (0, pi4) pairs to Tr_{E4/F}(pi4**(-1) * pi4) = 4.
     Depth 1/2: the witness (diag(pi2, 0), 0) pairs through the determinant
     direction to Tr_{E2/F}(pi2**(-1) * pi2) = 2.
     """
     if level == LEVEL_QUARTER:
-        value = ((tower.uniformizer(E4) ** -1) * tower.uniformizer(E4)).trace_to_F()
-    elif level == LEVEL_HALF:
-        value = ((tower.uniformizer(E2) ** -1) * tower.uniformizer(E2)).trace_to_F()
-    else:
-        raise ValueError(f"unknown level {level!r}")
-    return value.ord()
-
-
-def witness_value(tower: Tower, level: str) -> LaurentElem:
-    """The exact pairing value at the witness (4 resp. 2 as constants of F)."""
-    if level == LEVEL_QUARTER:
         return ((tower.uniformizer(E4) ** -1) * tower.uniformizer(E4)).trace_to_F()
-    return ((tower.uniformizer(E2) ** -1) * tower.uniformizer(E2)).trace_to_F()
-
-
-def full_report(tower: Tower) -> dict:
-    """Both levels plus the combinatorial pair counts, for the report driver."""
-    quarter = check_ge1(tower, LEVEL_QUARTER)
-    half = check_ge1(tower, LEVEL_HALF)
-    return {
-        "quarter": quarter,
-        "half": half,
-        "counts": (len(quarter.valuations), len(half.valuations)),
-        "passed": quarter.passed and half.passed,
-    }
+    if level == LEVEL_HALF:
+        return ((tower.uniformizer(E2) ** -1) * tower.uniformizer(E2)).trace_to_F()
+    raise ValueError(f"unknown level {level!r}")

@@ -20,11 +20,13 @@ eps = (-1, 1, 1), and the unipotents u(x), l(c).
 
 `iwahori_decompose` factors any invertible element as k1 * m * k2 with k1,
 k2 Iwahori (unipotent, so they land in both compact subgroups) and m
-monomial; pivots prefer the diagonal, then row order.
+monomial; pivots prefer the diagonal, then row order, and each case
+inverts its pivot once.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -63,9 +65,9 @@ class GroupElem:
         return self.a * self.d - self.b * self.c
 
     def inverse(self) -> "GroupElem":
-        det = self.det2()
+        inv = self.det2().inverse()
         return GroupElem(
-            self.d / det, -(self.b / det), -(self.c / det), self.a / det, self.g4.inverse()
+            self.d * inv, -(self.b * inv), -(self.c * inv), self.a * inv, self.g4.inverse()
         )
 
     def __pow__(self, n: int) -> "GroupElem":
@@ -289,47 +291,22 @@ class Decomposition:
 
 
 def _ordn(x: LaurentElem):
-    return None if x.is_zero else x.ord_norm()
-
-
-def _leq(u, v) -> bool:
-    # extended comparison with None = +infinity
-    if u is None:
-        return v is None
-    return v is None or u <= v
-
-
-def _lt(u, v) -> bool:
-    if u is None:
-        return False
-    return v is None or u < v
+    return math.inf if x.is_zero else x.ord_norm()
 
 
 def _pivot_case(g: GroupElem) -> int:
     """Pivot preference (1,1), (2,2), (1,2), (2,1); exactly one case fits
     every invertible matrix's valuation pattern."""
     va, vb, vc, vd = _ordn(g.a), _ordn(g.b), _ordn(g.c), _ordn(g.d)
-    if _leq(va, vb) and _leq(va, vd) and _lt(va, vc):
+    if va <= vb and va <= vd and va < vc:
         return 0
-    if _leq(vd, vb) and _leq(vd, va) and _lt(vd, vc):
+    if vd <= vb and vd <= va and vd < vc:
         return 1
-    if _lt(vb, va) and _lt(vb, vd):
+    if vb < va and vb < vd:
         return 2
-    if _leq(vc, va) and _leq(vc, vd):
+    if vc <= va and vc <= vd:
         return 3
     raise ValueError("matrix is singular or has undecidable pivot valuations")
-
-
-def monomial_part(g: GroupElem) -> MonomialData:
-    """The monomial middle factor of the Iwahori factorisation of g."""
-    case = _pivot_case(g)
-    if case == 0:
-        return MonomialData("diag", g.a, g.d - g.c * g.b / g.a, g.g4)
-    if case == 1:
-        return MonomialData("diag", g.a - g.b * g.c / g.d, g.d, g.g4)
-    if case == 2:
-        return MonomialData("anti", g.b, g.c - g.d * g.a / g.b, g.g4)
-    return MonomialData("anti", g.b - g.a * g.d / g.c, g.c, g.g4)
 
 
 def iwahori_decompose(g: GroupElem) -> Decomposition:
@@ -339,37 +316,34 @@ def iwahori_decompose(g: GroupElem) -> Decomposition:
     lie in both compact subgroups.
     """
     tw = g.a.tower
-    one4 = tw.one(E4)
-    z2 = tw.zero(E2)
-    one2 = tw.one(E2)
     case = _pivot_case(g)
 
     if case == 0:
         # g = l(c/a) * diag(a, d - cb/a) * u(b/a)
-        k1 = GroupElem(one2, z2, g.c / g.a, one2, one4)
-        k2 = GroupElem(one2, g.b / g.a, z2, one2, one4)
-        mono = MonomialData("diag", g.a, g.d - g.c * g.b / g.a, g.g4)
-        return Decomposition(k1, mono, k2)
+        inv = g.a.inverse()
+        x = g.c * inv
+        mono = MonomialData("diag", g.a, g.d - x * g.b, g.g4)
+        return Decomposition(lower_l(tw, x), mono, upper_u(tw, g.b * inv))
 
     if case == 1:
         # g = u(b/d) * diag(a - bc/d, d) * l(c/d)
-        k1 = GroupElem(one2, g.b / g.d, z2, one2, one4)
-        k2 = GroupElem(one2, z2, g.c / g.d, one2, one4)
-        mono = MonomialData("diag", g.a - g.b * g.c / g.d, g.d, g.g4)
-        return Decomposition(k1, mono, k2)
+        inv = g.d.inverse()
+        x = g.b * inv
+        mono = MonomialData("diag", g.a - x * g.c, g.d, g.g4)
+        return Decomposition(upper_u(tw, x), mono, lower_l(tw, g.c * inv))
 
     if case == 2:
         # g = l(d/b) * antidiag(b, c - da/b) * l(a/b)
-        k1 = GroupElem(one2, z2, g.d / g.b, one2, one4)
-        k2 = GroupElem(one2, z2, g.a / g.b, one2, one4)
-        mono = MonomialData("anti", g.b, g.c - g.d * g.a / g.b, g.g4)
-        return Decomposition(k1, mono, k2)
+        inv = g.b.inverse()
+        x = g.d * inv
+        mono = MonomialData("anti", g.b, g.c - x * g.a, g.g4)
+        return Decomposition(lower_l(tw, x), mono, lower_l(tw, g.a * inv))
 
     # g = u(a/c) * antidiag(b - ad/c, c) * u(d/c)
-    k1 = GroupElem(one2, g.a / g.c, z2, one2, one4)
-    k2 = GroupElem(one2, g.d / g.c, z2, one2, one4)
-    mono = MonomialData("anti", g.b - g.a * g.d / g.c, g.c, g.g4)
-    return Decomposition(k1, mono, k2)
+    inv = g.c.inverse()
+    x = g.a * inv
+    mono = MonomialData("anti", g.b - x * g.d, g.c, g.g4)
+    return Decomposition(upper_u(tw, x), mono, upper_u(tw, g.d * inv))
 
 
 # -- the sign-character triviality check ------------------------------------------------

@@ -9,7 +9,8 @@ length and central exponent).  The main computations:
     representatives, for the affine reflection the q lower unipotents
     l(pi2*c); longer reduced words take products of conjugated letter
     transversals.  Transversals are validated by pairwise coset
-    disjointness (sampled above the configured budget).
+    disjointness up to 20,000 pairs and sampled above that, which already
+    happens at q = 17.
 
   * ``classify(g)``: the double-coset label of g, obtained by Iwahori
     factorisation, reading the valuation triple of the monomial part, and
@@ -51,7 +52,6 @@ from .groupmodel import (
     in_KM0,
     iwahori_decompose,
     lower_l,
-    monomial_part,
     random_KM0,
     rho0,
     rho_M0,
@@ -239,9 +239,6 @@ class HeckeContext:
                 return cand, disc
         raise ClassificationError("no sign bit matches the discrepancy")
 
-    def _label(self, g: GroupElem) -> WeylElem:
-        return self._label_of_monomial(monomial_part(g))[0]
-
     def _analyze(self, g: GroupElem) -> tuple[WeylElem, Decomposition, GroupElem]:
         """Full factorisation with the double-coset label and the discrepancy."""
         dec = iwahori_decompose(g)
@@ -250,7 +247,7 @@ class HeckeContext:
 
     def classify(self, g: GroupElem) -> WeylElem:
         """Double-coset label of g; raises WindowExceeded outside the window."""
-        w = self._label(g)
+        w = self._analyze(g)[0]
         self.require_window(w)
         return w
 
@@ -258,11 +255,9 @@ class HeckeContext:
 
     def phi(self, w: WeylElem, g: GroupElem, scale: HeckeCoeff = UNIT_ONE.as_coeff()) -> HeckeCoeff:
         """Value at g of the basis function supported on the double coset of w,
-        normalised to `scale` at the canonical lift."""
-        try:
-            label, dec, disc = self._analyze(g)
-        except ClassificationError:
-            return COEFF_ZERO
+        normalised to `scale` at the canonical lift; raises ClassificationError
+        when g has no double-coset label."""
+        label, dec, disc = self._analyze(g)
         if label != w:
             return COEFF_ZERO
         # disc * k2 is a torus element times a unipotent: no additive
@@ -312,7 +307,7 @@ class HeckeContext:
         w1_lift = self.lift(w1)
         out = set()
         for rw2 in self._middle_products(w2):
-            out.add(self._label(w1_lift * rw2))
+            out.add(self._analyze(w1_lift * rw2)[0])
         return frozenset(out)
 
     # -- the length-zero verification ---------------------------------------------------
@@ -468,37 +463,6 @@ def perturbed_table(ctx: HeckeContext, rng: random.Random) -> CocycleTable:
         if not w.is_identity():
             perturbation[w] = random_KM0(ctx.tower, ctx.variant, rng)
     return CocycleTable(ctx, perturbation)
-
-
-# -- module-level operation surface -------------------------------------------------
-
-
-def coset_reps(ctx: HeckeContext, w: WeylElem) -> list[GroupElem]:
-    return ctx.coset_reps(w)
-
-
-def classify_double_coset(ctx: HeckeContext, g: GroupElem) -> WeylElem:
-    return ctx.classify(g)
-
-
-def convolve_at(ctx: HeckeContext, w1: WeylElem, w2: WeylElem, g: GroupElem) -> HeckeCoeff:
-    return ctx.convolve_at(w1, w2, g)
-
-
-def double_coset_product(ctx: HeckeContext, w1: WeylElem, w2: WeylElem) -> frozenset[WeylElem]:
-    return ctx.double_coset_product(w1, w2)
-
-
-def mu(table: CocycleTable, w1: WeylElem, w2: WeylElem) -> UnitI:
-    return table.mu(w1, w2)
-
-
-def beta(table: CocycleTable, u: WeylElem, v: WeylElem) -> UnitI:
-    return table.beta(u, v)
-
-
-def omega_check(ctx: HeckeContext, **kwargs) -> bool:
-    return ctx.omega_check(**kwargs)
 
 
 def multiplicative_family_search(ctx: HeckeContext, rng: random.Random, trials: int = 40) -> int:

@@ -294,16 +294,6 @@ class ResidueField:
         r1 = (np.convolve(a0, b1) + np.convolve(a1, b0)) % p
         return self._join(r0, r1)
 
-    def vdot(self, a: np.ndarray, b: np.ndarray) -> int:
-        if self.f == 1:
-            return int((a * b).sum() % self.p)
-        p, n = self.p, self.nonsquare
-        a0, a1 = self._split(a)
-        b0, b1 = self._split(b)
-        r0 = int((a0 * b0).sum() + n * (a1 * b1).sum()) % p
-        r1 = int((a0 * b1).sum() + (a1 * b0).sum()) % p
-        return r0 + p * r1
-
     def series_inverse(self, b: np.ndarray, n: int) -> np.ndarray:
         """First n coefficients of 1 / (b0 + b1*T + ...); requires b[0] != 0.
 

@@ -508,26 +508,6 @@ class LaurentElem:
         return f"{self.tag}:pi^{self.lead}*({body})"
 
 
-# ---------------------------------------------------------------------------
-# module-level operations
-
-
-def galois(k: int, x: LaurentElem) -> LaurentElem:
-    return x.galois(k)
-
-
-def norm_to_F(x: LaurentElem) -> LaurentElem:
-    return x.norm_to_F()
-
-
-def trace_to_F(x: LaurentElem) -> LaurentElem:
-    return x.trace_to_F()
-
-
-def eta_F(x: LaurentElem) -> UnitI:
-    return x.eta()
-
-
 def norm_unit_image_check(tower: Tower, tag: str, rng=None, samples: int = 100) -> bool:
     """Check that eta**2 (for E2) resp. eta (for E4) kills all unit norms.
 

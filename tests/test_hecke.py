@@ -7,9 +7,11 @@ from sl8hecke.groupmodel import (
     STABILIZER,
     identity,
     lower_l,
+    torus,
     upper_u,
 )
 from sl8hecke.hecke import (
+    ClassificationError,
     CocycleTable,
     HeckeContext,
     WindowExceeded,
@@ -18,7 +20,7 @@ from sl8hecke.hecke import (
     perturbed_table,
 )
 from sl8hecke.residue import COEFF_ZERO, HeckeCoeff, UNIT_MINUS_ONE, UNIT_ONE
-from sl8hecke.tower import E2
+from sl8hecke.tower import E2, E4
 from sl8hecke.weyl import W_EPS, W_ID, W_S, W_SP, W_Z, WeylElem
 
 
@@ -230,6 +232,15 @@ def test_basis_function_equivariance_and_scale(ctx_stab, rng):
         lhs = phi(ctx_stab, k1 * s_lift * k2)
         rhs = rho0(k1, STABILIZER).as_coeff() * HeckeCoeff(2, 1) * rho0(k2, STABILIZER).as_coeff()
         assert lhs == rhs
+
+
+def test_phi_raises_outside_the_group_image(ctx_stab):
+    # diag(pi2, 1) x 1 has valuation triple (1, 0, 0), which no double coset
+    # of G0 carries: phi must report the failure instead of reading 0
+    tw = ctx_stab.tower
+    g = torus(tw, tw.uniformizer(E2), tw.one(E2), tw.one(E4)).to_group()
+    with pytest.raises(ClassificationError):
+        ctx_stab.phi(W_ID, g)
 
 
 # -- double cosets ------------------------------------------------------------------------
