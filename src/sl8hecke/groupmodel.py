@@ -21,7 +21,8 @@ eps = (-1, 1, 1), and the unipotents u(x), l(c).
 `iwahori_decompose` factors any invertible element as k1 * m * k2 with k1,
 k2 Iwahori (unipotent, so they land in both compact subgroups) and m
 monomial; pivots prefer the diagonal, then row order, and each case
-inverts its pivot once.
+inverts its pivot once.  k1 and k2 are built only when read; a singular
+matrix raises ValueError.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable
 
 from .residue import UnitI, sgn
 from .tower import E2, E4, F, LaurentElem, Tower
@@ -285,9 +288,27 @@ class MonomialData:
 
 @dataclass(frozen=True)
 class Decomposition:
-    k1: GroupElem
+    """g = k1 * monomial * k2 with k1 = make_k1(x) and k2 = make_k2(y / pivot).
+
+    `iwahori_decompose` picks the unipotent constructors (`lower_l` or
+    `upper_u`) next to each pivot case's formula.  The factors are built on
+    first read, so callers that need only the monomial pay for neither.
+    """
+
     monomial: MonomialData
-    k2: GroupElem
+    make_k1: Callable[[Tower, LaurentElem], GroupElem]
+    x: LaurentElem
+    make_k2: Callable[[Tower, LaurentElem], GroupElem]
+    y: LaurentElem
+    pivot_inv: LaurentElem
+
+    @cached_property
+    def k1(self) -> GroupElem:
+        return self.make_k1(self.x.tower, self.x)
+
+    @cached_property
+    def k2(self) -> GroupElem:
+        return self.make_k2(self.x.tower, self.y * self.pivot_inv)
 
 
 def _ordn(x: LaurentElem):
@@ -295,8 +316,8 @@ def _ordn(x: LaurentElem):
 
 
 def _pivot_case(g: GroupElem) -> int:
-    """Pivot preference (1,1), (2,2), (1,2), (2,1); exactly one case fits
-    every invertible matrix's valuation pattern."""
+    """Pivot preference (1,1), (2,2), (1,2), (2,1); every valuation pattern
+    falls in exactly one case (the zero matrix in the last)."""
     va, vb, vc, vd = _ordn(g.a), _ordn(g.b), _ordn(g.c), _ordn(g.d)
     if va <= vb and va <= vd and va < vc:
         return 0
@@ -304,46 +325,49 @@ def _pivot_case(g: GroupElem) -> int:
         return 1
     if vb < va and vb < vd:
         return 2
-    if vc <= va and vc <= vd:
-        return 3
-    raise ValueError("matrix is singular or has undecidable pivot valuations")
+    return 3
 
 
 def iwahori_decompose(g: GroupElem) -> Decomposition:
     """Factor g = k1 * m * k2 with k1, k2 unipotent Iwahori and m monomial.
 
     The unipotent factors have determinant 1 and trivial E4 part, so they
-    lie in both compact subgroups.
+    lie in both compact subgroups.  Raises ValueError for a singular matrix
+    (a zero pivot or a zero complementary monomial entry).
     """
-    tw = g.a.tower
     case = _pivot_case(g)
+    pivot = (g.a, g.d, g.b, g.c)[case]
+    if pivot.is_zero:
+        raise ValueError("matrix is singular: every entry is zero")
+    inv = pivot.inverse()
 
     if case == 0:
         # g = l(c/a) * diag(a, d - cb/a) * u(b/a)
-        inv = g.a.inverse()
         x = g.c * inv
-        mono = MonomialData("diag", g.a, g.d - x * g.b, g.g4)
-        return Decomposition(lower_l(tw, x), mono, upper_u(tw, g.b * inv))
-
-    if case == 1:
+        comp = g.d - x * g.b
+        mono = MonomialData("diag", g.a, comp, g.g4)
+        make_k1, make_k2, y = lower_l, upper_u, g.b
+    elif case == 1:
         # g = u(b/d) * diag(a - bc/d, d) * l(c/d)
-        inv = g.d.inverse()
         x = g.b * inv
-        mono = MonomialData("diag", g.a - x * g.c, g.d, g.g4)
-        return Decomposition(upper_u(tw, x), mono, lower_l(tw, g.c * inv))
-
-    if case == 2:
+        comp = g.a - x * g.c
+        mono = MonomialData("diag", comp, g.d, g.g4)
+        make_k1, make_k2, y = upper_u, lower_l, g.c
+    elif case == 2:
         # g = l(d/b) * antidiag(b, c - da/b) * l(a/b)
-        inv = g.b.inverse()
         x = g.d * inv
-        mono = MonomialData("anti", g.b, g.c - x * g.a, g.g4)
-        return Decomposition(lower_l(tw, x), mono, lower_l(tw, g.a * inv))
-
-    # g = u(a/c) * antidiag(b - ad/c, c) * u(d/c)
-    inv = g.c.inverse()
-    x = g.a * inv
-    mono = MonomialData("anti", g.b - x * g.d, g.c, g.g4)
-    return Decomposition(upper_u(tw, x), mono, upper_u(tw, g.d * inv))
+        comp = g.c - x * g.a
+        mono = MonomialData("anti", g.b, comp, g.g4)
+        make_k1, make_k2, y = lower_l, lower_l, g.a
+    else:
+        # g = u(a/c) * antidiag(b - ad/c, c) * u(d/c)
+        x = g.a * inv
+        comp = g.b - x * g.d
+        mono = MonomialData("anti", comp, g.c, g.g4)
+        make_k1, make_k2, y = upper_u, upper_u, g.d
+    if comp.is_zero:
+        raise ValueError("matrix is singular: the complementary monomial entry is zero")
+    return Decomposition(mono, make_k1, x, make_k2, y, inv)
 
 
 # -- the sign-character triviality check ------------------------------------------------

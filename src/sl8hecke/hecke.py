@@ -203,9 +203,14 @@ class HeckeContext:
                 tuple(sorted(self.rng.sample(range(n), 2)))
                 for _ in range(_DISJOINTNESS_PAIR_BUDGET)
             )
+        # r_i and r_j share a coset iff r_i^-1 r_j lies in K and in wKw^-1;
+        # the second, rarely true, is tested first on per-rep products
+        left = [w_lift_inv * r_inv for _, r_inv in reps]
+        right = [r * w_lift for r, _ in reps]
         for i, j in pairs:
-            d = reps[i][1] * reps[j][0]
-            if in_K0(d, self.variant) and in_K0(w_lift_inv * d * w_lift, self.variant):
+            if in_K0(left[i] * right[j], self.variant) and in_K0(
+                reps[i][1] * reps[j][0], self.variant
+            ):
                 raise TransversalError(f"duplicate coset in transversal of {w}")
 
     # -- classification -----------------------------------------------------------

@@ -11,15 +11,17 @@ where zeta is the canonical primitive root of F_q.  E2 and E4 are separate
 towers over F; no embedding between them is needed (and none exists, since
 zeta is a non-square).
 
-Every element carries exactly N coefficients from its leading exponent,
-where N is the session-wide relative precision.  Arithmetic is exact on
-exponents; addition renormalises after cancellation.  If a sum cancels its
-entire retained window the element is indistinguishable from zero at this
-precision and the operation raises :class:`PrecisionExhausted` -- a hard
-error, never a silent zero.  All quantities produced by the verification
-runs are Laurent polynomials of tiny support, for which the window model
-is exact; window tails created by division are correct to relative
-precision N.
+An element is a leading exponent plus a window of N coefficients from that
+exponent, where N is the relative precision fixed by its Tower.  The
+window is stored as a trimmed tuple: c0 != 0 and no trailing zeros, so
+the tuple's length is the element's support and operations cost what the
+support costs.  Arithmetic is exact on exponents; addition renormalises after
+cancellation.  If a sum cancels its entire retained window the element is
+indistinguishable from zero at this precision and the operation raises
+:class:`PrecisionExhausted` -- a hard error, never a silent zero.  All
+quantities produced by the verification runs are Laurent polynomials of
+tiny support, for which the window model is exact; window tails created by
+division are correct to relative precision N.
 
 Galois actions are coefficientwise: the generator of Gal(E2/F) sends
 pi2 -> -pi2, the chosen generator of Gal(E4/F) sends pi4 -> i4*pi4 with
@@ -30,8 +32,6 @@ traces to F multiply/sum the conjugates and re-read the result in t.
 from __future__ import annotations
 
 from fractions import Fraction
-
-import numpy as np
 
 from .residue import DomainError, ResidueField, UnitI, eta_residue
 
@@ -82,29 +82,25 @@ class Tower:
     def zero(self, tag: str) -> "LaurentElem":
         got = self._zeros.get(tag)
         if got is None:
-            got = LaurentElem(self, tag, 0, np.zeros(self.N, dtype=np.int64), is_zero=True)
+            got = LaurentElem(self, tag, 0, ())
             self._zeros[tag] = got
         return got
 
     def from_coeffs(self, tag: str, lead: int, coeffs) -> "LaurentElem":
-        vals = list(coeffs)
-        arr = np.zeros(self.N, dtype=np.int64)
-        arr[: min(len(vals), self.N)] = vals[: self.N]
-        k = _first_nonzero(arr)
-        if k is None:
-            return self.zero(tag)
+        vals = [int(v) for v in coeffs]
         # exact unless the given support was truncated away
-        exact = all(v == 0 for v in vals[self.N :]) if len(vals) > self.N else True
-        return LaurentElem(self, tag, lead + k, _shift(arr, k), exact=exact)
+        exact = not any(vals[self.N :])
+        k, window = _trim(vals[: self.N])
+        if not window:
+            return self.zero(tag)
+        return LaurentElem(self, tag, lead + k, window, exact)
 
     def constant(self, tag: str, enc: int) -> "LaurentElem":
         if enc == 0:
             return self.zero(tag)
         got = self._constants.get((tag, enc, 0))
         if got is None:
-            arr = np.zeros(self.N, dtype=np.int64)
-            arr[0] = enc
-            got = LaurentElem(self, tag, 0, arr, supp=1)
+            got = LaurentElem(self, tag, 0, (enc,))
             self._constants[(tag, enc, 0)] = got
         return got
 
@@ -117,9 +113,7 @@ class Tower:
     def uniformizer(self, tag: str) -> "LaurentElem":
         got = self._constants.get((tag, 1, 1))
         if got is None:
-            arr = np.zeros(self.N, dtype=np.int64)
-            arr[0] = 1
-            got = LaurentElem(self, tag, 1, arr, supp=1)
+            got = LaurentElem(self, tag, 1, (1,))
             self._constants[(tag, 1, 1)] = got
         return got
 
@@ -137,77 +131,57 @@ class Tower:
         e = RAMIFICATION[tag]
         u = self.t_unit[tag]
         fld = self.field
-        arr = np.zeros(self.N, dtype=np.int64)
+        # base digit j lands at position e*j with the factor u**(lead + j)
+        kept = x.coeffs[: -(-self.N // e)]
+        out = [0] * (e * (len(kept) - 1) + 1)
         scale = fld.pow(u, x.lead) if x.lead != 0 else 1
-        for j in range(self.N):
-            pos = e * j
-            if pos >= self.N:
-                break
-            if x.coeffs[j] != 0:
-                arr[pos] = fld.mul(int(x.coeffs[j]), scale)
+        for j, c in enumerate(kept):
+            if c:
+                out[e * j] = fld.mul(c, scale)
             scale = fld.mul(scale, u)
-        if arr[0] == 0:
-            raise AssertionError("embedding lost the leading term")
         exact = x.exact and e * (x.supp - 1) < self.N
-        return LaurentElem(self, tag, e * x.lead, arr, exact=exact)
+        return LaurentElem(self, tag, e * x.lead, _trim(out)[1], exact)
 
     def __repr__(self) -> str:
         return f"Tower(q={self.q}, N={self.N})"
 
 
-def _first_nonzero(arr: np.ndarray):
-    idx = np.flatnonzero(arr)
-    return int(idx[0]) if len(idx) else None
-
-
-def _shift(arr: np.ndarray, k: int) -> np.ndarray:
-    """Drop the first k entries and zero-pad the tail back to full length."""
-    if k == 0:
-        return arr
-    out = np.zeros(len(arr), dtype=np.int64)
-    out[: len(arr) - k] = arr[k:]
-    return out
+def _trim(vals: list) -> tuple[int, tuple]:
+    """(number of leading zeros, the values without leading and trailing zeros)."""
+    end = len(vals)
+    while end and not vals[end - 1]:
+        end -= 1
+    k = 0
+    while k < end and not vals[k]:
+        k += 1
+    return k, tuple(vals[k:end])
 
 
 class LaurentElem:
-    """pi**lead * (c0 + c1*pi + ... + c_{N-1}*pi**(N-1)) in one tower field.
+    """pi**lead * (c0 + c1*pi + ... + c_{supp-1}*pi**(supp-1)) in one tower field.
 
-    Immutable value; c0 != 0 unless the element is exactly zero.  ``exact``
-    records that the retained window is the complete value (a Laurent
-    polynomial), which is what licenses recognising a full-window
-    cancellation as a genuine zero; division and window overflow clear it.
+    Immutable value.  ``coeffs`` is the retained window as a trimmed tuple
+    of encodings (c0 != 0, no trailing zeros; ``()`` for zero), read as
+    zero-padded to N coefficients.  ``exact`` records that the retained
+    window is the complete value (a Laurent polynomial), which is what
+    licenses recognising a full-window cancellation as a genuine zero;
+    division and window overflow clear it.
     """
 
-    __slots__ = ("tower", "tag", "lead", "coeffs", "is_zero", "exact", "_supp")
+    __slots__ = ("tower", "tag", "lead", "coeffs", "is_zero", "exact")
 
-    def __init__(
-        self,
-        tower: Tower,
-        tag: str,
-        lead: int,
-        coeffs: np.ndarray,
-        is_zero: bool = False,
-        exact: bool = True,
-        supp: int | None = None,
-    ):
+    def __init__(self, tower: Tower, tag: str, lead: int, coeffs: tuple, exact: bool = True):
         self.tower = tower
         self.tag = tag
-        self.lead = 0 if is_zero else lead
         self.coeffs = coeffs
-        self.is_zero = is_zero
-        self.exact = True if is_zero else exact
-        self._supp = 0 if is_zero else supp
-        coeffs.flags.writeable = False
+        self.is_zero = not coeffs
+        self.lead = 0 if self.is_zero else lead
+        self.exact = exact or self.is_zero
 
     @property
     def supp(self) -> int:
         """Index of the last nonzero retained coefficient, plus one."""
-        s = self._supp
-        if s is None:
-            nz = np.flatnonzero(self.coeffs)
-            s = int(nz[-1]) + 1 if len(nz) else 0
-            self._supp = s
-        return s
+        return len(self.coeffs)
 
     # -- valuations ---------------------------------------------------------
 
@@ -227,7 +201,7 @@ class LaurentElem:
         """Leading coefficient; for a unit this is its residue in F_q."""
         if self.is_zero:
             raise DomainError("residue of zero")
-        return int(self.coeffs[0])
+        return self.coeffs[0]
 
     def is_integral(self) -> bool:
         return self.is_zero or self.lead >= 0
@@ -250,41 +224,31 @@ class LaurentElem:
             return other
         if other.is_zero:
             return self
+        if other.lead < self.lead:
+            self, other = other, self
         tw = self.tower
-        lead = min(self.lead, other.lead)
-        arr = np.zeros(tw.N, dtype=np.int64)
-        off_a = self.lead - lead
-        off_b = other.lead - lead
-        if off_a < tw.N:
-            arr[off_a:] = self.coeffs[: tw.N - off_a]
-        if off_b < tw.N:
-            arr[off_b:] = tw.field.vadd(arr[off_b:], other.coeffs[: tw.N - off_b])
-        retained = (
-            self.exact
-            and other.exact
-            and off_a + self.supp <= tw.N
-            and off_b + other.supp <= tw.N
-        )
-        k = _first_nonzero(arr)
-        if k is None:
+        N = tw.N
+        add = tw.field.add
+        a, b = self.coeffs, other.coeffs
+        off = other.lead - self.lead
+        # the window is [self.lead, self.lead + N); b starts `off` into it
+        retained = self.exact and other.exact and off + len(b) <= N
+        out = list(a)
+        out += [0] * (min(off + len(b), N) - len(a))
+        for k, y in enumerate(b[: max(N - off, 0)], off):
+            out[k] = add(out[k], y)
+        k, window = _trim(out)
+        if not window:
             if retained:
                 return tw.zero(self.tag)  # certified genuine cancellation
-            raise PrecisionExhausted(
-                f"all {tw.N} retained coefficients cancelled in {self.tag}"
-            )
-        return LaurentElem(tw, self.tag, lead + k, _shift(arr, k), exact=retained)
+            raise PrecisionExhausted(f"all {N} retained coefficients cancelled in {self.tag}")
+        return LaurentElem(tw, self.tag, self.lead + k, window, retained)
 
     def __neg__(self) -> "LaurentElem":
         if self.is_zero:
             return self
-        return LaurentElem(
-            self.tower,
-            self.tag,
-            self.lead,
-            self.tower.field.vneg(self.coeffs),
-            exact=self.exact,
-            supp=self._supp,
-        )
+        neg = self.tower.field.neg
+        return LaurentElem(self.tower, self.tag, self.lead, tuple(map(neg, self.coeffs)), self.exact)
 
     def __sub__(self, other: "LaurentElem") -> "LaurentElem":
         return self + (-other)
@@ -292,39 +256,34 @@ class LaurentElem:
     def __mul__(self, other: "LaurentElem") -> "LaurentElem":
         self._check(other)
         tw = self.tower
-        if self.is_zero or other.is_zero:
-            return tw.zero(self.tag)
-        sa, sb = self.supp, other.supp
+        a, b = self.coeffs, other.coeffs
+        if not a:
+            return self
+        if not b:
+            return other
         fld = tw.field
-        arr = np.zeros(tw.N, dtype=np.int64)
-        if sb == 1:
-            arr[:sa] = fld.vscale(int(other.coeffs[0]), self.coeffs[:sa])
-            supp = sa
-        elif sa == 1:
-            arr[:sb] = fld.vscale(int(self.coeffs[0]), other.coeffs[:sb])
-            supp = sb
-        else:
-            conv = fld.convolve(self.coeffs[:sa], other.coeffs[:sb])
-            if len(conv) > tw.N:
-                conv = conv[: tw.N]
-                supp = None  # truncated; trailing zeros possible
-            else:
-                supp = len(conv)  # trailing coefficient is a product of units
-            arr[: len(conv)] = conv
-        exact = self.exact and other.exact and sa + sb - 1 <= tw.N
-        return LaurentElem(tw, self.tag, self.lead + other.lead, arr, exact=exact, supp=supp)
+        lead = self.lead + other.lead
+        exact = self.exact and other.exact
+        if len(b) == 1:
+            if len(a) == 1:
+                return LaurentElem(tw, self.tag, lead, (fld.mul(a[0], b[0]),), exact)
+            a, b = b, a
+        if len(a) == 1:
+            # a product of nonzero field elements is nonzero: no trimming
+            c, mul = a[0], fld.mul
+            return LaurentElem(tw, self.tag, lead, tuple([mul(c, y) for y in b]), exact)
+        exact = exact and len(a) + len(b) - 1 <= tw.N
+        # c0 is a product of units; truncation may leave trailing zeros
+        return LaurentElem(tw, self.tag, lead, _trim(fld.mul_trunc(a, b, tw.N))[1], exact)
 
     def inverse(self) -> "LaurentElem":
         tw = self.tower
         if self.is_zero:
             raise ZeroDivisionError(f"division by zero in {self.tag}")
         if self.supp == 1:  # monomial: exact O(1) inversion
-            arr = np.zeros(tw.N, dtype=np.int64)
-            arr[0] = tw.field.inv(int(self.coeffs[0]))
-            return LaurentElem(tw, self.tag, -self.lead, arr, exact=self.exact, supp=1)
-        return LaurentElem(
-            tw, self.tag, -self.lead, tw.field.series_inverse(self.coeffs, tw.N), exact=False
-        )
+            return LaurentElem(tw, self.tag, -self.lead, (tw.field.inv(self.coeffs[0]),), self.exact)
+        inv = tw.field.series_inverse(self.coeffs, tw.N)
+        return LaurentElem(tw, self.tag, -self.lead, _trim(inv)[1], False)
 
     def __truediv__(self, other: "LaurentElem") -> "LaurentElem":
         self._check(other)
@@ -344,13 +303,10 @@ class LaurentElem:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentElem):
             return NotImplemented
-        if self.tag != other.tag:
-            return False
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return self.lead == other.lead and bool(np.array_equal(self.coeffs, other.coeffs))
+        # zero is the only element with an empty window, and it has lead 0
+        return self.tag == other.tag and self.lead == other.lead and self.coeffs == other.coeffs
 
-    __hash__ = None  # mutable-array payload; not hashable
+    __hash__ = None  # equality ignores `exact`: equal keys could differ in precision
 
     # -- Galois, norm, trace --------------------------------------------------
 
@@ -376,27 +332,19 @@ class LaurentElem:
             for _ in range(tw.N):
                 vals.append(acc)
                 acc = fld.mul(acc, unit)
-            pattern = np.array(vals, dtype=np.int64)
-            pattern.flags.writeable = False
+            pattern = tuple(vals)
             tw._galois_patterns[key] = pattern
-        return LaurentElem(
-            tw,
-            self.tag,
-            self.lead,
-            fld.vmul(self.coeffs, pattern),
-            exact=self.exact,
-            supp=self._supp,
-        )
+        coeffs = tuple(map(fld.mul, self.coeffs, pattern))
+        return LaurentElem(tw, self.tag, self.lead, coeffs, self.exact)
 
-    def _to_base(self, lead: int, arr: np.ndarray, exact: bool) -> "LaurentElem":
+    def _to_base(self, lead: int, coeffs: tuple, exact: bool) -> "LaurentElem":
         """Re-read an E-element supported on exponents divisible by e as an F-element."""
         tw = self.tower
         e = RAMIFICATION[self.tag]
         fld = tw.field
         if lead % e != 0:
             raise AssertionError("Galois-symmetric element has non-divisible lead")
-        stray = np.flatnonzero(arr)
-        if len(stray) and ((lead + stray) % e).any():
+        if any(c for j, c in enumerate(coeffs) if j % e):
             raise AssertionError("Galois-symmetric element has stray coefficients")
         # base digit w picks up t_unit**(-w); the w-independent pattern is cached
         pattern = tw._base_patterns.get(self.tag)
@@ -407,24 +355,17 @@ class LaurentElem:
             for _ in range(tw.N):
                 vals.append(acc)
                 acc = fld.mul(acc, u_inv)
-            pattern = np.array(vals, dtype=np.int64)
-            pattern.flags.writeable = False
+            pattern = tuple(vals)
             tw._base_patterns[self.tag] = pattern
         w0 = lead // e
-        picked = arr[::e]
-        m = len(picked)
-        scaled = fld.vmul(picked, pattern[:m])
+        scaled = map(fld.mul, coeffs[::e], pattern)
         head_scale = fld.pow(fld.inv(tw.t_unit[self.tag]), w0)
         if head_scale != 1:
-            scaled = fld.vscale(head_scale, scaled)
-        out = np.zeros(tw.N, dtype=np.int64)
-        out[:m] = scaled
+            scaled = [fld.mul(head_scale, c) for c in scaled]
         # Window tails beyond N/e base digits are exact only for polynomial
-        # support, signalled by the exact flag.
-        k = _first_nonzero(out)
-        if k is None:
-            raise AssertionError("empty base-field reading of a nonzero element")
-        return LaurentElem(tw, F, w0 + k, _shift(out, k), exact=exact)
+        # support, signalled by the exact flag.  The last coefficient sits
+        # at a multiple of e (no strays), so the reading stays trimmed.
+        return LaurentElem(tw, F, w0, tuple(scaled), exact)
 
     def norm_to_F(self) -> "LaurentElem":
         """Product of all Galois conjugates, read in F."""
@@ -438,14 +379,12 @@ class LaurentElem:
             # monomial c * pi**m: the conjugate product collapses to
             # c**2 * t**m over the quadratic field, c**4 * zeta**m * t**m
             # over the quartic one
-            c = int(self.coeffs[0])
+            c = self.coeffs[0]
             if self.tag == E2:
                 value = fld.pow(c, 2)
             else:
                 value = fld.mul(fld.pow(c, 4), fld.pow(fld.zeta, self.lead))
-            arr = np.zeros(tw.N, dtype=np.int64)
-            arr[0] = value
-            return LaurentElem(tw, F, self.lead, arr, exact=self.exact, supp=1)
+            return LaurentElem(tw, F, self.lead, (value,), self.exact)
         e = RAMIFICATION[self.tag]
         prod = self
         for k in range(1, e):
@@ -460,19 +399,20 @@ class LaurentElem:
             return self.tower.zero(F)
         tw = self.tower
         e = RAMIFICATION[self.tag]
+        add = tw.field.add
         # All conjugates share the window [lead, lead+N); sum positionally in
         # one pass so intermediate partial sums cannot masquerade as zero.
         acc = self.coeffs
         for k in range(1, e):
-            acc = tw.field.vadd(acc, self.galois(k).coeffs)
-        j = _first_nonzero(acc)
-        if j is None:
+            acc = tuple(map(add, acc, self.galois(k).coeffs))
+        j, acc = _trim(acc)
+        if not acc:
             if self.exact:
                 return tw.zero(F)  # genuinely trace-free (all conjugates cancel)
             raise PrecisionExhausted(
                 f"trace cancelled every retained coefficient in {self.tag}"
             )
-        return self._to_base(self.lead + j, _shift(acc, j), self.exact)
+        return self._to_base(self.lead + j, acc, self.exact)
 
     def eta(self) -> UnitI:
         """The character of F^x that is trivial on t and 1 + tF_q[[t]] and
@@ -481,7 +421,7 @@ class LaurentElem:
             raise TagMismatch("eta is a character of F^x")
         if self.is_zero:
             raise DomainError("eta of zero")
-        return eta_residue(self.tower.field, int(self.coeffs[0]))
+        return eta_residue(self.tower.field, self.coeffs[0])
 
     # -- display --------------------------------------------------------------
 
@@ -489,8 +429,7 @@ class LaurentElem:
         if self.is_zero:
             return f"{self.tag}:0"
         terms = []
-        for j in range(self.tower.N):
-            c = int(self.coeffs[j])
+        for j, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if len(terms) >= 6:

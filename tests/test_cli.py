@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -91,3 +92,11 @@ def test_all_sections_named():
         "omega",
         "algebra",
     }
+
+
+def test_report_json_matches_golden_output(capsysbinary):
+    # recorded from `python -m sl8hecke.cli --q 5 --variant both --seed 0
+    # --format json report`; any byte of drift is a behaviour change
+    golden = Path(__file__).parent / "data" / "report-q5-seed0.json"
+    assert main(["--q", "5", "--variant", "both", "--seed", "0", "--format", "json", "report"]) == 0
+    assert capsysbinary.readouterr().out == golden.read_bytes()

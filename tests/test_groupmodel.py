@@ -264,6 +264,24 @@ def test_decompose_unipotent_factors_are_in_both_subgroups(tower5):
             assert in_K0(k, STABILIZER) and in_K0(k, PARAHORIC)
 
 
+def test_decompose_rejects_singular_matrices(tower5):
+    tw = tower5
+    one, zero = tw.one(E2), tw.zero(E2)
+    rank_one = GroupElem(one, one, one, one, tw.one(E4))
+    zero_matrix = GroupElem(zero, zero, zero, zero, tw.one(E4))
+    for g in (rank_one, zero_matrix):
+        with pytest.raises(ValueError, match="singular"):
+            iwahori_decompose(g)
+
+
+def test_decompose_builds_unipotent_factors_on_first_read(tower5):
+    g = lower_l(tower5, 3) * elem_s(tower5) * upper_u(tower5, 2)
+    dec = iwahori_decompose(g)
+    assert "k1" not in vars(dec) and "k2" not in vars(dec)
+    assert dec.k2 is dec.k2
+    assert_valid_decomposition(g, dec)
+
+
 # -- sign-character triviality ----------------------------------------------------------
 
 

@@ -209,6 +209,19 @@ def test_convolve_matches_schoolbook(q):
 
 
 @pytest.mark.parametrize("q", [5, 9, 13])
+def test_mul_trunc_matches_truncated_convolution(q):
+    # every shape on both sides of the numpy cut-over, truncated at n = 17
+    f = make_field(q)
+    n = 17
+    for sa in range(1, 21):
+        for sb in range(1, 21):
+            a = [(3 * k + 1) % q or 1 for k in range(sa)]
+            b = [(5 * k + 2) % q or 1 for k in range(sb)]
+            full = [int(v) for v in f.convolve(a, b)]
+            assert f.mul_trunc(a, b, n) == full[:n]
+
+
+@pytest.mark.parametrize("q", [5, 9, 13])
 def test_series_inverse_roundtrip(q):
     import numpy as np
 

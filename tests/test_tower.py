@@ -283,3 +283,250 @@ def test_precision_floor_enforced():
 def test_debug_serialisation_mentions_tag_and_lead(tw):
     s = repr(tw.uniformizer(E4) ** -2)
     assert "E4" in s and "-2" in s
+
+
+# -- differential checks of the kernels against a dense-window reference -------------
+#
+# The reference reads every element as its lead plus all N window
+# coefficients and recomputes each operation with scalar field arithmetic.
+# Supports are drawn on both sides of the numpy cut-over of products, and
+# divisors include supports 2, 4 and N.  The N = 17 tower makes short
+# products overflow the window and has a window length not divisible by e.
+
+DIFF_TOWERS = [Tower(make_field(q), precision=40) for q in (5, 9, 13)] + [
+    Tower(make_field(13), precision=17)
+]
+KERNEL_EXAMPLES = settings(max_examples=150)
+
+
+def supports(tw, divisor=False):
+    # N + 3 truncates the given values: an inexact element
+    small = (1, 2, 4, 5, 13) if divisor else (1, 2, 3, 4, 5, 8, 13)
+    return small + (tw.N, tw.N + 3)
+
+
+def assert_invariants(x):
+    assert isinstance(x.coeffs, tuple)
+    assert x.supp == len(x.coeffs)
+    if x.is_zero:
+        assert x.coeffs == () and x.lead == 0 and x.exact
+    else:
+        assert x.coeffs[0] != 0 and x.coeffs[-1] != 0
+        assert len(x.coeffs) <= x.tower.N
+
+
+def dense(x):
+    """(lead, all N window coefficients) of a nonzero element."""
+    return x.lead, list(x.coeffs) + [0] * (x.tower.N - len(x.coeffs))
+
+
+def renormalise(lead, vals):
+    """(lead, window) shifted to a nonzero first coefficient; None for zero."""
+    for k, v in enumerate(vals):
+        if v:
+            return lead + k, vals[k:] + [0] * k
+    return None
+
+
+def assert_matches(x, ref):
+    assert_invariants(x)
+    if ref is None:
+        assert x.is_zero
+    else:
+        assert dense(x) == ref
+
+
+def ref_add(fld, x, y):
+    lead = min(x[0], y[0])
+    n = len(x[1])
+    out = [0] * n
+    for z_lead, z_vals in (x, y):
+        for j, c in enumerate(z_vals):
+            pos = z_lead - lead + j
+            if pos < n:
+                out[pos] = fld.add(out[pos], c)
+    return renormalise(lead, out)
+
+
+def ref_mul(fld, x, y):
+    (la, a), (lb, b) = x, y
+    n = len(a)
+    out = [0] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] = fld.add(out[i + j], fld.mul(a[i], b[j]))
+    return renormalise(la + lb, out)
+
+
+def ref_galois(tw, tag, x, k):
+    fld = tw.field
+    e = RAMIFICATION[tag]
+    gen = fld.neg(1) if tag == E2 else tw.i4
+    lead, vals = x
+    return lead, [fld.mul(c, fld.pow(gen, (k * (lead + j)) % e)) for j, c in enumerate(vals)]
+
+
+def ref_to_base(tw, tag, x):
+    """Read an E-window supported on exponents divisible by e in F."""
+    lead, vals = x
+    e = RAMIFICATION[tag]
+    fld = tw.field
+    assert lead % e == 0
+    assert not any(c for j, c in enumerate(vals) if j % e)
+    u_inv = fld.inv(tw.t_unit[tag])
+    digits = [fld.mul(c, fld.pow(u_inv, lead // e + w)) for w, c in enumerate(vals[::e])]
+    return renormalise(lead // e, digits + [0] * (tw.N - len(digits)))
+
+
+def ref_embed(tw, tag, x):
+    """An F-window read in E: t**w = (u * pi**e)**w spreads digit w to e*w."""
+    lead, vals = x
+    e = RAMIFICATION[tag]
+    fld = tw.field
+    out = [0] * tw.N
+    for j, c in enumerate(vals):
+        if e * j < tw.N:
+            out[e * j] = fld.mul(c, fld.pow(tw.t_unit[tag], lead + j))
+    return renormalise(e * lead, out)
+
+
+@st.composite
+def kernel_operands(draw, count=2, divisor=False, tags=(F, E2, E4), max_supp=None):
+    tw = draw(st.sampled_from(DIFF_TOWERS))
+    q = tw.q
+    tag = draw(st.sampled_from(tags))
+    choices = [s for s in supports(tw, divisor) if max_supp is None or s <= max_supp]
+    # leads near N put one operand partly or wholly outside the other's window
+    leads = st.one_of(st.integers(-6, 6), st.integers(tw.N - 6, tw.N + 6))
+    elems = []
+    for _ in range(count):
+        supp = draw(st.sampled_from(choices))
+        vals = draw(st.lists(st.integers(0, q - 1), min_size=supp, max_size=supp))
+        vals[0] = draw(st.integers(1, q - 1))
+        vals[-1] = draw(st.integers(1, q - 1))
+        elems.append(tw.from_coeffs(tag, draw(leads), vals))
+    return tw, tag, elems
+
+
+def add_is_retained(x, y):
+    lo, hi = sorted((x, y), key=lambda z: z.lead)
+    return x.exact and y.exact and hi.lead - lo.lead + hi.supp <= x.tower.N
+
+
+@KERNEL_EXAMPLES
+@given(kernel_operands())
+def test_add_sub_neg_match_dense_reference(data):
+    tw, _, (x, y) = data
+    fld = tw.field
+    for z in (x, y):
+        assert_invariants(z)
+    neg_y = -y
+    assert_matches(neg_y, (y.lead, [fld.neg(c) for c in dense(y)[1]]))
+    assert neg_y.exact == y.exact
+    if x.exact:
+        assert (x - x).is_zero
+    else:
+        with pytest.raises(PrecisionExhausted):
+            _ = x - x
+    retained = add_is_retained(x, y)
+    for op, other in ((lambda: x + y, y), (lambda: x - y, neg_y)):
+        ref = ref_add(fld, dense(x), dense(other))
+        if ref is None and not retained:
+            with pytest.raises(PrecisionExhausted):
+                op()
+            continue
+        got = op()
+        assert_matches(got, ref)
+        assert got.exact == retained
+
+
+@KERNEL_EXAMPLES
+@given(kernel_operands())
+def test_mul_matches_dense_reference(data):
+    tw, _, (x, y) = data
+    got = x * y
+    assert_matches(got, ref_mul(tw.field, dense(x), dense(y)))
+    assert got.exact == (x.exact and y.exact and x.supp + y.supp - 1 <= tw.N)
+    assert y * x == got
+
+
+@KERNEL_EXAMPLES
+@given(kernel_operands(count=1, divisor=True))
+def test_inverse_matches_dense_reference(data):
+    tw, _, (x,) = data
+    inv = x.inverse()
+    assert_invariants(inv)
+    assert inv.lead == -x.lead
+    assert inv.exact == (x.exact and x.supp == 1)
+    # the window of 1/x is the unique one whose product with x's window is 1
+    assert ref_mul(tw.field, dense(x), dense(inv)) == (0, [1] + [0] * (tw.N - 1))
+
+
+@KERNEL_EXAMPLES
+@given(kernel_operands(count=1, tags=(E2, E4)), st.integers(1, 3))
+def test_galois_matches_dense_reference(data, k):
+    tw, tag, (x,) = data
+    got = x.galois(k)
+    assert_matches(got, ref_galois(tw, tag, dense(x), k))
+    assert got.exact == x.exact
+
+
+@KERNEL_EXAMPLES
+@given(kernel_operands(count=1, tags=(E2, E4), max_supp=13))
+def test_norm_and_trace_match_dense_reference(data):
+    tw, tag, (x,) = data
+    fld = tw.field
+    prod, total = dense(x), dense(x)[1]
+    for k in range(1, RAMIFICATION[tag]):
+        conj = ref_galois(tw, tag, dense(x), k)
+        prod = ref_mul(fld, prod, conj)
+        total = [fld.add(a, b) for a, b in zip(total, conj[1])]
+    assert_matches(x.norm_to_F(), ref_to_base(tw, tag, prod))
+    summed = renormalise(x.lead, total)
+    assert_matches(x.trace_to_F(), summed and ref_to_base(tw, tag, summed))
+
+
+@KERNEL_EXAMPLES
+@given(kernel_operands(count=1, tags=(F,)), st.sampled_from([E2, E4]))
+def test_embed_matches_dense_reference(data, tag):
+    tw, _, (x,) = data
+    got = tw.embed(x, tag)
+    assert_matches(got, ref_embed(tw, tag, dense(x)))
+    assert got.exact == (x.exact and RAMIFICATION[tag] * (x.supp - 1) < tw.N)
+
+
+@pytest.mark.parametrize("tw", DIFF_TOWERS, ids=lambda tw: f"q{tw.q}-N{tw.N}")
+def test_exact_flag_boundaries(tw):
+    # a window that just holds the value stays exact; one digit more does not
+    n = tw.N
+    one = tw.one(E2)
+    assert tw.from_coeffs(E2, 0, [1] * n + [0, 0]).exact
+    assert not tw.from_coeffs(E2, 0, [1] * (n + 1)).exact
+    for width, exact in ((n, True), (n + 1, False)):
+        x = tw.from_coeffs(E2, width - 3, [1, 0, 1])  # occupies [width - 3, width)
+        assert (one + x).exact is exact
+        poly = tw.from_coeffs(E2, 0, [1] * (width - 2))
+        assert (poly * tw.from_coeffs(E2, 0, [1, 1, 1])).exact is exact
+    for tag in (E2, E4):
+        e = RAMIFICATION[tag]
+        last = (n - 1) // e  # the last base digit whose image lies in the window
+        assert tw.embed(tw.from_coeffs(F, 0, [1] + [0] * (last - 1) + [1]), tag).exact
+        assert not tw.embed(tw.from_coeffs(F, 0, [1] + [0] * last + [1]), tag).exact
+
+
+def test_trace_cancellation_needs_exactness(tw):
+    # pi2 times an F-element is trace-free; only an exact one certifies 0
+    pi2 = tw.uniformizer(E2)
+    assert (pi2 * tw.embed(tw.one(F) + tw.t(F), E2)).trace_to_F().is_zero
+    inexact = pi2 * tw.embed(tw.one(F) / (tw.one(F) + tw.t(F)), E2)
+    with pytest.raises(PrecisionExhausted):
+        inexact.trace_to_F()
+
+
+def test_zero_is_the_empty_window():
+    for tw in DIFF_TOWERS:
+        for tag in (F, E2, E4):
+            z = tw.zero(tag)
+            assert_invariants(z)
+            assert tw.from_coeffs(tag, 3, [0, 0, 0]) == z
+            assert (tw.one(tag) * z).is_zero and (z * tw.one(tag)).is_zero
