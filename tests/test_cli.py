@@ -100,3 +100,13 @@ def test_report_json_matches_golden_output(capsysbinary):
     golden = Path(__file__).parent / "data" / "report-q5-seed0.json"
     assert main(["--q", "5", "--variant", "both", "--seed", "0", "--format", "json", "report"]) == 0
     assert capsysbinary.readouterr().out == golden.read_bytes()
+
+
+def test_cocycle_json_matches_golden_output(capsysbinary):
+    # recorded from `python -m sl8hecke.cli --q 13 --variant both --seed 0
+    # --format json verify cocycle`; the sampled lift families report
+    # verdicts only, so the JSON does not depend on which factors are drawn
+    golden = Path(__file__).parent / "data" / "cocycle-q13-seed0.json"
+    args = ["--q", "13", "--variant", "both", "--seed", "0", "--format", "json", "verify", "cocycle"]
+    assert main(args) == 0
+    assert capsysbinary.readouterr().out == golden.read_bytes()

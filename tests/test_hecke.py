@@ -18,6 +18,7 @@ from sl8hecke.hecke import (
     multiplicative_family_search,
     nontriviality_certificate,
     perturbed_table,
+    sz_perturbed_table,
 )
 from sl8hecke.residue import COEFF_ZERO, HeckeCoeff, UNIT_MINUS_ONE, UNIT_ONE
 from sl8hecke.tower import E2, E4
@@ -320,6 +321,32 @@ def test_beta_invariant_under_20_random_families(ctx_stab, ctx_par):
         for _ in range(20):
             table = perturbed_table(ctx, rng)
             assert table.beta(W_S, W_Z) == UNIT_MINUS_ONE
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_sz_perturbed_table_perturbs_exactly_s_z_and_sz(tower5, variant):
+    table = sz_perturbed_table(HeckeContext(tower5, variant), random.Random(12))
+    assert set(table.perturbation) == {W_S, W_Z, W_S * W_Z}
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+@pytest.mark.parametrize("tower_fixture", ["tower5", "tower13"])
+def test_sz_family_reads_like_a_window_family(tower_fixture, variant, request):
+    # mu(s, z), mu(z, s) and beta(s, z) read only the factors on s, z and sz:
+    # random factors on every other window element change none of them
+    ctx = HeckeContext(request.getfixturevalue(tower_fixture), variant)
+    rng = random.Random(57721)
+    seen = set()
+    for _ in range(6):
+        small = sz_perturbed_table(ctx, rng)
+        wide = CocycleTable(ctx, {**perturbed_table(ctx, rng).perturbation, **small.perturbation})
+        assert len(wide.perturbation) == len(ctx.window()) - 1
+        pair = (small.mu(W_S, W_Z), small.mu(W_Z, W_S))
+        assert pair == (wide.mu(W_S, W_Z), wide.mu(W_Z, W_S))
+        assert small.beta(W_S, W_Z) == wide.beta(W_S, W_Z) == UNIT_MINUS_ONE
+        seen.add(pair)
+    # the factors are not ignored: mu(s, z) takes both signs across families
+    assert seen == {(UNIT_ONE, UNIT_MINUS_ONE), (UNIT_MINUS_ONE, UNIT_ONE)}
 
 
 def test_beta_antisymmetric_and_bimultiplicative(ctx_par):
