@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Explore how the 2-cocycle table moves under random lift families.
 
-For a handful of random compact-torus perturbations of the canonical lifts,
-print the mu-values on the small window and verify that the commutator
-pairing beta(s, z) never budges from -1.  A quick way to see the
-cohomology class staying put while the cocycle itself dances.
+For a handful of random compact-torus perturbations of the lifts of s, z
+and sz (all that the printed values read), print mu(s, z) and mu(z, s) and
+verify that the commutator pairing beta(s, z) never budges from -1.  A
+quick way to see the cohomology class staying put while the cocycle
+itself dances.
 """
 
 import argparse
 import random
 
 from sl8hecke.groupmodel import STABILIZER
-from sl8hecke.hecke import CocycleTable, HeckeContext, perturbed_table
+from sl8hecke.hecke import CocycleTable, HeckeContext, sz_perturbed_table
 from sl8hecke.residue import make_field
 from sl8hecke.tower import Tower
 from sl8hecke.weyl import W_S, W_Z
@@ -28,7 +29,7 @@ def main() -> None:
     rng = random.Random(args.seed)
 
     tables = [("canonical", CocycleTable(ctx))]
-    tables += [(f"family {k}", perturbed_table(ctx, rng)) for k in range(args.families)]
+    tables += [(f"family {k}", sz_perturbed_table(ctx, rng)) for k in range(args.families)]
 
     for name, table in tables:
         values = " ".join(f"mu({u},{v})={table.mu(u, v)!r:4}" for u, v in [(W_S, W_Z), (W_Z, W_S)])

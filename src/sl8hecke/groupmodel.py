@@ -20,9 +20,10 @@ eps = (-1, 1, 1), and the unipotents u(x), l(c).
 
 `iwahori_decompose` factors any invertible element as k1 * m * k2 with k1,
 k2 Iwahori (unipotent, so they land in both compact subgroups) and m
-monomial; pivots prefer the diagonal, then row order, and each case
-inverts its pivot once.  k1 and k2 are built only when read; a singular
-matrix raises ValueError.
+monomial; pivots prefer the diagonal, then row order.  The valuations,
+residues and exact product +-det(g) of m's entries are read at once, m's
+series entry, k1 and k2 (each needing the pivot inverse) on first read; a
+singular matrix raises ValueError.
 """
 
 from __future__ import annotations
@@ -234,18 +235,28 @@ def in_K0(g: GroupElem, variant: str) -> bool:
     return True
 
 
-def in_KM0(tt: TorusElem, variant: str) -> bool:
+def compact_torus_conditions(variant: str, ords, residues, xy, z: LaurentElem) -> bool:
+    """The compact-torus conditions on a diagonal (x, y, z), read from the
+    valuations and leading residues of x, y, z, the factors of x * y and z:
+    units, the parahoric residue condition, N(x * y) * N(z) = 1."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    tw = tt.x.tower
-    if not (tt.x.is_unit() and tt.y.is_unit() and tt.z.is_unit()):
+    if any(ords):
         return False
+    fld = z.tower.field
     if variant == PARAHORIC:
         # cheap residue condition first
-        xy = tw.field.mul(tt.x.unit_residue(), tt.y.unit_residue())
-        if tw.field.mul(xy, tw.field.pow(tt.z.unit_residue(), 2)) != 1:
+        rx, ry, rz = residues
+        if fld.mul(fld.mul(rx, ry), fld.pow(rz, 2)) != 1:
             return False
-    return (tt.x * tt.y).norm_to_F() * tt.z.norm_to_F() == tw.one(F)
+    return (xy[0] * xy[1]).norm_to_F() * z.norm_to_F() == z.tower.one(F)
+
+
+def in_KM0(tt: TorusElem, variant: str) -> bool:
+    entries = (tt.x, tt.y, tt.z)
+    # a zero entry has infinite valuation, so its placeholder residue is never read
+    residues = [0 if e.is_zero else e.unit_residue() for e in entries]
+    return compact_torus_conditions(variant, [_ordn(e) for e in entries], residues, (tt.x, tt.y), tt.z)
 
 
 # -- characters ---------------------------------------------------------------------
@@ -288,27 +299,64 @@ class MonomialData:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """g = k1 * monomial * k2 with k1 = make_k1(x) and k2 = make_k2(y / pivot).
+    """g = make_k1(x) * m * make_k2(y / pivot) with x = num / pivot; m holds
+    the pivot and rest - x * y = +-det(g) / pivot.  `pivot_inv`, `monomial`
+    (with the series entry), k1 and k2 are built on first read."""
 
-    `iwahori_decompose` picks the unipotent constructors (`lower_l` or
-    `upper_u`) next to each pivot case's formula.  The factors are built on
-    first read, so callers that need only the monomial pay for neither.
-    """
-
-    monomial: MonomialData
-    make_k1: Callable[[Tower, LaurentElem], GroupElem]
-    x: LaurentElem
-    make_k2: Callable[[Tower, LaurentElem], GroupElem]
+    kind: str  # "diag" | "anti"
+    pivot_first: bool
+    pivot: LaurentElem
+    num: LaurentElem
+    rest: LaurentElem
     y: LaurentElem
-    pivot_inv: LaurentElem
+    product: LaurentElem  # first * second: det(g) for "diag", -det(g) for "anti"
+    g4: LaurentElem
+    make_k1: Callable[[Tower, LaurentElem], GroupElem]
+    make_k2: Callable[[Tower, LaurentElem], GroupElem]
+
+    def _in_pivot_order(self, at_pivot, at_comp) -> tuple:
+        return (at_pivot, at_comp) if self.pivot_first else (at_comp, at_pivot)
+
+    @property
+    def ords(self) -> tuple[int, int]:
+        """ord_norm of (first, second); ord(comp) = ord(det) - ord(pivot)."""
+        return self._in_pivot_order(self.pivot.lead, self.product.lead - self.pivot.lead)
+
+    @property
+    def residues(self) -> tuple[int, int]:
+        """Leading residues of (first, second); res(comp) = res(first * second) / res(pivot)."""
+        fld = self.pivot.tower.field
+        p = self.pivot.unit_residue()
+        return self._in_pivot_order(p, fld.mul(self.product.unit_residue(), fld.inv(p)))
+
+    def factors_in_iwahori(self) -> bool:
+        """k1, k2 are Iwahori: ord(num or y) - ord(pivot) is >= 0 for u(x) and
+        >= 1 for l(c), or the quotient is zero."""
+        return all(
+            v.is_zero or v.lead - self.pivot.lead >= (1 if make is lower_l else 0)
+            for v, make in ((self.num, self.make_k1), (self.y, self.make_k2))
+        )
+
+    @cached_property
+    def pivot_inv(self) -> LaurentElem:
+        return self.pivot.inverse()
+
+    @cached_property
+    def x(self) -> LaurentElem:
+        return self.num * self.pivot_inv
+
+    @cached_property
+    def monomial(self) -> MonomialData:
+        first, second = self._in_pivot_order(self.pivot, self.rest - self.x * self.y)
+        return MonomialData(self.kind, first, second, self.g4)
 
     @cached_property
     def k1(self) -> GroupElem:
-        return self.make_k1(self.x.tower, self.x)
+        return self.make_k1(self.pivot.tower, self.x)
 
     @cached_property
     def k2(self) -> GroupElem:
-        return self.make_k2(self.x.tower, self.y * self.pivot_inv)
+        return self.make_k2(self.pivot.tower, self.y * self.pivot_inv)
 
 
 def _ordn(x: LaurentElem):
@@ -332,42 +380,30 @@ def iwahori_decompose(g: GroupElem) -> Decomposition:
     """Factor g = k1 * m * k2 with k1, k2 unipotent Iwahori and m monomial.
 
     The unipotent factors have determinant 1 and trivial E4 part, so they
-    lie in both compact subgroups.  Raises ValueError for a singular matrix
-    (a zero pivot or a zero complementary monomial entry).
+    lie in both compact subgroups.  Inverts nothing; raises ValueError for a
+    singular matrix (a zero pivot or a zero determinant).
     """
     case = _pivot_case(g)
     pivot = (g.a, g.d, g.b, g.c)[case]
     if pivot.is_zero:
         raise ValueError("matrix is singular: every entry is zero")
-    inv = pivot.inverse()
-
     if case == 0:
-        # g = l(c/a) * diag(a, d - cb/a) * u(b/a)
-        x = g.c * inv
-        comp = g.d - x * g.b
-        mono = MonomialData("diag", g.a, comp, g.g4)
-        make_k1, make_k2, y = lower_l, upper_u, g.b
+        # g = l(x) * diag(a, d - x b) * u(b/a) with x = c/a
+        kind, num, rest, y, make_k1, make_k2 = "diag", g.c, g.d, g.b, lower_l, upper_u
     elif case == 1:
-        # g = u(b/d) * diag(a - bc/d, d) * l(c/d)
-        x = g.b * inv
-        comp = g.a - x * g.c
-        mono = MonomialData("diag", comp, g.d, g.g4)
-        make_k1, make_k2, y = upper_u, lower_l, g.c
+        # g = u(x) * diag(a - x c, d) * l(c/d) with x = b/d
+        kind, num, rest, y, make_k1, make_k2 = "diag", g.b, g.a, g.c, upper_u, lower_l
     elif case == 2:
-        # g = l(d/b) * antidiag(b, c - da/b) * l(a/b)
-        x = g.d * inv
-        comp = g.c - x * g.a
-        mono = MonomialData("anti", g.b, comp, g.g4)
-        make_k1, make_k2, y = lower_l, lower_l, g.a
+        # g = l(x) * antidiag(b, c - x a) * l(a/b) with x = d/b
+        kind, num, rest, y, make_k1, make_k2 = "anti", g.d, g.c, g.a, lower_l, lower_l
     else:
-        # g = u(a/c) * antidiag(b - ad/c, c) * u(d/c)
-        x = g.a * inv
-        comp = g.b - x * g.d
-        mono = MonomialData("anti", comp, g.c, g.g4)
-        make_k1, make_k2, y = upper_u, upper_u, g.d
-    if comp.is_zero:
-        raise ValueError("matrix is singular: the complementary monomial entry is zero")
-    return Decomposition(mono, make_k1, x, make_k2, y, inv)
+        # g = u(x) * antidiag(b - x d, c) * u(d/c) with x = a/c
+        kind, num, rest, y, make_k1, make_k2 = "anti", g.a, g.b, g.d, upper_u, upper_u
+    det = g.det2()
+    if det.is_zero:
+        raise ValueError("matrix is singular: the determinant is zero")
+    product = det if kind == "diag" else -det
+    return Decomposition(kind, case in (0, 2), pivot, num, rest, y, product, g.g4, make_k1, make_k2)
 
 
 # -- the sign-character triviality check ------------------------------------------------

@@ -16,7 +16,8 @@ length and central exponent).  The main computations:
     factorisation, reading the valuation triple of the monomial part, and
     fixing the sign bit so that the discrepancy against the canonical lift
     lands in the compact torus.  The discrepancy membership is asserted on
-    every call; a failure would mean a wrong label.
+    every call; a failure would mean a wrong label.  Label, membership and
+    phi come from valuations, residues and the exact determinant of g.
 
   * ``convolve_at(w1, w2, g)``: the finite convolution sum
     sum_h phi_{w1}(h) phi_{w2}(h^-1 g) over h in the left cosets of
@@ -46,20 +47,20 @@ from .groupmodel import (
     STABILIZER,
     Decomposition,
     GroupElem,
-    MonomialData,
+    MembershipError,
     TorusElem,
     commutator,
+    compact_torus_conditions,
     identity,
     in_K0,
     in_KM0,
     iwahori_decompose,
     lower_l,
     random_KM0,
-    rho0,
     rho_M0,
     upper_u,
 )
-from .residue import COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI
+from .residue import COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI, eta_residue
 from .tower import E2, Tower
 from .weyl import (
     S,
@@ -217,16 +218,14 @@ class HeckeContext:
 
     # -- classification -----------------------------------------------------------
 
-    def _label_of_monomial(self, mono: MonomialData) -> tuple[WeylElem, GroupElem]:
-        """Name the double coset of a monomial element and return the
-        compact-torus discrepancy against the canonical lift."""
-        if mono.kind == "anti":
-            x, y = mono.first, -mono.second
-            tail_s = True
-        else:
-            x, y = mono.first, mono.second
-            tail_s = False
-        n1, n2, n3 = x.ord_norm(), y.ord_norm(), mono.g4.ord_norm()
+    def _analyze(self, g: GroupElem) -> tuple[WeylElem, Decomposition, int]:
+        """Factor g = k1 * m * k2, name its double coset from m's valuations,
+        residues and exact product, and read the residue of the y-entry of
+        the compact-torus discrepancy lift(label)^-1 * m."""
+        dec = iwahori_decompose(g)
+        anti = dec.kind == "anti"
+        (n1, n2), (r1, r2) = dec.ords, dec.residues
+        n3 = dec.g4.ord_norm()
         if n3 % 2 or n1 + n2 + n3 != 0:
             raise ClassificationError(f"valuation triple {(n1, n2, n3)} outside the group image")
         zexp = -n3 // 2
@@ -234,23 +233,24 @@ class HeckeContext:
         if n2 != zexp - b:
             raise ClassificationError(f"inconsistent valuation triple {(n1, n2, n3)}")
         core = translation_power(b)
-        if tail_s:
+        if anti:
             core = core * W_S
-        mono_group = mono.as_group()
+        fld = self.tower.field
+        # disc = diag(lx * first, ly * second), or (lx * second, ly * first) if anti
+        (nx, rx), (ny, ry) = ((n2, r2), (n1, r1)) if anti else ((n1, r1), (n2, r2))
         for ebit in (0, 1) if self.variant == PARAHORIC else (0,):
             cand = WeylElem(core.word, zexp, ebit)
-            disc = self.lift_inverse(cand) * mono_group
-            if not disc.is_diagonal():
+            inv = self.lift_inverse(cand)
+            # inv * m is diagonal iff inv is monomial of m's kind
+            if inv.b.is_zero == anti:
                 raise ClassificationError("discrepancy is not diagonal")
-            if in_KM0(disc.to_torus(), self.variant):
-                return cand, disc
+            lx, ly = (inv.b, inv.c) if anti else (inv.a, inv.d)
+            z = inv.g4 * dec.g4
+            ords = (lx.lead + nx, ly.lead + ny, z.lead)
+            res = (fld.mul(lx.unit_residue(), rx), fld.mul(ly.unit_residue(), ry), z.unit_residue())
+            if compact_torus_conditions(self.variant, ords, res, (lx * ly, dec.product), z):
+                return cand, dec, res[1]
         raise ClassificationError("no sign bit matches the discrepancy")
-
-    def _analyze(self, g: GroupElem) -> tuple[WeylElem, Decomposition, GroupElem]:
-        """Full factorisation with the double-coset label and the discrepancy."""
-        dec = iwahori_decompose(g)
-        cand, disc = self._label_of_monomial(dec.monomial)
-        return cand, dec, disc
 
     def classify(self, g: GroupElem) -> WeylElem:
         """Double-coset label of g; raises WindowExceeded outside the window."""
@@ -264,13 +264,16 @@ class HeckeContext:
         """Value at g of the basis function supported on the double coset of w,
         normalised to `scale` at the canonical lift; raises ClassificationError
         when g has no double-coset label."""
-        label, dec, disc = self._analyze(g)
+        label, dec, disc_ry = self._analyze(g)
         if label != w:
             return COEFF_ZERO
-        # disc * k2 is a torus element times a unipotent: no additive
-        # cancellation can occur in this product
-        val = rho0(dec.k1, self.variant) * rho0(disc * dec.k2, self.variant)
-        return scale * val.as_coeff()
+        # rho0(k1) * rho0(disc * k2) with disc in the compact torus: both lie in
+        # K iff k1 and k2 are Iwahori, rho0(k1) = 1, and rho0(disc * k2) is eta
+        # of N(y-entry of disc), which reads only its residue disc_ry**2
+        if not dec.factors_in_iwahori():
+            raise MembershipError("element is outside the compact subgroup")
+        fld = self.tower.field
+        return scale * eta_residue(fld, fld.mul(disc_ry, disc_ry)).as_coeff()
 
     def _left_values(self, w: WeylElem) -> list[tuple[GroupElem, HeckeCoeff]]:
         # (r^-1, phi_w(r * lift(w))) per transversal element, memoised

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -280,6 +281,33 @@ def test_decompose_builds_unipotent_factors_on_first_read(tower5):
     assert "k1" not in vars(dec) and "k2" not in vars(dec)
     assert dec.k2 is dec.k2
     assert_valid_decomposition(g, dec)
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_decompose_invariants_match_the_built_monomial(tower5, variant):
+    rng = random.Random(137)
+    tw = tower5
+    words = [identity(tw), elem_s(tw), elem_s_prime(tw), elem_z(tw), lower_l(tw, 3), upper_u(tw, 2)]
+    for _ in range(40):
+        g = random_K0(tw, variant, rng) * rng.choice(words) * random_K0(tw, variant, rng)
+        dec = iwahori_decompose(g)
+        ords, residues, inside = dec.ords, dec.residues, dec.factors_in_iwahori()
+        assert not {"pivot_inv", "monomial", "k1", "k2"} & set(vars(dec))
+        mono = dec.monomial
+        assert ords == (mono.first.ord_norm(), mono.second.ord_norm())
+        assert residues == (mono.first.unit_residue(), mono.second.unit_residue())
+        assert dec.product == mono.first * mono.second
+        assert inside and in_iwahori(dec.k1) and in_iwahori(dec.k2)
+
+
+def test_decompose_quotient_valuations_follow_the_unipotent_kind(tower5):
+    # u(2) decomposes with k2 = u(2); read as l(2), the unit quotient is
+    # integral but not in the maximal ideal
+    dec = iwahori_decompose(upper_u(tower5, 2))
+    assert dec.factors_in_iwahori()
+    swapped = dataclasses.replace(dec, make_k2=lower_l)
+    assert not swapped.factors_in_iwahori()
+    assert not in_iwahori(swapped.k2)
 
 
 # -- sign-character triviality ----------------------------------------------------------

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,7 +8,11 @@ from sl8hecke.groupmodel import (
     PARAHORIC,
     STABILIZER,
     identity,
+    in_KM0,
+    iwahori_decompose,
     lower_l,
+    random_K0,
+    rho0,
     torus,
     upper_u,
 )
@@ -20,7 +26,7 @@ from sl8hecke.hecke import (
     perturbed_table,
     sz_perturbed_table,
 )
-from sl8hecke.residue import COEFF_ZERO, HeckeCoeff, UNIT_MINUS_ONE, UNIT_ONE
+from sl8hecke.residue import COEFF_ZERO, HeckeCoeff, ResidueField, UNIT_MINUS_ONE, UNIT_ONE
 from sl8hecke.tower import E2, E4
 from sl8hecke.weyl import W_EPS, W_ID, W_S, W_SP, W_Z, WeylElem
 
@@ -242,6 +248,83 @@ def test_phi_raises_outside_the_group_image(ctx_stab):
     g = torus(tw, tw.uniformizer(E2), tw.one(E2), tw.one(E4)).to_group()
     with pytest.raises(ClassificationError):
         ctx_stab.phi(W_ID, g)
+
+
+# -- labels and values read from the factorisation's invariants ---------------------------
+
+
+def _materialised_label_and_value(ctx, g):
+    """Reference: build k1, m and k2, find the window element whose lift
+    inverse carries m into the compact torus, and evaluate
+    rho0(k1) * rho0(disc * k2) on the built matrices."""
+    dec = iwahori_decompose(g)
+    k1, m, k2 = dec.k1, dec.monomial.as_group(), dec.k2
+    assert k1 * m * k2 == g
+    found = []
+    for cand in ctx.window(2, 1):
+        disc = ctx.lift_inverse(cand) * m
+        if disc.is_diagonal() and in_KM0(disc.to_torus(), ctx.variant):
+            found.append((cand, rho0(k1, ctx.variant) * rho0(disc * k2, ctx.variant)))
+    assert len(found) == 1
+    return found[0]
+
+
+@pytest.mark.parametrize("q", [5, 13])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_classify_and_phi_match_the_materialised_factorisation(q, variant, request):
+    tw = request.getfixturevalue(f"tower{q}")
+    ctx = HeckeContext(tw, variant)
+    window = ctx.window(2, 1)
+    rng = random.Random(1000 * q + len(variant))
+    for _ in range(25):
+        w, other = rng.choice(window), rng.choice(window)
+        # random_K0 factors carry inexact series entries (Galois quotients)
+        g = random_K0(tw, variant, rng) * ctx.lift(w) * random_K0(tw, variant, rng)
+        label, value = _materialised_label_and_value(ctx, g)
+        assert label == w
+        assert ctx.classify(g) == label
+        for v in (w, other):
+            assert ctx.phi(v, g) == (value.as_coeff() if v == label else COEFF_ZERO)
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_double_cosets_and_convolutions_invert_no_series(variant, tower13, monkeypatch):
+    # (s, s s') and (s s', s') meet non-monomial Iwahori pivots such as
+    # 1 + x * pi2; labels and values must come from valuations and residues
+    ctx = HeckeContext(tower13, variant)
+    ss = W_S * W_SP
+    for w in (W_S, W_SP, ss):
+        ctx.coset_reps(w)
+    calls = []
+    series_inverse = ResidueField.series_inverse
+
+    def counting(self, b, n):
+        calls.append(len(b))
+        return series_inverse(self, b, n)
+
+    monkeypatch.setattr(ResidueField, "series_inverse", counting)
+    assert ctx.double_coset_product(W_S, ss) == frozenset({W_SP, ss})
+    values = [ctx.convolve_at(ss, W_SP, ctx.lift(v)) for v in (W_S, ss)]
+    assert values == [HeckeCoeff(13, 0), COEFF_ZERO]
+    assert calls == []
+
+
+# sha256 of json.dumps(details, sort_keys=True) for omega_check(details=...) at
+# q = 5, recorded before labels and values were read from the invariants; the
+# CLI's omega JSON carries verdicts only, so this pins every coset set and
+# every convolution value
+OMEGA_DETAILS_SHA256 = {
+    STABILIZER: "8adb20e259a67135dd29e9825ca7a84a34f142de7015eaf38e0a97f2bd673168",
+    PARAHORIC: "afccad06dcf5a25cf6fd86bf75adce03d5aad57e80fed15cfa81fa518ab448e0",
+}
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_omega_details_match_the_recorded_digest(variant, tower5):
+    details = []
+    assert HeckeContext(tower5, variant).omega_check(details=details)
+    blob = json.dumps(details, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == OMEGA_DETAILS_SHA256[variant]
 
 
 # -- double cosets ------------------------------------------------------------------------
