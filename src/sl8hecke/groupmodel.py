@@ -20,9 +20,14 @@ eps = (-1, 1, 1), and the unipotents u(x), l(c).
 
 `iwahori_decompose` factors any invertible element as k1 * m * k2 with k1,
 k2 Iwahori (unipotent, so they land in both compact subgroups) and m
-monomial; pivots prefer the diagonal, then row order.  The valuations,
-residues and exact product +-det(g) of m's entries are read at once, m's
-series entry, k1 and k2 (each needing the pivot inverse) on first read; a
+monomial; pivots prefer the diagonal, then row order.  It has two parts.
+`pivot_step` works on invariants alone: the four entries' valuations and
+leading residues and the valuation and residue of the exact determinant.
+It gives m's kind, the valuations and residues of m's entries and the
+quotient valuations that decide whether k1 and k2 are Iwahori, so callers
+that hold only invariants (the transversal families of the Hecke layer)
+share it.  The lazy builders of `Decomposition` make m's series entry, k1
+and k2 (each needing the pivot inverse) on first read from the matrix; a
 singular matrix raises ValueError.
 """
 
@@ -297,76 +302,22 @@ class MonomialData:
         return GroupElem(z2, self.first, self.second, z2, self.g4)
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """g = make_k1(x) * m * make_k2(y / pivot) with x = num / pivot; m holds
-    the pivot and rest - x * y = +-det(g) / pivot.  `pivot_inv`, `monomial`
-    (with the series entry), k1 and k2 are built on first read."""
-
-    kind: str  # "diag" | "anti"
-    pivot_first: bool
-    pivot: LaurentElem
-    num: LaurentElem
-    rest: LaurentElem
-    y: LaurentElem
-    product: LaurentElem  # first * second: det(g) for "diag", -det(g) for "anti"
-    g4: LaurentElem
-    make_k1: Callable[[Tower, LaurentElem], GroupElem]
-    make_k2: Callable[[Tower, LaurentElem], GroupElem]
-
-    def _in_pivot_order(self, at_pivot, at_comp) -> tuple:
-        return (at_pivot, at_comp) if self.pivot_first else (at_comp, at_pivot)
-
-    @property
-    def ords(self) -> tuple[int, int]:
-        """ord_norm of (first, second); ord(comp) = ord(det) - ord(pivot)."""
-        return self._in_pivot_order(self.pivot.lead, self.product.lead - self.pivot.lead)
-
-    @property
-    def residues(self) -> tuple[int, int]:
-        """Leading residues of (first, second); res(comp) = res(first * second) / res(pivot)."""
-        fld = self.pivot.tower.field
-        p = self.pivot.unit_residue()
-        return self._in_pivot_order(p, fld.mul(self.product.unit_residue(), fld.inv(p)))
-
-    def factors_in_iwahori(self) -> bool:
-        """k1, k2 are Iwahori: ord(num or y) - ord(pivot) is >= 0 for u(x) and
-        >= 1 for l(c), or the quotient is zero."""
-        return all(
-            v.is_zero or v.lead - self.pivot.lead >= (1 if make is lower_l else 0)
-            for v, make in ((self.num, self.make_k1), (self.y, self.make_k2))
-        )
-
-    @cached_property
-    def pivot_inv(self) -> LaurentElem:
-        return self.pivot.inverse()
-
-    @cached_property
-    def x(self) -> LaurentElem:
-        return self.num * self.pivot_inv
-
-    @cached_property
-    def monomial(self) -> MonomialData:
-        first, second = self._in_pivot_order(self.pivot, self.rest - self.x * self.y)
-        return MonomialData(self.kind, first, second, self.g4)
-
-    @cached_property
-    def k1(self) -> GroupElem:
-        return self.make_k1(self.pivot.tower, self.x)
-
-    @cached_property
-    def k2(self) -> GroupElem:
-        return self.make_k2(self.pivot.tower, self.y * self.pivot_inv)
+# Each pivot case as (pivot, num, rest, y), indices into the entries
+# (a, b, c, d), then m's kind and the constructors of k1 and k2:
+# g = make_k1(x) * m * make_k2(y / pivot) with x = num / pivot, and m holds
+# the pivot and rest - x * y = +-det(g) / pivot.
+PIVOT_CASES = (
+    (0, 2, 3, 1, "diag", lower_l, upper_u),  # l(c/a) * diag(a, d - x b) * u(b/a)
+    (3, 1, 0, 2, "diag", upper_u, lower_l),  # u(b/d) * diag(a - x c, d) * l(c/d)
+    (1, 3, 2, 0, "anti", lower_l, lower_l),  # l(d/b) * antidiag(b, c - x a) * l(a/b)
+    (2, 0, 1, 3, "anti", upper_u, upper_u),  # u(a/c) * antidiag(b - x d, c) * u(d/c)
+)
 
 
-def _ordn(x: LaurentElem):
-    return math.inf if x.is_zero else x.ord_norm()
-
-
-def _pivot_case(g: GroupElem) -> int:
-    """Pivot preference (1,1), (2,2), (1,2), (2,1); every valuation pattern
-    falls in exactly one case (the zero matrix in the last)."""
-    va, vb, vc, vd = _ordn(g.a), _ordn(g.b), _ordn(g.c), _ordn(g.d)
+def _pivot_case(ords) -> int:
+    """Pivot preference (1,1), (2,2), (1,2), (2,1) on the valuations of
+    (a, b, c, d), math.inf for zero; every pattern falls in exactly one case."""
+    va, vb, vc, vd = ords
     if va <= vb and va <= vd and va < vc:
         return 0
     if vd <= vb and vd <= va and vd < vc:
@@ -376,34 +327,107 @@ def _pivot_case(g: GroupElem) -> int:
     return 3
 
 
+def pivot_step(field, ords, residues, det_ord: int, det_res: int) -> tuple:
+    """The pivot case of an invertible matrix, read from its entries'
+    valuations (math.inf for zero) and leading residues and from the
+    valuation and residue of its determinant.
+
+    Returns (case, ords of m's entries, their residues, the quotient
+    valuations ord(num) - ord(pivot) and ord(y) - ord(pivot)).  m's
+    complementary entry is +-det / pivot, so nothing is inverted and only the
+    pivot's residue is read.
+    """
+    case = _pivot_case(ords)
+    piv, num, _, y, kind, _, _ = PIVOT_CASES[case]
+    vp, rp = ords[piv], residues[piv]
+    product_res = det_res if kind == "diag" else field.neg(det_res)
+    comp = (det_ord - vp, field.mul(product_res, field.inv(rp)))
+    # the pivot is m's first entry iff it sits in g's first row
+    first, second = ((vp, rp), comp) if piv < 2 else (comp, (vp, rp))
+    return case, (first[0], second[0]), (first[1], second[1]), (ords[num] - vp, ords[y] - vp)
+
+
+def quotients_in_iwahori(quotient_ords, make_k1, make_k2) -> bool:
+    """k1 and k2 are Iwahori: the quotient valuation is >= 0 for u(x) and
+    >= 1 for l(c) (math.inf for a zero quotient)."""
+    return quotient_ords[0] >= (make_k1 is lower_l) and quotient_ords[1] >= (make_k2 is lower_l)
+
+
+@dataclass(frozen=True)
+class Decomposition:
+    """g = make_k1(x) * m * make_k2(y / pivot) in the pivot case `case` of
+    PIVOT_CASES.  kind, ords, residues and the quotient valuations come from
+    `pivot_step`; `pivot_inv`, `monomial` (with the series entry), k1 and k2
+    are built on first read."""
+
+    g: GroupElem
+    case: int
+    kind: str  # "diag" | "anti"
+    ords: tuple[int, int]  # ord_norm of (first, second)
+    residues: tuple[int, int]  # leading residues of (first, second)
+    quotient_ords: tuple  # ord(num) - ord(pivot), ord(y) - ord(pivot)
+    product: LaurentElem  # first * second: det(g) for "diag", -det(g) for "anti"
+    make_k1: Callable[[Tower, LaurentElem], GroupElem]
+    make_k2: Callable[[Tower, LaurentElem], GroupElem]
+
+    @property
+    def g4(self) -> LaurentElem:
+        return self.g.g4
+
+    def _entries(self) -> tuple[LaurentElem, ...]:
+        """(pivot, num, rest, y)"""
+        entries = (self.g.a, self.g.b, self.g.c, self.g.d)
+        return tuple(entries[i] for i in PIVOT_CASES[self.case][:4])
+
+    def factors_in_iwahori(self) -> bool:
+        return quotients_in_iwahori(self.quotient_ords, self.make_k1, self.make_k2)
+
+    @cached_property
+    def pivot_inv(self) -> LaurentElem:
+        return self._entries()[0].inverse()
+
+    @cached_property
+    def x(self) -> LaurentElem:
+        return self._entries()[1] * self.pivot_inv
+
+    @cached_property
+    def monomial(self) -> MonomialData:
+        pivot, _, rest, y = self._entries()
+        comp = rest - self.x * y
+        first, second = (pivot, comp) if PIVOT_CASES[self.case][0] < 2 else (comp, pivot)
+        return MonomialData(self.kind, first, second, self.g.g4)
+
+    @cached_property
+    def k1(self) -> GroupElem:
+        return self.make_k1(self.g.a.tower, self.x)
+
+    @cached_property
+    def k2(self) -> GroupElem:
+        return self.make_k2(self.g.a.tower, self._entries()[3] * self.pivot_inv)
+
+
+def _ordn(x: LaurentElem):
+    return math.inf if x.is_zero else x.ord_norm()
+
+
 def iwahori_decompose(g: GroupElem) -> Decomposition:
     """Factor g = k1 * m * k2 with k1, k2 unipotent Iwahori and m monomial.
 
     The unipotent factors have determinant 1 and trivial E4 part, so they
     lie in both compact subgroups.  Inverts nothing; raises ValueError for a
-    singular matrix (a zero pivot or a zero determinant).
+    singular matrix.
     """
-    case = _pivot_case(g)
-    pivot = (g.a, g.d, g.b, g.c)[case]
-    if pivot.is_zero:
-        raise ValueError("matrix is singular: every entry is zero")
-    if case == 0:
-        # g = l(x) * diag(a, d - x b) * u(b/a) with x = c/a
-        kind, num, rest, y, make_k1, make_k2 = "diag", g.c, g.d, g.b, lower_l, upper_u
-    elif case == 1:
-        # g = u(x) * diag(a - x c, d) * l(c/d) with x = b/d
-        kind, num, rest, y, make_k1, make_k2 = "diag", g.b, g.a, g.c, upper_u, lower_l
-    elif case == 2:
-        # g = l(x) * antidiag(b, c - x a) * l(a/b) with x = d/b
-        kind, num, rest, y, make_k1, make_k2 = "anti", g.d, g.c, g.a, lower_l, lower_l
-    else:
-        # g = u(x) * antidiag(b - x d, c) * u(d/c) with x = a/c
-        kind, num, rest, y, make_k1, make_k2 = "anti", g.a, g.b, g.d, upper_u, upper_u
     det = g.det2()
     if det.is_zero:
         raise ValueError("matrix is singular: the determinant is zero")
+    entries = (g.a, g.b, g.c, g.d)
+    residues = [0 if e.is_zero else e.unit_residue() for e in entries]
+    case, ords, m_residues, quotient_ords = pivot_step(
+        det.tower.field, [_ordn(e) for e in entries], residues, det.lead, det.unit_residue()
+    )
+    _, _, _, _, kind, make_k1, make_k2 = PIVOT_CASES[case]
     product = det if kind == "diag" else -det
-    return Decomposition(kind, case in (0, 2), pivot, num, rest, y, product, g.g4, make_k1, make_k2)
+    return Decomposition(g, case, kind, ords, m_residues, quotient_ords, product, make_k1, make_k2)
 
 
 # -- the sign-character triviality check ------------------------------------------------

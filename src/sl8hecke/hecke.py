@@ -12,19 +12,29 @@ length and central exponent).  The main computations:
     disjointness up to 20,000 pairs and sampled above that, which already
     happens at q = 17.
 
-  * ``classify(g)``: the double-coset label of g, obtained by Iwahori
-    factorisation, reading the valuation triple of the monomial part, and
-    fixing the sign bit so that the discrepancy against the canonical lift
-    lands in the compact torus.  The discrepancy membership is asserted on
-    every call; a failure would mean a wrong label.  Label, membership and
-    phi come from valuations, residues and the exact determinant of g.
+  * ``classify(g)``: the double-coset label of g, obtained by the pivot
+    step of the Iwahori factorisation on g's invariants (entry valuations
+    and residues, the exact determinant), reading the valuation triple of
+    the monomial part, and fixing the sign bit so that the discrepancy
+    against the canonical lift lands in the compact torus.  The
+    discrepancy membership is asserted; a failure would mean a wrong label.
+    ``classify`` and ``phi`` analyse one matrix; they are the reference for
+    the families below.
+
+  * :class:`TransversalFamily`: left * r(p) * right over a transversal, p
+    the residue parameters.  Its entries are multilinear forms in p, read
+    once from 2^L members; each point's invariants are evaluated over F_q,
+    with no matrix arithmetic per point, and the sign-bit choice is
+    memoised per (kind, valuations) of the monomial part.
 
   * ``convolve_at(w1, w2, g)``: the finite convolution sum
     sum_h phi_{w1}(h) phi_{w2}(h^-1 g) over h in the left cosets of
-    K w1 K, evaluated exactly in Gaussian integers.
+    K w1 K, evaluated exactly in Gaussian integers; from one family
+    lift(w1)^-1 * r^-1 * g when g's entries are exact, point by point
+    otherwise.
 
   * ``double_coset_product(w1, w2)``: the set of double cosets in
-    K w1 K w2 K, enumerated as classify(lift(w1) * r * lift(w2)) over the
+    K w1 K w2 K, the labels of the family lift(w1) * r * lift(w2) over the
     middle transversal r of K/(K cap w2 K w2^-1).
 
   * :class:`CocycleTable`: mu(w1, w2) = rho(lift(w1 w2)^-1 lift(w1)
@@ -39,12 +49,14 @@ length and central exponent).  The main computations:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 from .groupmodel import (
     PARAHORIC,
     STABILIZER,
+    PIVOT_CASES,
     Decomposition,
     GroupElem,
     MembershipError,
@@ -56,11 +68,13 @@ from .groupmodel import (
     in_KM0,
     iwahori_decompose,
     lower_l,
+    pivot_step,
+    quotients_in_iwahori,
     random_KM0,
     rho_M0,
     upper_u,
 )
-from .residue import COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI, eta_residue
+from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI, eta_residue
 from .tower import E2, Tower
 from .weyl import (
     S,
@@ -123,8 +137,8 @@ class HeckeContext:
         self.window_z = window_z
         self.rng = rng or random.Random(0)
         self._reps: dict[tuple[str, ...], list[tuple[GroupElem, GroupElem]]] = {}
-        self._conv_left: dict[WeylElem, list[tuple[GroupElem, HeckeCoeff]]] = {}
-        self._mid: dict[WeylElem, list[GroupElem]] = {}
+        self._conv_left: dict[WeylElem, list[HeckeCoeff]] = {}
+        self._cands: dict[tuple, list | str] = {}
 
     # -- window -------------------------------------------------------------
 
@@ -218,107 +232,147 @@ class HeckeContext:
 
     # -- classification -----------------------------------------------------------
 
-    def _analyze(self, g: GroupElem) -> tuple[WeylElem, Decomposition, int]:
-        """Factor g = k1 * m * k2, name its double coset from m's valuations,
-        residues and exact product, and read the residue of the y-entry of
-        the compact-torus discrepancy lift(label)^-1 * m."""
-        dec = iwahori_decompose(g)
-        anti = dec.kind == "anti"
-        (n1, n2), (r1, r2) = dec.ords, dec.residues
-        n3 = dec.g4.ord_norm()
+    def _candidates(self, anti: bool, n1: int, n2: int, n3: int):
+        """The sign-bit candidates for monomial data of this kind and valuation
+        triple, as (label, x- and y-entries and E4 part of the label's lift
+        inverse), or the message of the ClassificationError they raise."""
+        key = (anti, n1, n2, n3)
+        got = self._cands.get(key)
+        if got is None:
+            got = self._cands[key] = self._make_candidates(anti, n1, n2, n3)
+        return got
+
+    def _make_candidates(self, anti: bool, n1: int, n2: int, n3: int):
         if n3 % 2 or n1 + n2 + n3 != 0:
-            raise ClassificationError(f"valuation triple {(n1, n2, n3)} outside the group image")
+            return f"valuation triple {(n1, n2, n3)} outside the group image"
         zexp = -n3 // 2
         b = n1 - zexp
         if n2 != zexp - b:
-            raise ClassificationError(f"inconsistent valuation triple {(n1, n2, n3)}")
+            return f"inconsistent valuation triple {(n1, n2, n3)}"
         core = translation_power(b)
         if anti:
             core = core * W_S
-        fld = self.tower.field
-        # disc = diag(lx * first, ly * second), or (lx * second, ly * first) if anti
-        (nx, rx), (ny, ry) = ((n2, r2), (n1, r1)) if anti else ((n1, r1), (n2, r2))
+        out = []
         for ebit in (0, 1) if self.variant == PARAHORIC else (0,):
             cand = WeylElem(core.word, zexp, ebit)
             inv = self.lift_inverse(cand)
             # inv * m is diagonal iff inv is monomial of m's kind
             if inv.b.is_zero == anti:
-                raise ClassificationError("discrepancy is not diagonal")
-            lx, ly = (inv.b, inv.c) if anti else (inv.a, inv.d)
-            z = inv.g4 * dec.g4
-            ords = (lx.lead + nx, ly.lead + ny, z.lead)
+                return "discrepancy is not diagonal"
+            out.append((cand, *((inv.b, inv.c) if anti else (inv.a, inv.d)), inv.g4))
+        return out
+
+    def _analyze(self, kind: str, ords, residues, product, g4, memo: dict) -> tuple[WeylElem, int]:
+        """Name the double coset of monomial data m of this kind, with entry
+        valuations `ords`, residues `residues`, exact entry product `product`
+        and E4 part g4, and read the residue of the y-entry of the
+        compact-torus discrepancy lift(label)^-1 * m.
+
+        The discrepancy's residue condition reads rx * ry = res(lx * ly) * r1 * r2
+        and r1 * r2 = res(product), so with product and g4 fixed the label
+        depends on the residues not at all: `memo`, which must belong to one
+        (det, g4), keeps the choice per (kind, ords).
+        """
+        key = (kind, ords)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = self._choose_label(kind, ords, residues, product, g4)
+        if isinstance(got, str):
+            raise ClassificationError(got)
+        label, ly_res, pos = got
+        return label, self.tower.field.mul(ly_res, residues[pos])
+
+    def _choose_label(self, kind: str, ords, residues, product, g4):
+        # (label, residue of the lift inverse's y-entry, index of m's entry it
+        # meets), or the ClassificationError message
+        anti = kind == "anti"
+        (n1, n2), (r1, r2) = ords, residues
+        cands = self._candidates(anti, n1, n2, g4.ord_norm())
+        if isinstance(cands, str):
+            return cands
+        fld = self.tower.field
+        # disc = diag(lx * first, ly * second), or (lx * second, ly * first) if anti
+        (nx, rx), (ny, ry), pos = ((n2, r2), (n1, r1), 0) if anti else ((n1, r1), (n2, r2), 1)
+        for cand, lx, ly, inv_g4 in cands:
+            z = inv_g4 * g4
+            disc_ords = (lx.lead + nx, ly.lead + ny, z.lead)
             res = (fld.mul(lx.unit_residue(), rx), fld.mul(ly.unit_residue(), ry), z.unit_residue())
-            if compact_torus_conditions(self.variant, ords, res, (lx * ly, dec.product), z):
-                return cand, dec, res[1]
-        raise ClassificationError("no sign bit matches the discrepancy")
+            if compact_torus_conditions(self.variant, disc_ords, res, (lx * ly, product), z):
+                return cand, ly.unit_residue(), pos
+        return "no sign bit matches the discrepancy"
+
+    def _analyze_matrix(self, g: GroupElem) -> tuple[WeylElem, Decomposition, int]:
+        dec = iwahori_decompose(g)
+        label, disc_ry = self._analyze(dec.kind, dec.ords, dec.residues, dec.product, dec.g4, {})
+        return label, dec, disc_ry
 
     def classify(self, g: GroupElem) -> WeylElem:
         """Double-coset label of g; raises WindowExceeded outside the window."""
-        w = self._analyze(g)[0]
+        w = self._analyze_matrix(g)[0]
         self.require_window(w)
         return w
 
     # -- basis functions and convolution ----------------------------------------------
 
-    def phi(self, w: WeylElem, g: GroupElem, scale: HeckeCoeff = UNIT_ONE.as_coeff()) -> HeckeCoeff:
+    def phi(self, w: WeylElem, g: GroupElem, scale: HeckeCoeff = COEFF_ONE) -> HeckeCoeff:
         """Value at g of the basis function supported on the double coset of w,
         normalised to `scale` at the canonical lift; raises ClassificationError
         when g has no double-coset label."""
-        label, dec, disc_ry = self._analyze(g)
+        label, dec, disc_ry = self._analyze_matrix(g)
+        return self._phi_value(w, label, dec.factors_in_iwahori(), disc_ry, scale)
+
+    def _phi_value(
+        self, w: WeylElem, label: WeylElem, factors_in_iwahori: bool, disc_ry: int, scale: HeckeCoeff = COEFF_ONE
+    ) -> HeckeCoeff:
         if label != w:
             return COEFF_ZERO
         # rho0(k1) * rho0(disc * k2) with disc in the compact torus: both lie in
         # K iff k1 and k2 are Iwahori, rho0(k1) = 1, and rho0(disc * k2) is eta
         # of N(y-entry of disc), which reads only its residue disc_ry**2
-        if not dec.factors_in_iwahori():
+        if not factors_in_iwahori:
             raise MembershipError("element is outside the compact subgroup")
         fld = self.tower.field
-        return scale * eta_residue(fld, fld.mul(disc_ry, disc_ry)).as_coeff()
+        value = eta_residue(fld, fld.mul(disc_ry, disc_ry)).as_coeff()
+        return value if scale is COEFF_ONE else scale * value
 
-    def _left_values(self, w: WeylElem) -> list[tuple[GroupElem, HeckeCoeff]]:
-        # (r^-1, phi_w(r * lift(w))) per transversal element, memoised
+    def _left_values(self, w: WeylElem) -> list[HeckeCoeff]:
+        # phi_w(r * lift(w)) per transversal element, memoised
         got = self._conv_left.get(w)
         if got is None:
-            w_lift = self.lift(w)
-            got = [
-                (r_inv, self.phi(w, r * w_lift))
-                for r, r_inv in self.coset_reps_with_inverses(w)
-            ]
+            fam = TransversalFamily(self, identity(self.tower), self.coset_reps(w), self.lift(w))
+            got = [fam.phi(w, i) for i in range(len(fam))]
             self._conv_left[w] = got
         return got
 
     def convolve_at(self, w1: WeylElem, w2: WeylElem, g: GroupElem) -> HeckeCoeff:
-        """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer."""
+        """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer.
+
+        With exact entries in g the second factors come from one family; an
+        inexact g (a window-truncated series) is analysed point by point."""
         self.require_window(w1)
         self.require_window(w2)
         w1_lift_inv = self.lift_inverse(w1)
+        reps = self.coset_reps_with_inverses(w1)
+        if all(e.exact for e in (g.a, g.b, g.c, g.d)):
+            second_at = TransversalFamily(self, w1_lift_inv, [r_inv for _, r_inv in reps], g).phi
+        else:
+            def second_at(w, i):
+                return self.phi(w, w1_lift_inv * (reps[i][1] * g))
         total = COEFF_ZERO
-        for r_inv, first in self._left_values(w1):
+        for i, first in enumerate(self._left_values(w1)):
             if first.is_zero():
                 continue
-            second = self.phi(w2, w1_lift_inv * (r_inv * g))
+            second = second_at(w2, i)
             if not second.is_zero():
                 total = total + first * second
         return total
-
-    def _middle_products(self, w2: WeylElem) -> list[GroupElem]:
-        # r * lift(w2) over the transversal of w2, memoised
-        got = self._mid.get(w2)
-        if got is None:
-            w2_lift = self.lift(w2)
-            got = [r * w2_lift for r in self.coset_reps(w2)]
-            self._mid[w2] = got
-        return got
 
     def double_coset_product(self, w1: WeylElem, w2: WeylElem) -> frozenset[WeylElem]:
         """The set of double cosets meeting (K w1 K)(K w2 K)."""
         self.require_window(w1)
         self.require_window(w2)
-        w1_lift = self.lift(w1)
-        out = set()
-        for rw2 in self._middle_products(w2):
-            out.add(self._analyze(w1_lift * rw2)[0])
-        return frozenset(out)
+        fam = TransversalFamily(self, self.lift(w1), self.coset_reps(w2), self.lift(w2))
+        return frozenset(fam.analyze(i)[0] for i in range(len(fam)))
 
     # -- the length-zero verification ---------------------------------------------------
 
@@ -369,6 +423,121 @@ class HeckeContext:
         entry["pass"] = True
         entry["vanishing"] = vanishing
         return entry
+
+
+def _grid_values(field, coeffs) -> list[int]:
+    """Values of the multilinear form sum_S coeffs[S] * prod_{i in S} p_i at
+    every p in F_q^L, p_1 most significant in both the bit mask S and the
+    output order."""
+    half = len(coeffs) // 2
+    if not half:
+        return list(coeffs)
+    # rows[j][x] is coefficient j of the form left after p_1 = x
+    rows = [field.affine_values(a, b) for a, b in zip(coeffs[:half], coeffs[half:])]
+    if half == 1:
+        return rows[0]
+    out = []
+    for column in zip(*rows):
+        out += _grid_values(field, column)
+    return out
+
+
+class TransversalFamily:
+    """The elements left * r(p) * right for the members r(p) of a length-L
+    transversal (or their inverses), p in F_q^L the residue parameters: as
+    ``coset_reps`` builds them, member i has the base-q digits of i as p,
+    p_1 the most significant.
+
+    Each r(p) is a product of L unipotent letters, each affine in one
+    parameter, so every matrix entry is a multilinear form
+    sum_S G_S * prod_{i in S} p_i with fixed Laurent coefficients G_S, while
+    det and the E4 part are constant.  The forms are read from the 2^L
+    members with p in {0, 1}^L by Moebius inversion, checked against the
+    matrix product at p = (2, ..., 2), and evaluated over F_q: each entry's
+    valuation and leading residue at every point, lowest exponent first.
+    Labels and basis-function values then come from the pivot step on those
+    invariants, with no matrix arithmetic per point.
+    """
+
+    def __init__(self, ctx: HeckeContext, left: GroupElem, reps: list[GroupElem], right: GroupElem):
+        self.ctx = ctx
+        tw = ctx.tower
+        fld, q, n = tw.field, tw.q, len(reps)
+        L = 0
+        while q**L < n:
+            L += 1
+        if q**L != n:
+            raise ValueError(f"{n} members do not form a transversal over F_{q}")
+        # sample t has p_i = bit L - 1 - i of t: its transversal index is t's bits read in base q
+        samples = [left * reps[sum(((t >> k) & 1) * q**k for k in range(L))] * right for t in range(2**L)]
+        forms = [[(m.a, m.b, m.c, m.d)[e] for m in samples] for e in range(4)]
+        for form in forms:
+            for bit in (1 << k for k in range(L)):
+                for mask in range(2**L):
+                    if mask & bit:
+                        form[mask] = form[mask] - form[mask ^ bit]
+            if not all(coeff.exact for coeff in form):
+                raise ClassificationError("a family coefficient is not exact")
+        det, self.g4 = samples[0].det2(), samples[0].g4
+        if det.is_zero:
+            raise ValueError("matrix is singular: the determinant is zero")
+        if L:
+            self._check(left * reps[sum(2 * q**k for k in range(L))] * right, forms, det)
+        self.det_ord, self.det_res = det.lead, det.unit_residue()
+        self.products = {"diag": det, "anti": -det}
+        columns = [self._evaluate(fld, form, n) for form in forms]
+        self.ords = list(zip(*(c[0] for c in columns)))
+        self.residues = list(zip(*(c[1] for c in columns)))
+        self.memo: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.ords)
+
+    def _check(self, g: GroupElem, forms, det) -> None:
+        tw = self.ctx.tower
+        fld = tw.field
+        two = fld.from_int(2)
+        for entry, form in zip((g.a, g.b, g.c, g.d), forms):
+            value = tw.zero(E2)
+            for mask, coeff in enumerate(form):
+                value = value + coeff * tw.constant(E2, fld.pow(two, bin(mask).count("1")))
+            if value != entry:
+                raise ClassificationError("family forms disagree with the matrix product")
+        if g.det2() != det or g.g4 != self.g4:
+            raise ClassificationError("family determinant or E4 part is not constant")
+
+    @staticmethod
+    def _evaluate(fld, form, n: int) -> tuple[list, list]:
+        """Valuation (math.inf for zero) and leading residue of the form at every point."""
+        levels: dict[int, list[int]] = {}
+        for mask, coeff in enumerate(form):
+            for k, c in enumerate(coeff.coeffs, coeff.lead):
+                levels.setdefault(k, [0] * len(form))[mask] = c
+        ords, residues = [math.inf] * n, [0] * n
+        todo = range(n)
+        for k in sorted(levels):
+            values = _grid_values(fld, levels[k])
+            for i in todo:
+                if values[i]:
+                    ords[i], residues[i] = k, values[i]
+            todo = [i for i in todo if not values[i]]
+            if not todo:
+                break
+        return ords, residues
+
+    def analyze(self, i: int) -> tuple[WeylElem, bool, int]:
+        """(label, k1 and k2 Iwahori, residue of the discrepancy's y-entry) at member i."""
+        fld = self.ctx.tower.field
+        case, ords, residues, quotient_ords = pivot_step(
+            fld, self.ords[i], self.residues[i], self.det_ord, self.det_res
+        )
+        _, _, _, _, kind, make_k1, make_k2 = PIVOT_CASES[case]
+        label, disc_ry = self.ctx._analyze(kind, ords, residues, self.products[kind], self.g4, self.memo)
+        return label, quotients_in_iwahori(quotient_ords, make_k1, make_k2), disc_ry
+
+    def phi(self, w: WeylElem, i: int) -> HeckeCoeff:
+        """The basis function of w at member i."""
+        return self.ctx._phi_value(w, *self.analyze(i))
 
 
 # ---------------------------------------------------------------------------------

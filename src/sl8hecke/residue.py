@@ -207,6 +207,14 @@ class ResidueField:
         b0, b1 = b % p, b // p
         return (a0 * b0 + n * a1 * b1) % p + p * ((a0 * b1 + a1 * b0) % p)
 
+    def affine_values(self, a: int, b: int) -> list[int]:
+        """a + x * b for every x of F_q, in encoding order."""
+        if self.f == 1:
+            p = self.p
+            return [(a + x * b) % p for x in range(p)]
+        add, mul = self.add, self.mul
+        return [add(a, mul(x, b)) for x in range(self.q)]
+
     def inv(self, a: int) -> int:
         if a == 0:
             raise DomainError("0 is not invertible")

@@ -20,6 +20,7 @@ from sl8hecke.hecke import (
     ClassificationError,
     CocycleTable,
     HeckeContext,
+    TransversalFamily,
     WindowExceeded,
     multiplicative_family_search,
     nontriviality_certificate,
@@ -312,19 +313,126 @@ def test_double_cosets_and_convolutions_invert_no_series(variant, tower13, monke
 # sha256 of json.dumps(details, sort_keys=True) for omega_check(details=...) at
 # q = 5, recorded before labels and values were read from the invariants; the
 # CLI's omega JSON carries verdicts only, so this pins every coset set and
-# every convolution value
+# every convolution value.  No label or value names q, so q = 13 gives the same digest
 OMEGA_DETAILS_SHA256 = {
     STABILIZER: "8adb20e259a67135dd29e9825ca7a84a34f142de7015eaf38e0a97f2bd673168",
     PARAHORIC: "afccad06dcf5a25cf6fd86bf75adce03d5aad57e80fed15cfa81fa518ab448e0",
 }
 
 
-@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
-def test_omega_details_match_the_recorded_digest(variant, tower5):
+@pytest.mark.parametrize(
+    "variant, q",
+    [
+        pytest.param(STABILIZER, 5, id="stabilizer"),
+        pytest.param(PARAHORIC, 5, id="parahoric"),
+        pytest.param(STABILIZER, 13, id="stabilizer-q13"),
+        pytest.param(PARAHORIC, 13, id="parahoric-q13"),
+    ],
+)
+def test_omega_details_match_the_recorded_digest(variant, q, request):
     details = []
-    assert HeckeContext(tower5, variant).omega_check(details=details)
+    assert HeckeContext(request.getfixturevalue(f"tower{q}"), variant).omega_check(details=details)
     blob = json.dumps(details, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == OMEGA_DETAILS_SHA256[variant]
+
+
+# -- transversal families ------------------------------------------------------------------
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except Exception as exc:  # the error type is part of the compared outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("q", [5, 9, 13])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_families_match_the_matrix_path(q, variant, request):
+    # every transversal point of both family kinds over every window pair:
+    # lift(w1) * r * lift(w2) as in double_coset_product, and
+    # lift(w1)^-1 * r^-1 * g as in convolve_at, here with g = lift(w2)
+    ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    window = ctx.window(2, 1)
+    right = {w: [r * ctx.lift(w) for r in ctx.coset_reps(w)] for w in window}
+    left = {
+        w: [ctx.lift_inverse(w) * r_inv for _, r_inv in ctx.coset_reps_with_inverses(w)] for w in window
+    }
+
+    def by_matrix(g):
+        # classify and phi, sharing one decomposition
+        label, dec, disc_ry = ctx._analyze_matrix(g)
+        return label, ctx._phi_value(label, label, dec.factors_in_iwahori(), disc_ry)
+
+    def by_family(fam, i):
+        label = fam.analyze(i)[0]
+        return label, fam.phi(label, i)
+
+    for w1 in window:
+        for w2 in window:
+            kinds = (
+                (ctx.lift(w1), ctx.coset_reps(w2), ctx.lift(w2), [ctx.lift(w1) * m for m in right[w2]]),
+                (
+                    ctx.lift_inverse(w1),
+                    [r_inv for _, r_inv in ctx.coset_reps_with_inverses(w1)],
+                    ctx.lift(w2),
+                    [m * ctx.lift(w2) for m in left[w1]],
+                ),
+            )
+            for fam_left, reps, fam_right, matrices in kinds:
+                fam = TransversalFamily(ctx, fam_left, reps, fam_right)
+                assert len(fam) == len(matrices)
+                for i, g in enumerate(matrices):
+                    assert _outcome(lambda: by_family(fam, i)) == _outcome(lambda: by_matrix(g))
+
+
+def test_family_forms_are_checked_off_the_samples(tower5):
+    # a doctored member at p = 2 breaks multilinearity; the samples at
+    # p in {0, 1} do not see it, the check point does
+    from sl8hecke.hecke import ClassificationError
+
+    ctx = HeckeContext(tower5, STABILIZER)
+    reps = list(ctx.coset_reps(W_S))
+    reps[2] = reps[3]
+    with pytest.raises(ClassificationError):
+        TransversalFamily(ctx, identity(tower5), reps, ctx.lift(W_S))
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_omega_builds_few_weyl_elements(variant, tower13, monkeypatch):
+    # the sign-bit candidates are memoised per valuation data, not built per point
+    ctx = HeckeContext(tower13, variant)
+    for w in ctx.window(2, 1):
+        ctx.coset_reps(w)
+    built = []
+    post_init = WeylElem.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(WeylElem, "__post_init__", counting)
+    assert ctx.omega_check()
+    assert len(built) <= 5000
+
+
+def test_double_coset_product_multiplies_only_family_samples(tower13, monkeypatch):
+    # 2^2 samples and one check point of lift(s) * r * lift(s' s), two products each
+    from sl8hecke.groupmodel import GroupElem
+
+    ctx = HeckeContext(tower13, STABILIZER)
+    w2 = W_SP * W_S
+    ctx.coset_reps(w2)  # memoises the transversal and the lifts of s and s' s
+    products = []
+    mul = GroupElem.__mul__
+
+    def counting(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(GroupElem, "__mul__", counting)
+    assert ctx.double_coset_product(W_S, w2) == frozenset({W_S * w2})
+    assert len(products) <= 10
 
 
 # -- double cosets ------------------------------------------------------------------------
