@@ -197,7 +197,6 @@ class Session:
                 v,
                 window_words=config.window_words,
                 window_z=config.window_z,
-                rng=random.Random(config.seed),
             )
             for v in config.variants()
         }

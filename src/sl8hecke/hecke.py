@@ -8,9 +8,10 @@ length and central exponent).  The main computations:
     finite reflection these are the q upper unipotents u(x) over residue
     representatives, for the affine reflection the q lower unipotents
     l(pi2*c); longer reduced words take products of conjugated letter
-    transversals.  Transversals are validated by pairwise coset
-    disjointness up to 20,000 pairs and sampled above that, which already
-    happens at q = 17.
+    transversals.  Every transversal is validated exhaustively: each
+    representative r gets ``coset_key(r * lift(w))``, a right-K-invariant
+    key (Hermite data of two Iwahori-stable lattices and ord of the E4
+    part), and only representatives sharing a key get the exact pair test.
 
   * ``classify(g)``: the double-coset label of g, obtained by the pivot
     step of the Iwahori factorisation on g's invariants (entry valuations
@@ -24,8 +25,8 @@ length and central exponent).  The main computations:
   * :class:`TransversalFamily`: left * r(p) * right over a transversal, p
     the residue parameters.  Its entries are multilinear forms in p, read
     once from 2^L members; each point's invariants are evaluated over F_q,
-    with no matrix arithmetic per point, and the sign-bit choice is
-    memoised per (kind, valuations) of the monomial part.
+    with no matrix arithmetic per point, and everything but two residues
+    is memoised per valuation pattern of the four entries.
 
   * ``convolve_at(w1, w2, g)``: the finite convolution sum
     sum_h phi_{w1}(h) phi_{w2}(h^-1 g) over h in the left cosets of
@@ -75,7 +76,7 @@ from .groupmodel import (
     upper_u,
 )
 from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI, eta_residue
-from .tower import E2, Tower
+from .tower import E2, LaurentElem, Tower
 from .weyl import (
     S,
     W_ID,
@@ -115,11 +116,68 @@ class TransversalError(RuntimeError):
     """A coset transversal failed its disjointness validation."""
 
 
-_DISJOINTNESS_PAIR_BUDGET = 20000
+def coset_key(h: GroupElem) -> tuple:
+    """A key of h that is invariant under h -> h * k for k in the Iwahori x O4^x,
+    hence for k in either compact subgroup.
+
+    The key holds ord of the E4 part and the Hermite data of two lattices
+    that the Iwahori preserves: the span of the columns of h's 2x2 part, and
+    of h * diag(1, pi2).  Such a lattice has the basis (pi^e1, pi^e1 * y),
+    (0, pi^beta), with e1 the least valuation in its top row, beta =
+    ord(det) - e1, and y the quotient bottom / top of a column attaining e1,
+    determined modulo pi^(beta - e1).
+    """
+    det_ord = h.det2().lead
+    return (
+        h.g4.lead,
+        _hermite_data((h.a, h.c), (h.b, h.d), 0, det_ord),
+        _hermite_data((h.a, h.c), (h.b, h.d), 1, det_ord),
+    )
+
+
+def _hermite_data(col1, col2, shift: int, det_ord: int) -> tuple:
+    # (e1, beta, y mod pi^(beta - e1)) of the span of col1 and pi^shift * col2;
+    # scaling a column leaves its quotient as it is
+    (top1, bottom1), (top2, bottom2) = col1, col2
+    if top2.is_zero or (not top1.is_zero and top1.lead <= top2.lead + shift):
+        top, bottom, e1 = top1, bottom1, top1.lead
+    else:
+        top, bottom, e1 = top2, bottom2, top2.lead + shift
+    beta = det_ord + shift - e1
+    return e1, beta, _quotient_digits(bottom, top, beta - e1)
+
+
+def _quotient_digits(num: LaurentElem, den: LaurentElem, bound: int) -> tuple:
+    """num / den modulo pi^bound, by truncated division: (exponent of the
+    leading digit, the digits up to exponent bound - 1), or () when the
+    quotient lies in pi^bound O.  Raises TransversalError when a digit it
+    needs lies beyond an inexact operand's window."""
+    if num.is_zero:
+        return ()
+    lead = num.lead - den.lead
+    count = bound - lead
+    if count <= 0:
+        return ()
+    tw = num.tower
+    if count > tw.N and not (num.exact and den.exact):
+        raise TransversalError(f"coset key needs {count} quotient digits; the window certifies {tw.N}")
+    fld = tw.field
+    n, d = num.coeffs, den.coeffs
+    d0_inv = fld.inv(d[0])
+    digits: list[int] = []
+    for k in range(count):
+        acc = n[k] if k < len(n) else 0
+        for j in range(1, min(k, len(d) - 1) + 1):
+            acc = fld.sub(acc, fld.mul(d[j], digits[k - j]))
+        digits.append(fld.mul(acc, d0_inv))
+    return lead, tuple(digits)
 
 
 class HeckeContext:
-    """Session state: tower + variant + window, with memoised transversals."""
+    """Session state: tower + variant + window, with memoised transversals.
+
+    Nothing here draws random numbers; `rng` is accepted for callers that
+    still pass one and is ignored."""
 
     def __init__(
         self,
@@ -135,7 +193,6 @@ class HeckeContext:
         self.variant = variant
         self.window_words = window_words
         self.window_z = window_z
-        self.rng = rng or random.Random(0)
         self._reps: dict[tuple[str, ...], list[tuple[GroupElem, GroupElem]]] = {}
         self._conv_left: dict[WeylElem, list[HeckeCoeff]] = {}
         self._cands: dict[tuple, list | str] = {}
@@ -204,31 +261,33 @@ class HeckeContext:
         return got
 
     def _validate_transversal(self, w: WeylElem, reps) -> None:
-        """Every representative must lie in K and distinct ones in distinct
-        cosets of K cap wKw^-1; pairwise when affordable, sampled beyond."""
-        w_lift = self.lift(WeylElem(w.word))
-        w_lift_inv = self.lift_inverse(WeylElem(w.word))
-        for r, r_inv in reps:
+        """Every representative (r, r^-1) must lie in K and distinct ones in
+        distinct cosets of K cap wKw^-1, checked for every pair.
+
+        r * k with k in K cap wKw^-1 gives (r * k) * lift(w) =
+        (r * lift(w)) * (lift(w)^-1 k lift(w)), a right K-multiple, so the
+        right-K-invariant `coset_key` of r * lift(w) is constant on a coset:
+        distinct keys prove distinct cosets, and only representatives sharing
+        a key get the exact pair test."""
+        word = WeylElem(w.word)
+        w_lift, w_lift_inv = self.lift(word), self.lift_inverse(word)
+        for r, _ in reps:
             if not in_K0(r, self.variant):
                 raise TransversalError(f"non-member representative for {w}")
-        n = len(reps)
-        total = n * (n - 1) // 2
-        if total <= _DISJOINTNESS_PAIR_BUDGET:
-            pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-        else:
-            pairs = (
-                tuple(sorted(self.rng.sample(range(n), 2)))
-                for _ in range(_DISJOINTNESS_PAIR_BUDGET)
-            )
-        # r_i and r_j share a coset iff r_i^-1 r_j lies in K and in wKw^-1;
-        # the second, rarely true, is tested first on per-rep products
-        left = [w_lift_inv * r_inv for _, r_inv in reps]
-        right = [r * w_lift for r, _ in reps]
-        for i, j in pairs:
-            if in_K0(left[i] * right[j], self.variant) and in_K0(
-                reps[i][1] * reps[j][0], self.variant
-            ):
-                raise TransversalError(f"duplicate coset in transversal of {w}")
+        hs = [r * w_lift for r, _ in reps]
+        buckets: dict[tuple, list[int]] = {}
+        for j, h in enumerate(hs):
+            buckets.setdefault(coset_key(h), []).append(j)
+        for bucket in buckets.values():
+            for k, i in enumerate(bucket):
+                for j in bucket[k + 1 :]:
+                    if self._same_coset(w_lift_inv, reps[i][1], reps[j][0], hs[j]):
+                        raise TransversalError(f"duplicate coset in transversal of {w}")
+
+    def _same_coset(self, w_lift_inv: GroupElem, r_i_inv: GroupElem, r_j: GroupElem, h_j: GroupElem) -> bool:
+        """r_i and r_j share a coset of K cap wKw^-1, with h_j = r_j * lift(w):
+        r_i^-1 r_j lies in wKw^-1 and in K, the first, rarely true, tested first."""
+        return in_K0(w_lift_inv * (r_i_inv * h_j), self.variant) and in_K0(r_i_inv * r_j, self.variant)
 
     # -- classification -----------------------------------------------------------
 
@@ -262,29 +321,17 @@ class HeckeContext:
             out.append((cand, *((inv.b, inv.c) if anti else (inv.a, inv.d)), inv.g4))
         return out
 
-    def _analyze(self, kind: str, ords, residues, product, g4, memo: dict) -> tuple[WeylElem, int]:
+    def _choose_label(self, kind: str, ords, residues, product, g4):
         """Name the double coset of monomial data m of this kind, with entry
         valuations `ords`, residues `residues`, exact entry product `product`
-        and E4 part g4, and read the residue of the y-entry of the
-        compact-torus discrepancy lift(label)^-1 * m.
+        and E4 part g4: (label, residue of the y-entry of the label's lift
+        inverse, index of m's entry it meets in the compact-torus
+        discrepancy lift(label)^-1 * m), or the ClassificationError message.
 
         The discrepancy's residue condition reads rx * ry = res(lx * ly) * r1 * r2
-        and r1 * r2 = res(product), so with product and g4 fixed the label
-        depends on the residues not at all: `memo`, which must belong to one
-        (det, g4), keeps the choice per (kind, ords).
+        and r1 * r2 = res(product), so with product and g4 fixed the outcome
+        depends on the residues not at all.
         """
-        key = (kind, ords)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = self._choose_label(kind, ords, residues, product, g4)
-        if isinstance(got, str):
-            raise ClassificationError(got)
-        label, ly_res, pos = got
-        return label, self.tower.field.mul(ly_res, residues[pos])
-
-    def _choose_label(self, kind: str, ords, residues, product, g4):
-        # (label, residue of the lift inverse's y-entry, index of m's entry it
-        # meets), or the ClassificationError message
         anti = kind == "anti"
         (n1, n2), (r1, r2) = ords, residues
         cands = self._candidates(anti, n1, n2, g4.ord_norm())
@@ -303,8 +350,11 @@ class HeckeContext:
 
     def _analyze_matrix(self, g: GroupElem) -> tuple[WeylElem, Decomposition, int]:
         dec = iwahori_decompose(g)
-        label, disc_ry = self._analyze(dec.kind, dec.ords, dec.residues, dec.product, dec.g4, {})
-        return label, dec, disc_ry
+        got = self._choose_label(dec.kind, dec.ords, dec.residues, dec.product, dec.g4)
+        if isinstance(got, str):
+            raise ClassificationError(got)
+        label, ly_res, pos = got
+        return label, dec, self.tower.field.mul(ly_res, dec.residues[pos])
 
     def classify(self, g: GroupElem) -> WeylElem:
         """Double-coset label of g; raises WindowExceeded outside the window."""
@@ -488,7 +538,7 @@ class TransversalFamily:
         columns = [self._evaluate(fld, form, n) for form in forms]
         self.ords = list(zip(*(c[0] for c in columns)))
         self.residues = list(zip(*(c[1] for c in columns)))
-        self.memo: dict = {}
+        self._patterns: dict[tuple, tuple | str] = {}
 
     def __len__(self) -> int:
         return len(self.ords)
@@ -527,13 +577,37 @@ class TransversalFamily:
 
     def analyze(self, i: int) -> tuple[WeylElem, bool, int]:
         """(label, k1 and k2 Iwahori, residue of the discrepancy's y-entry) at member i."""
+        ords, residues = self.ords[i], self.residues[i]
+        got = self._patterns.get(ords)
+        if got is None:
+            got = self._patterns[ords] = self._pattern(ords, residues)
+        if isinstance(got, str):
+            raise ClassificationError(got)
+        label, in_iwahori, piv, scale, at_pivot = got
+        # the y-entry meets m's pivot entry, or the complement product / pivot
         fld = self.ctx.tower.field
-        case, ords, residues, quotient_ords = pivot_step(
-            fld, self.ords[i], self.residues[i], self.det_ord, self.det_res
-        )
-        _, _, _, _, kind, make_k1, make_k2 = PIVOT_CASES[case]
-        label, disc_ry = self.ctx._analyze(kind, ords, residues, self.products[kind], self.g4, self.memo)
-        return label, quotients_in_iwahori(quotient_ords, make_k1, make_k2), disc_ry
+        rp = residues[piv]
+        return label, in_iwahori, fld.mul(scale, rp if at_pivot else fld.inv(rp))
+
+    def _pattern(self, ords, residues):
+        """All of `analyze` that the four entry valuations decide, from one
+        member with those valuations: (label, k1 and k2 Iwahori, index of the
+        pivot entry, scale, whether the discrepancy's y-entry meets the pivot)
+        with disc_ry = scale * pivot residue, or scale / pivot residue; or the
+        ClassificationError message.  The label reads no residue (see
+        `HeckeContext._choose_label`)."""
+        fld = self.ctx.tower.field
+        case, m_ords, m_residues, quotient_ords = pivot_step(fld, ords, residues, self.det_ord, self.det_res)
+        piv, _, _, _, kind, make_k1, make_k2 = PIVOT_CASES[case]
+        product = self.products[kind]
+        got = self.ctx._choose_label(kind, m_ords, m_residues, product, self.g4)
+        if isinstance(got, str):
+            return got
+        label, ly_res, pos = got
+        # the pivot is m's first entry iff it sits in g's first row
+        at_pivot = (pos == 0) == (piv < 2)
+        scale = ly_res if at_pivot else fld.mul(ly_res, product.unit_residue())
+        return label, quotients_in_iwahori(quotient_ords, make_k1, make_k2), piv, scale, at_pivot
 
     def phi(self, w: WeylElem, i: int) -> HeckeCoeff:
         """The basis function of w at member i."""

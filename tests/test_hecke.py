@@ -8,6 +8,7 @@ from sl8hecke.groupmodel import (
     PARAHORIC,
     STABILIZER,
     identity,
+    in_K0,
     in_KM0,
     iwahori_decompose,
     lower_l,
@@ -92,6 +93,110 @@ def test_non_member_representative_is_rejected(ctx_stab):
     z = elem_z(ctx_stab.tower)
     with pytest.raises(TransversalError):
         ctx_stab._validate_transversal(W_S, [(z, z.inverse())])
+
+
+def _shared_coset_pairs(ctx, w, reps):
+    """The all-pairs oracle: every (i, j), i < j, whose representatives share
+    a coset of K cap wKw^-1, by the exact pair test."""
+    word = WeylElem(w.word)
+    w_lift, w_lift_inv = ctx.lift(word), ctx.lift_inverse(word)
+    hs = [r * w_lift for r, _ in reps]
+    n = len(reps)
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if ctx._same_coset(w_lift_inv, reps[i][1], reps[j][0], hs[j])
+    ]
+
+
+def _stabilised(ctx, w, reps, i, j):
+    """reps with member j replaced by r_i * k, k = diag(c, 1/c) * u(pi2^4)
+    a non-identity element of K cap wKw^-1 (checked)."""
+    tw = ctx.tower
+    c = tw.constant(E2, tw.field.zeta)
+    k = torus(tw, c, c.inverse(), tw.one(E4)).to_group() * upper_u(tw, tw.uniformizer(E2) ** 4)
+    word = WeylElem(w.word)
+    assert in_K0(k, ctx.variant)
+    assert in_K0(ctx.lift_inverse(word) * k * ctx.lift(word), ctx.variant)
+    r_i, r_i_inv = reps[i]
+    doctored = list(reps)
+    doctored[j] = (r_i * k, k.inverse() * r_i_inv)
+    return doctored
+
+
+@pytest.mark.parametrize(
+    "q, max_word",
+    [
+        pytest.param(5, 2, id="q5"),
+        pytest.param(9, 2, id="q9"),
+        pytest.param(13, 2, id="q13"),
+        pytest.param(5, 3, id="q5-words3"),
+    ],
+)
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_keyed_validation_agrees_with_the_all_pairs_oracle(q, max_word, variant, request):
+    # every transversal of the window (words of length max_word only, when 3):
+    # the key separates every representative, the oracle finds no shared
+    # coset, and on a copy with a planted duplicate both reject
+    from sl8hecke.hecke import TransversalError, coset_key
+
+    ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    words = {w.word for w in ctx.window(max_word, 1) if max_word == 2 or len(w.word) == 3}
+    for word in sorted(words):
+        w = WeylElem(word)
+        reps = ctx.coset_reps_with_inverses(w)  # runs the keyed validation
+        keys = [coset_key(r * ctx.lift(w)) for r, _ in reps]
+        assert len(set(keys)) == len(reps)
+        assert _shared_coset_pairs(ctx, w, reps) == []
+        if len(reps) > 1:
+            doctored = _stabilised(ctx, w, reps, 0, len(reps) - 1)
+            assert _shared_coset_pairs(ctx, w, doctored) == [(0, len(reps) - 1)]
+            with pytest.raises(TransversalError):
+                ctx._validate_transversal(w, doctored)
+
+
+@pytest.mark.parametrize("q", [5, 13])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_coset_key_is_right_K_invariant(q, variant, request):
+    from sl8hecke.hecke import coset_key
+
+    tw = request.getfixturevalue(f"tower{q}")
+    ctx = HeckeContext(tw, variant)
+    window = ctx.window(2, 1)
+    rng = random.Random(100 * q + len(variant))
+    for _ in range(50):
+        w = rng.choice(window)
+        h = rng.choice(ctx.coset_reps(w)) * ctx.lift(w)
+        # random_K0 factors carry inexact series entries
+        assert coset_key(h * random_K0(tw, variant, rng)) == coset_key(h)
+
+
+def test_duplicate_coset_is_found_at_q17():
+    # 289 representatives, 41,616 pairs: one planted duplicate must be found
+    from sl8hecke.hecke import TransversalError
+    from sl8hecke.residue import make_field
+    from sl8hecke.tower import Tower
+
+    ctx = HeckeContext(Tower(make_field(17), 40), STABILIZER)
+    w = W_S * W_SP
+    doctored = _stabilised(ctx, w, ctx.coset_reps_with_inverses(w), 3, 250)
+    with pytest.raises(TransversalError):
+        ctx._validate_transversal(w, doctored)
+
+
+def test_quotient_digits_raise_beyond_an_inexact_window(tower5):
+    from sl8hecke.hecke import TransversalError, _quotient_digits
+
+    tw = tower5
+    one, pi2 = tw.one(E2), tw.uniformizer(E2)
+    series = one / (one + pi2)  # inexact: 1 - pi2 + pi2^2 - ...
+    assert _quotient_digits(one, one + pi2, 3) == (0, tuple(series.coeffs[:3]))
+    assert _quotient_digits(pi2 ** 3, one, 3) == ()
+    # an exact operand is zero beyond its window
+    assert _quotient_digits(pi2 ** -50, one, 0) == (-50, (1,) + (0,) * 49)
+    with pytest.raises(TransversalError):
+        _quotient_digits(series, one, tw.N + 1)
 
 
 # -- classification ------------------------------------------------------------------
