@@ -11,7 +11,10 @@ from sl8hecke.cli import (
     emit,
     main,
     run_all,
+    sampled,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_config_rejects_bad_q():
@@ -95,18 +98,48 @@ def test_all_sections_named():
 
 
 def test_report_json_matches_golden_output(capsysbinary):
-    # recorded from `python -m sl8hecke.cli --q 5 --variant both --seed 0
-    # --format json report`; any byte of drift is a behaviour change
-    golden = Path(__file__).parent / "data" / "report-q5-seed0.json"
-    assert main(["--q", "5", "--variant", "both", "--seed", "0", "--format", "json", "report"]) == 0
-    assert capsysbinary.readouterr().out == golden.read_bytes()
+    # each golden was recorded from `python -m sl8hecke.cli --q Q --variant V
+    # --seed S --format json report`; any byte of drift is a behaviour change.
+    # q = 9 covers an F_{p^2} field, a non-zero seed and a single-variant run,
+    # where the section-wide checks take the parahoric context.
+    for name, q, variant, seed in (
+        ("report-q5-seed0.json", "5", "both", "0"),
+        ("report-q9-parahoric-seed1.json", "9", "parahoric", "1"),
+    ):
+        assert main(["--q", q, "--variant", variant, "--seed", seed, "--format", "json", "report"]) == 0
+        assert capsysbinary.readouterr().out == (DATA / name).read_bytes(), name
+
+
+def test_verify_runs_exactly_the_report_checks_of_its_section(capsysbinary):
+    golden = [c["id"] for c in json.loads((DATA / "report-q5-seed0.json").read_bytes())["checks"]]
+    assert len(golden) == len(set(golden)) == 64
+    ran = []
+    for section in SECTIONS:
+        assert main(["--q", "5", "--variant", "both", "--seed", "0", "--format", "json", "verify", section]) == 0
+        checks = json.loads(capsysbinary.readouterr().out)["checks"]
+        assert [c["id"] for c in checks] == [i for i in golden if i.startswith(section + ".")]
+        assert {c["status"] for c in checks} <= {"pass", "skipped-out-of-scope"}
+        ran += checks
+    assert [c["id"] for c in ran] == golden
+
+
+def test_sampled_draws_every_sample_even_after_a_failure():
+    drawn = []
+
+    def draw():
+        drawn.append(len(drawn))
+        return (drawn[-1],)
+
+    assert not sampled(7, draw, lambda i: i > 0)
+    assert drawn == list(range(7))
+    assert sampled(3, lambda: (1, 1), lambda a, b: a == b)
 
 
 def test_cocycle_json_matches_golden_output(capsysbinary):
     # recorded from `python -m sl8hecke.cli --q 13 --variant both --seed 0
     # --format json verify cocycle`; the sampled lift families report
     # verdicts only, so the JSON does not depend on which factors are drawn
-    golden = Path(__file__).parent / "data" / "cocycle-q13-seed0.json"
+    golden = DATA / "cocycle-q13-seed0.json"
     args = ["--q", "13", "--variant", "both", "--seed", "0", "--format", "json", "verify", "cocycle"]
     assert main(args) == 0
     assert capsysbinary.readouterr().out == golden.read_bytes()
