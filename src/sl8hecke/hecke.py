@@ -22,16 +22,23 @@ length and central exponent).  The main computations:
     ``classify`` and ``phi`` analyse one matrix; they are the reference for
     the families below.
 
-  * :class:`TransversalFamily`: left * r(p) * right over a transversal, p
-    the residue parameters.  Its entries are multilinear forms in p, read
-    once from 2^L members; each point's invariants are evaluated over F_q,
-    with no matrix arithmetic per point, and everything but two residues
-    is memoised per valuation pattern of the four entries.
+  * :class:`BaseFamily`: the members r(p) of a transversal, or their
+    inverses, p the residue parameters.  Its entries are multilinear forms
+    in p, read once from 2^L members, and each entry's valuation and leading
+    residue is evaluated over F_q at every point.  The context memoises one
+    per word and direction (``base_family``).
+
+  * :class:`TransversalFamily`: left * r(p) * right over a base family, for
+    exact monomial frames left and right (canonical lifts).  A monomial
+    frame permutes the entries and shifts each one's exponent and scales
+    its residue by a fixed term, so each point's invariants are read from
+    the base with no matrix arithmetic, and everything but two residues is
+    memoised per valuation pattern of the base's four entries.
 
   * ``convolve_at(w1, w2, g)``: the finite convolution sum
     sum_h phi_{w1}(h) phi_{w2}(h^-1 g) over h in the left cosets of
     K w1 K, evaluated exactly in Gaussian integers; from one family
-    lift(w1)^-1 * r^-1 * g when g's entries are exact, point by point
+    lift(w1)^-1 * r^-1 * g when g is an exact monomial, point by point
     otherwise.
 
   * ``double_coset_product(w1, w2)``: the set of double cosets in
@@ -40,6 +47,9 @@ length and central exponent).  The main computations:
 
   * :class:`CocycleTable`: mu(w1, w2) = rho(lift(w1 w2)^-1 lift(w1)
     lift(w2)), the obstruction to the lift family being multiplicative.
+    For the canonical family the discrepancy is a product of exact monomial
+    lifts, computed over F_q; a family perturbed by compact-torus factors,
+    whose entries are series, multiplies matrices.
     The commutator pairing beta(u, v) = mu(u,v)/mu(v,u) on commuting pairs
     is invariant under changing the lift family by compact-torus factors,
     so beta != 1 certifies that the cohomology class of mu is non-trivial
@@ -61,6 +71,7 @@ from .groupmodel import (
     Decomposition,
     GroupElem,
     MembershipError,
+    Monomial,
     TorusElem,
     commutator,
     compact_torus_conditions,
@@ -69,6 +80,7 @@ from .groupmodel import (
     in_KM0,
     iwahori_decompose,
     lower_l,
+    monomial_of,
     pivot_step,
     quotients_in_iwahori,
     random_KM0,
@@ -85,6 +97,8 @@ from .weyl import (
     WeylElem,
     lift,
     lift_inverse,
+    lift_monomial,
+    lift_monomial_inverse,
     plength,
     translation_power,
     window_elements,
@@ -194,6 +208,7 @@ class HeckeContext:
         self.window_words = window_words
         self.window_z = window_z
         self._reps: dict[tuple[str, ...], list[tuple[GroupElem, GroupElem]]] = {}
+        self._bases: dict[tuple[tuple[str, ...], bool], BaseFamily] = {}
         self._conv_left: dict[WeylElem, list[HeckeCoeff]] = {}
         self._cands: dict[tuple, list | str] = {}
 
@@ -215,6 +230,12 @@ class HeckeContext:
 
     def lift_inverse(self, w: WeylElem) -> GroupElem:
         return lift_inverse(self.tower, w)
+
+    def lift_monomial(self, w: WeylElem) -> Monomial:
+        return lift_monomial(self.tower, w)
+
+    def lift_monomial_inverse(self, w: WeylElem) -> Monomial:
+        return lift_monomial_inverse(self.tower, w)
 
     # -- transversals ----------------------------------------------------------
 
@@ -258,6 +279,16 @@ class HeckeContext:
                     got.append((t1 * conj, conj_inv * t1i))
         self._validate_transversal(w, got)
         self._reps[key] = got
+        return got
+
+    def base_family(self, w: WeylElem, inverse: bool = False) -> "BaseFamily":
+        """The family of the transversal of w (its members, or their inverses
+        when `inverse`), memoised on the word and the direction."""
+        key = (w.word, inverse)
+        got = self._bases.get(key)
+        if got is None:
+            reps = self.coset_reps_with_inverses(w)
+            got = self._bases[key] = BaseFamily(self, [pair[inverse] for pair in reps])
         return got
 
     def _validate_transversal(self, w: WeylElem, reps) -> None:
@@ -314,11 +345,11 @@ class HeckeContext:
         out = []
         for ebit in (0, 1) if self.variant == PARAHORIC else (0,):
             cand = WeylElem(core.word, zexp, ebit)
-            inv = self.lift_inverse(cand)
+            inv = self.lift_monomial_inverse(cand)
             # inv * m is diagonal iff inv is monomial of m's kind
-            if inv.b.is_zero == anti:
+            if (inv.kind == "anti") != anti:
                 return "discrepancy is not diagonal"
-            out.append((cand, *((inv.b, inv.c) if anti else (inv.a, inv.d)), inv.g4))
+            out.append((cand, inv.first, inv.second, inv.g4))
         return out
 
     def _choose_label(self, kind: str, ords, residues, product, g4):
@@ -389,7 +420,7 @@ class HeckeContext:
         # phi_w(r * lift(w)) per transversal element, memoised
         got = self._conv_left.get(w)
         if got is None:
-            fam = TransversalFamily(self, identity(self.tower), self.coset_reps(w), self.lift(w))
+            fam = TransversalFamily(self, identity(self.tower), self.base_family(w), self.lift(w))
             got = [fam.phi(w, i) for i in range(len(fam))]
             self._conv_left[w] = got
         return got
@@ -397,15 +428,16 @@ class HeckeContext:
     def convolve_at(self, w1: WeylElem, w2: WeylElem, g: GroupElem) -> HeckeCoeff:
         """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer.
 
-        With exact entries in g the second factors come from one family; an
-        inexact g (a window-truncated series) is analysed point by point."""
+        For a monomial g (one exact term per entry, as at every canonical
+        lift) the second factors come from one family; any other g is
+        analysed point by point."""
         self.require_window(w1)
         self.require_window(w2)
-        w1_lift_inv = self.lift_inverse(w1)
-        reps = self.coset_reps_with_inverses(w1)
-        if all(e.exact for e in (g.a, g.b, g.c, g.d)):
-            second_at = TransversalFamily(self, w1_lift_inv, [r_inv for _, r_inv in reps], g).phi
+        if monomial_of(g) is not None:
+            second_at = TransversalFamily(self, self.lift_inverse(w1), self.base_family(w1, True), g).phi
         else:
+            w1_lift_inv, reps = self.lift_inverse(w1), self.coset_reps_with_inverses(w1)
+
             def second_at(w, i):
                 return self.phi(w, w1_lift_inv * (reps[i][1] * g))
         total = COEFF_ZERO
@@ -421,7 +453,7 @@ class HeckeContext:
         """The set of double cosets meeting (K w1 K)(K w2 K)."""
         self.require_window(w1)
         self.require_window(w2)
-        fam = TransversalFamily(self, self.lift(w1), self.coset_reps(w2), self.lift(w2))
+        fam = TransversalFamily(self, self.lift(w1), self.base_family(w2), self.lift(w2))
         return frozenset(fam.analyze(i)[0] for i in range(len(fam)))
 
     # -- the length-zero verification ---------------------------------------------------
@@ -492,25 +524,22 @@ def _grid_values(field, coeffs) -> list[int]:
     return out
 
 
-class TransversalFamily:
-    """The elements left * r(p) * right for the members r(p) of a length-L
-    transversal (or their inverses), p in F_q^L the residue parameters: as
-    ``coset_reps`` builds them, member i has the base-q digits of i as p,
-    p_1 the most significant.
+class BaseFamily:
+    """The members r(p) of a length-L transversal (or their inverses), p in
+    F_q^L the residue parameters: as ``coset_reps`` builds them, member i has
+    the base-q digits of i as p, p_1 the most significant.
 
     Each r(p) is a product of L unipotent letters, each affine in one
     parameter, so every matrix entry is a multilinear form
     sum_S G_S * prod_{i in S} p_i with fixed Laurent coefficients G_S, while
     det and the E4 part are constant.  The forms are read from the 2^L
     members with p in {0, 1}^L by Moebius inversion, checked against the
-    matrix product at p = (2, ..., 2), and evaluated over F_q: each entry's
-    valuation and leading residue at every point, lowest exponent first.
-    Labels and basis-function values then come from the pivot step on those
-    invariants, with no matrix arithmetic per point.
+    member at p = (2, ..., 2), and evaluated over F_q: each entry's valuation
+    (math.inf for zero) and leading residue at every point, lowest exponent
+    first.
     """
 
-    def __init__(self, ctx: HeckeContext, left: GroupElem, reps: list[GroupElem], right: GroupElem):
-        self.ctx = ctx
+    def __init__(self, ctx: HeckeContext, reps: list[GroupElem]):
         tw = ctx.tower
         fld, q, n = tw.field, tw.q, len(reps)
         L = 0
@@ -519,7 +548,7 @@ class TransversalFamily:
         if q**L != n:
             raise ValueError(f"{n} members do not form a transversal over F_{q}")
         # sample t has p_i = bit L - 1 - i of t: its transversal index is t's bits read in base q
-        samples = [left * reps[sum(((t >> k) & 1) * q**k for k in range(L))] * right for t in range(2**L)]
+        samples = [reps[sum(((t >> k) & 1) * q**k for k in range(L))] for t in range(2**L)]
         forms = [[(m.a, m.b, m.c, m.d)[e] for m in samples] for e in range(4)]
         for form in forms:
             for bit in (1 << k for k in range(L)):
@@ -528,23 +557,19 @@ class TransversalFamily:
                         form[mask] = form[mask] - form[mask ^ bit]
             if not all(coeff.exact for coeff in form):
                 raise ClassificationError("a family coefficient is not exact")
-        det, self.g4 = samples[0].det2(), samples[0].g4
-        if det.is_zero:
+        self.det, self.g4 = samples[0].det2(), samples[0].g4
+        if self.det.is_zero:
             raise ValueError("matrix is singular: the determinant is zero")
         if L:
-            self._check(left * reps[sum(2 * q**k for k in range(L))] * right, forms, det)
-        self.det_ord, self.det_res = det.lead, det.unit_residue()
-        self.products = {"diag": det, "anti": -det}
+            self._check(tw, reps[sum(2 * q**k for k in range(L))], forms)
         columns = [self._evaluate(fld, form, n) for form in forms]
         self.ords = list(zip(*(c[0] for c in columns)))
         self.residues = list(zip(*(c[1] for c in columns)))
-        self._patterns: dict[tuple, tuple | str] = {}
 
     def __len__(self) -> int:
         return len(self.ords)
 
-    def _check(self, g: GroupElem, forms, det) -> None:
-        tw = self.ctx.tower
+    def _check(self, tw: Tower, g: GroupElem, forms) -> None:
         fld = tw.field
         two = fld.from_int(2)
         for entry, form in zip((g.a, g.b, g.c, g.d), forms):
@@ -553,7 +578,7 @@ class TransversalFamily:
                 value = value + coeff * tw.constant(E2, fld.pow(two, bin(mask).count("1")))
             if value != entry:
                 raise ClassificationError("family forms disagree with the matrix product")
-        if g.det2() != det or g.g4 != self.g4:
+        if g.det2() != self.det or g.g4 != self.g4:
             raise ClassificationError("family determinant or E4 part is not constant")
 
     @staticmethod
@@ -575,28 +600,76 @@ class TransversalFamily:
                 break
         return ords, residues
 
+
+class TransversalFamily:
+    """The elements left * r(p) * right over a base family r(p), for
+    monomial frames left and right with one exact term per entry.
+
+    With l_i and m_i the row-i entries of left and right, and a, b = 1 for
+    an antidiagonal left, right frame (0 for a diagonal one), entry (i, j)
+    of left * r * right is l_i * r[i ^ a][j ^ b] * m_{j ^ b}.  So each point's
+    entry valuations and leading residues are the base's, permuted, shifted
+    by a fixed exponent and scaled by a fixed residue per entry; det and the
+    E4 part are the frames' times the base's.  Labels and basis-function
+    values come from the pivot step on those invariants, with no matrix
+    arithmetic per point, and everything but two residues is memoised per
+    valuation pattern of the base's four entries.
+
+    `reps` is a list of members, whose base family is built here, or a
+    memoised `BaseFamily` (``HeckeContext.base_family``).  A frame that is
+    not such a monomial raises ValueError.
+    """
+
+    def __init__(self, ctx: HeckeContext, left: GroupElem, reps, right: GroupElem):
+        self.ctx = ctx
+        self.base = reps if isinstance(reps, BaseFamily) else BaseFamily(ctx, reps)
+        left, right = monomial_of(left), monomial_of(right)
+        if left is None or right is None:
+            raise ValueError("a family frame must be a monomial with one exact term per entry")
+        lt, rt = left.terms(), right.terms()
+        a, b = left.kind == "anti", right.kind == "anti"
+        fld = ctx.tower.field
+        # entry k = 2i + j reads base entry 2 (i ^ a) + (j ^ b)
+        self.source, self.shift, self.scale = [], [], []
+        for i in (0, 1):
+            for j in (0, 1):
+                (c1, e1), (c2, e2) = lt[i], rt[j ^ b]
+                self.source.append(2 * (i ^ a) + (j ^ b))
+                self.shift.append(e1 + e2)
+                self.scale.append(fld.mul(c1, c2))
+        det = left.det2() * self.base.det * right.det2()
+        self.g4 = left.g4 * self.base.g4 * right.g4
+        self.det_ord, self.det_res = det.lead, det.unit_residue()
+        self.products = {"diag": det, "anti": -det}
+        self._patterns: dict[tuple, tuple | str] = {}
+
+    def __len__(self) -> int:
+        return len(self.base)
+
     def analyze(self, i: int) -> tuple[WeylElem, bool, int]:
         """(label, k1 and k2 Iwahori, residue of the discrepancy's y-entry) at member i."""
-        ords, residues = self.ords[i], self.residues[i]
+        ords, residues = self.base.ords[i], self.base.residues[i]
         got = self._patterns.get(ords)
         if got is None:
             got = self._patterns[ords] = self._pattern(ords, residues)
         if isinstance(got, str):
             raise ClassificationError(got)
-        label, in_iwahori, piv, scale, at_pivot = got
+        label, in_iwahori, src, scale, at_pivot = got
         # the y-entry meets m's pivot entry, or the complement product / pivot
         fld = self.ctx.tower.field
-        rp = residues[piv]
-        return label, in_iwahori, fld.mul(scale, rp if at_pivot else fld.inv(rp))
+        rb = residues[src]
+        return label, in_iwahori, fld.mul(scale, rb if at_pivot else fld.inv(rb))
 
-    def _pattern(self, ords, residues):
-        """All of `analyze` that the four entry valuations decide, from one
-        member with those valuations: (label, k1 and k2 Iwahori, index of the
-        pivot entry, scale, whether the discrepancy's y-entry meets the pivot)
-        with disc_ry = scale * pivot residue, or scale / pivot residue; or the
-        ClassificationError message.  The label reads no residue (see
-        `HeckeContext._choose_label`)."""
+    def _pattern(self, base_ords, base_residues):
+        """All of `analyze` that the base's four entry valuations decide, from
+        one member with those valuations: (label, k1 and k2 Iwahori, the base
+        entry under the pivot, scale, whether the discrepancy's y-entry meets
+        the pivot) with disc_ry = scale * base residue, or scale / base
+        residue; or the ClassificationError message.  The label reads no
+        residue (see `HeckeContext._choose_label`)."""
         fld = self.ctx.tower.field
+        ords = [base_ords[s] + e for s, e in zip(self.source, self.shift)]
+        residues = [fld.mul(base_residues[s], c) for s, c in zip(self.source, self.scale)]
         case, m_ords, m_residues, quotient_ords = pivot_step(fld, ords, residues, self.det_ord, self.det_res)
         piv, _, _, _, kind, make_k1, make_k2 = PIVOT_CASES[case]
         product = self.products[kind]
@@ -607,7 +680,10 @@ class TransversalFamily:
         # the pivot is m's first entry iff it sits in g's first row
         at_pivot = (pos == 0) == (piv < 2)
         scale = ly_res if at_pivot else fld.mul(ly_res, product.unit_residue())
-        return label, quotients_in_iwahori(quotient_ords, make_k1, make_k2), piv, scale, at_pivot
+        # the pivot's residue is the base residue times the frame's scale
+        c = self.scale[piv]
+        scale = fld.mul(scale, c) if at_pivot else fld.mul(scale, fld.inv(c))
+        return label, quotients_in_iwahori(quotient_ords, make_k1, make_k2), self.source[piv], scale, at_pivot
 
     def phi(self, w: WeylElem, i: int) -> HeckeCoeff:
         """The basis function of w at member i."""
@@ -645,19 +721,29 @@ class CocycleTable:
         key = (w1, w2)
         got = self._mu.get(key)
         if got is None:
-            disc = (
-                self.family_lift_inverse(w1 * w2)
-                * self.family_lift(w1)
-                * self.family_lift(w2)
-            )
-            if not disc.is_diagonal():
-                raise ClassificationError("lift discrepancy is not diagonal")
-            tt = disc.to_torus()
-            if not in_KM0(tt, self.ctx.variant):
-                raise ClassificationError("lift discrepancy left the compact torus")
-            got = rho_M0(tt)
-            self._mu[key] = got
+            got = self._mu[key] = self._matrix_mu(w1, w2) if self.perturbation else self._canonical_mu(w1, w2)
         return got
+
+    def _matrix_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
+        disc = self.family_lift_inverse(w1 * w2) * self.family_lift(w1) * self.family_lift(w2)
+        if not disc.is_diagonal():
+            raise ClassificationError("lift discrepancy is not diagonal")
+        tt = disc.to_torus()
+        if not in_KM0(tt, self.ctx.variant):
+            raise ClassificationError("lift discrepancy left the compact torus")
+        return rho_M0(tt)
+
+    def _canonical_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
+        # the canonical lifts are exact monomials: the discrepancy is their
+        # product over F_q, and the torus checks read its terms
+        ctx = self.ctx
+        disc = ctx.lift_monomial_inverse(w1 * w2) * ctx.lift_monomial(w1) * ctx.lift_monomial(w2)
+        if disc.kind != "diag":
+            raise ClassificationError("lift discrepancy is not diagonal")
+        (rx, nx), (ry, ny), (rz, nz) = disc.terms()
+        if not compact_torus_conditions(ctx.variant, (nx, ny, nz), (rx, ry, rz), (disc.first, disc.second), disc.g4):
+            raise ClassificationError("lift discrepancy left the compact torus")
+        return disc.second.norm_to_F().eta()
 
     def beta(self, u: WeylElem, v: WeylElem) -> UnitI:
         """mu(u,v)/mu(v,u) on commuting pairs; equal to rho of the commutator

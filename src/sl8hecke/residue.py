@@ -23,9 +23,10 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+if TYPE_CHECKING:
+    import numpy as np
 
 # Above this many coefficient pairs a series product over F_p is cheaper
 # through numpy's convolution than through the pure-Python schoolbook loop
@@ -264,18 +265,20 @@ class ResidueField:
 
     # -- coefficient sequences (the Laurent-series kernels) ------------------
 
-    def _split(self, arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return arr % self.p, arr // self.p
-
     def convolve(self, a, b) -> np.ndarray:
-        """Full linear convolution of two coefficient sequences (series product)."""
+        """Full linear convolution of two coefficient sequences (series product).
+
+        numpy is imported here, not with the module: runs whose products are
+        all short over F_p never load it."""
+        import numpy as np
+
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if self.f == 1:
             return np.convolve(a, b) % self.p
         p, n = self.p, self.nonsquare
-        a0, a1 = self._split(a)
-        b0, b1 = self._split(b)
+        a0, a1 = a % p, a // p
+        b0, b1 = b % p, b // p
         r0 = (np.convolve(a0, b0) + n * np.convolve(a1, b1)) % p
         r1 = (np.convolve(a0, b1) + np.convolve(a1, b0)) % p
         return r0 + p * r1

@@ -7,9 +7,12 @@ sign bit for the order-two element eps.  The sign bit is meaningful only
 for the parahoric variant; in the stabiliser variant eps lifts into the
 compact torus and its class is trivial.
 
-`lift` sends a normal form to the canonical matrix representative:
-letter lifts in word order, times the z-lift to the zexp, times the
-eps-lift to the ebit.  `h_M0` reads the valuation triple
+`lift_monomial` sends a normal form to the canonical representative as an
+exact monomial (`groupmodel.Monomial`): the letter lifts in word order,
+times the z-lift to the zexp, times the eps-lift to the ebit, every product
+one F_q operation and one exponent sum per entry.  `lift` and
+`lift_inverse` are the matrices of the monomial lift and of its inverse;
+all four are memoised per tower.  `h_M0` reads the valuation triple
 (ord x, ord y, ord z) of a torus element; on the compact-quotient level it
 identifies the torus part of the group with the integer lattice
 {n1 + n2 + n3 = 0, n3 even}, which `lattice_check` verifies against the
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from .groupmodel import (
     PARAHORIC,
     GroupElem,
+    Monomial,
     TorusElem,
     commutator,
     elem_eps,
@@ -32,6 +36,7 @@ from .groupmodel import (
     elem_z,
     identity,
     in_KM0,
+    letters,
 )
 from .residue import sgn
 from .tower import E2, E4, Tower
@@ -117,29 +122,43 @@ def translation_power(n: int) -> WeylElem:
     return WeylElem((SP, S) * (-n))
 
 
+def lift_monomial(tower: Tower, w: WeylElem) -> Monomial:
+    """Canonical representative as an exact monomial: the letter lifts in
+    word order, times z to the zexp, times eps to the ebit; memoised per tower."""
+    return _memo(tower, "weyl_lift_monomial", w, lambda: _letter_product(tower, w))
+
+
+def lift_monomial_inverse(tower: Tower, w: WeylElem) -> Monomial:
+    """Inverse of the canonical representative as an exact monomial; memoised."""
+    return _memo(tower, "weyl_lift_monomial_inv", w, lambda: lift_monomial(tower, w).inverse())
+
+
 def lift(tower: Tower, w: WeylElem) -> GroupElem:
-    """Canonical matrix representative; memoised per tower."""
-    cache = tower.cache.setdefault("weyl_lift", {})
-    got = cache.get(w)
-    if got is None:
-        letters = {S: elem_s(tower), SP: elem_s_prime(tower)}
-        got = identity(tower)
-        for letter in w.word:
-            got = got * letters[letter]
-        got = got * elem_z(tower) ** w.zexp
-        if w.ebit:
-            got = got * elem_eps(tower)
-        cache[w] = got
-    return got
+    """Canonical matrix representative, the matrix of the monomial lift; memoised."""
+    return _memo(tower, "weyl_lift", w, lambda: lift_monomial(tower, w).as_group())
 
 
 def lift_inverse(tower: Tower, w: WeylElem) -> GroupElem:
     """Memoised inverse of the canonical representative."""
-    cache = tower.cache.setdefault("weyl_lift_inv", {})
+    return _memo(tower, "weyl_lift_inv", w, lambda: lift_monomial_inverse(tower, w).as_group())
+
+
+def _letter_product(tower: Tower, w: WeylElem) -> Monomial:
+    let = letters(tower)
+    got = Monomial.identity(tower)
+    for letter in w.word:
+        got = got * let[letter]
+    z = let["z"] if w.zexp >= 0 else let["z"].inverse()
+    for _ in range(abs(w.zexp)):
+        got = got * z
+    return got * let["eps"] if w.ebit else got
+
+
+def _memo(tower: Tower, name: str, w: WeylElem, make):
+    cache = tower.cache.setdefault(name, {})
     got = cache.get(w)
     if got is None:
-        got = lift(tower, w).inverse()
-        cache[w] = got
+        got = cache[w] = make()
     return got
 
 

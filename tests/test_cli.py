@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ from sl8hecke.cli import (
 )
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_config_rejects_bad_q():
@@ -143,3 +147,20 @@ def test_cocycle_json_matches_golden_output(capsysbinary):
     args = ["--q", "13", "--variant", "both", "--seed", "0", "--format", "json", "verify", "cocycle"]
     assert main(args) == 0
     assert capsysbinary.readouterr().out == golden.read_bytes()
+
+
+def test_cli_and_omega_at_q13_do_not_import_numpy():
+    # numpy serves only long series products and F_{p^2} products; importing
+    # the CLI and running omega at q = 13 make none, so numpy stays unloaded
+    code = (
+        "import sys, sl8hecke.cli\n"
+        "from sl8hecke import HeckeContext, Tower, make_field\n"
+        "assert HeckeContext(Tower(make_field(13), 40)).omega_check()\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -7,6 +7,10 @@ import pytest
 from sl8hecke.groupmodel import (
     PARAHORIC,
     STABILIZER,
+    elem_eps,
+    elem_s,
+    elem_s_prime,
+    elem_z,
     identity,
     in_K0,
     in_KM0,
@@ -14,6 +18,7 @@ from sl8hecke.groupmodel import (
     lower_l,
     random_K0,
     rho0,
+    rho_M0,
     torus,
     upper_u,
 )
@@ -28,8 +33,8 @@ from sl8hecke.hecke import (
     perturbed_table,
     sz_perturbed_table,
 )
-from sl8hecke.residue import COEFF_ZERO, HeckeCoeff, ResidueField, UNIT_MINUS_ONE, UNIT_ONE
-from sl8hecke.tower import E2, E4
+from sl8hecke.residue import COEFF_ZERO, HeckeCoeff, ResidueField, UNIT_MINUS_ONE, UNIT_ONE, make_field
+from sl8hecke.tower import E2, E4, Tower
 from sl8hecke.weyl import W_EPS, W_ID, W_S, W_SP, W_Z, WeylElem
 
 
@@ -538,6 +543,117 @@ def test_double_coset_product_multiplies_only_family_samples(tower13, monkeypatc
     monkeypatch.setattr(GroupElem, "__mul__", counting)
     assert ctx.double_coset_product(W_S, w2) == frozenset({W_S * w2})
     assert len(products) <= 10
+
+
+def _count_calls(monkeypatch, cls, name):
+    calls = []
+    method = getattr(cls, name)
+
+    def counting(*args):
+        calls.append(1)
+        return method(*args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_omega_multiplies_no_frames_and_builds_one_base_per_transversal(monkeypatch):
+    # families read framed points off one base family per (word, direction);
+    # the frames are exact monomials, never multiplied into matrix samples
+    from sl8hecke.groupmodel import GroupElem
+    from sl8hecke.hecke import BaseFamily
+
+    ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
+    window = ctx.window(2, 1)
+    for w in window:
+        ctx.coset_reps(w)
+    products = _count_calls(monkeypatch, GroupElem, "__mul__")
+    bases = _count_calls(monkeypatch, BaseFamily, "__init__")
+    assert ctx.omega_check()
+    assert len(products) <= 100
+    assert len(bases) <= 2 * len({w.word for w in window})
+
+
+def test_family_frames_must_be_exact_monomials(tower5):
+    ctx = HeckeContext(tower5, STABILIZER)
+    with pytest.raises(ValueError):
+        TransversalFamily(ctx, upper_u(tower5, 1), ctx.coset_reps(W_S), ctx.lift(W_S))
+    with pytest.raises(ValueError):
+        TransversalFamily(ctx, identity(tower5), ctx.coset_reps(W_S), random_K0(tower5, STABILIZER, random.Random(3)))
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+@pytest.mark.parametrize("q", [5, 13])
+def test_convolve_at_a_non_monomial_point_sums_phi_products(q, variant, request, monkeypatch):
+    # an exact g that is not monomial is analysed point by point, with no family
+    import sl8hecke.hecke as hecke
+
+    tw = request.getfixturevalue(f"tower{q}")
+    ctx = HeckeContext(tw, variant)
+    ctx._left_values(W_S)  # the left factors' family, built before families are forbidden
+
+    def no_family(*args):
+        raise AssertionError("a family was built for a non-monomial point")
+
+    monkeypatch.setattr(hecke, "TransversalFamily", no_family)
+    reps = ctx.coset_reps_with_inverses(W_S)
+    values = []
+    for g in (upper_u(tw, 2) * ctx.lift(W_S), upper_u(tw, 3), lower_l(tw, tw.uniformizer(E2)) * ctx.lift(W_Z)):
+        expected = COEFF_ZERO
+        for r, r_inv in reps:
+            expected = expected + ctx.phi(W_S, r * ctx.lift(W_S)) * ctx.phi(W_S, ctx.lift_inverse(W_S) * (r_inv * g))
+        assert ctx.convolve_at(W_S, W_S, g) == expected
+        values.append(expected)
+    assert any(not v.is_zero() for v in values)
+
+
+# -- monomial lifts against the matrix path -------------------------------------------------
+
+
+def _lift_by_matrices(tw, w):
+    # the canonical lift as a product of the letters' 2x2 Laurent matrices
+    g = identity(tw)
+    for letter in w.word:
+        g = g * (elem_s(tw) if letter == "s" else elem_s_prime(tw))
+    g = g * elem_z(tw) ** w.zexp
+    return g * elem_eps(tw) if w.ebit else g
+
+
+def _mu_by_matrices(ctx, u, v):
+    disc = ctx.lift_inverse(u * v) * ctx.lift(u) * ctx.lift(v)
+    if not disc.is_diagonal():
+        raise ClassificationError("lift discrepancy is not diagonal")
+    if not in_KM0(disc.to_torus(), ctx.variant):
+        raise ClassificationError("lift discrepancy left the compact torus")
+    return rho_M0(disc.to_torus())
+
+
+@pytest.mark.parametrize("q", [5, 9, 13])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_monomial_lifts_and_canonical_mu_match_the_matrix_path(q, variant, request):
+    # every pair of the default window: monomial products and inverses against
+    # 2x2 Laurent matrix arithmetic, and mu against the discrepancy's matrix product
+    ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    table = CocycleTable(ctx)
+    window = ctx.window()
+    for w in window + sorted({u * v for u in window for v in window}, key=WeylElem.sort_key):
+        assert ctx.lift(w) == _lift_by_matrices(ctx.tower, w)
+        assert ctx.lift_monomial_inverse(w).as_group() == ctx.lift(w).inverse() == ctx.lift_inverse(w)
+    for u in window:
+        for v in window:
+            assert (ctx.lift_monomial(u) * ctx.lift_monomial(v)).as_group() == ctx.lift(u) * ctx.lift(v)
+            assert _outcome(lambda: table.mu(u, v)) == _outcome(lambda: _mu_by_matrices(ctx, u, v))
+
+
+def test_canonical_mu_makes_no_matrix_products(monkeypatch):
+    from sl8hecke.groupmodel import GroupElem
+
+    ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
+    table = CocycleTable(ctx)
+    window = ctx.window()
+    products = _count_calls(monkeypatch, GroupElem, "__mul__")
+    assert all(table.mu(u, v) is not None for u in window for v in window)
+    assert not products
 
 
 # -- double cosets ------------------------------------------------------------------------
