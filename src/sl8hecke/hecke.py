@@ -25,8 +25,9 @@ length and central exponent).  The main computations:
   * :class:`BaseFamily`: the members r(p) of a transversal, or their
     inverses, p the residue parameters.  Its entries are multilinear forms
     in p, read once from 2^L members, and each entry's valuation and leading
-    residue is evaluated over F_q at every point.  The context memoises one
-    per word and direction (``base_family``).
+    residue is evaluated over F_q at every point; the members are grouped by
+    the valuation pattern of their four entries (a handful per family).
+    The context memoises one per word and direction (``base_family``).
 
   * :class:`TransversalFamily`: left * r(p) * right over a base family, for
     exact monomial frames left and right (canonical lifts).  A monomial
@@ -37,13 +38,17 @@ length and central exponent).  The main computations:
 
   * ``convolve_at(w1, w2, g)``: the finite convolution sum
     sum_h phi_{w1}(h) phi_{w2}(h^-1 g) over h in the left cosets of
-    K w1 K, evaluated exactly in Gaussian integers; from one family
-    lift(w1)^-1 * r^-1 * g when g is an exact monomial, point by point
-    otherwise.
+    K w1 K, evaluated exactly in Gaussian integers.  When g is an exact
+    monomial, the second factors come from one family lift(w1)^-1 * r^-1 * g,
+    one valuation pattern at a time: phi_{w2} at a member is the quadratic
+    character of the discrepancy's y-residue, a pattern's fixed scale times a
+    base residue, so each pattern adds its scale's sign times a sum over its
+    members memoised per w1.  Any other g is analysed point by point.
 
   * ``double_coset_product(w1, w2)``: the set of double cosets in
-    K w1 K w2 K, the labels of the family lift(w1) * r * lift(w2) over the
-    middle transversal r of K/(K cap w2 K w2^-1).
+    K w1 K w2 K, the labels of the valuation patterns of the family
+    lift(w1) * r * lift(w2) over the middle transversal r of
+    K/(K cap w2 K w2^-1), one label per pattern.
 
   * :class:`CocycleTable`: mu(w1, w2) = rho(lift(w1 w2)^-1 lift(w1)
     lift(w2)), the obstruction to the lift family being multiplicative.
@@ -210,6 +215,7 @@ class HeckeContext:
         self._reps: dict[tuple[str, ...], list[tuple[GroupElem, GroupElem]]] = {}
         self._bases: dict[tuple[tuple[str, ...], bool], BaseFamily] = {}
         self._conv_left: dict[WeylElem, list[HeckeCoeff]] = {}
+        self._conv_patterns: dict[WeylElem, list[tuple[list[int], dict[int, HeckeCoeff]]]] = {}
         self._cands: dict[tuple, list | str] = {}
 
     # -- window -------------------------------------------------------------
@@ -270,13 +276,12 @@ class HeckeContext:
             head, tail = key[0], key[1:]
             head_lift = self.lift(WeylElem((head,)))
             head_lift_inv = head_lift.inverse()
-            inner = self.coset_reps_with_inverses(WeylElem(tail))
-            got = []
-            for t1, t1i in self._letter_reps(head):
-                for t2, t2i in inner:
-                    conj = head_lift * t2 * head_lift_inv
-                    conj_inv = head_lift * t2i * head_lift_inv
-                    got.append((t1 * conj, conj_inv * t1i))
+            # the inner representatives conjugated by the head lift, once for all head letters
+            inner = [
+                (head_lift * t2 * head_lift_inv, head_lift * t2i * head_lift_inv)
+                for t2, t2i in self.coset_reps_with_inverses(WeylElem(tail))
+            ]
+            got = [(t1 * conj, conj_inv * t1i) for t1, t1i in self._letter_reps(head) for conj, conj_inv in inner]
         self._validate_transversal(w, got)
         self._reps[key] = got
         return got
@@ -293,7 +298,7 @@ class HeckeContext:
 
     def _validate_transversal(self, w: WeylElem, reps) -> None:
         """Every representative (r, r^-1) must lie in K and distinct ones in
-        distinct cosets of K cap wKw^-1, checked for every pair.
+        distinct cosets of K cap wKw^-1, checked exhaustively.
 
         r * k with k in K cap wKw^-1 gives (r * k) * lift(w) =
         (r * lift(w)) * (lift(w)^-1 k lift(w)), a right K-multiple, so the
@@ -425,36 +430,69 @@ class HeckeContext:
             self._conv_left[w] = got
         return got
 
+    def _left_patterns(self, w: WeylElem) -> list[tuple[list[int], dict[int, HeckeCoeff]]]:
+        """The valuation patterns of the inverse family of w that hold a nonzero
+        left value, in order of their first such member, memoised: (those
+        members, the sums S(k) by base entry k, filled by `_left_sum`)."""
+        got = self._conv_patterns.get(w)
+        if got is None:
+            left = self._left_values(w)
+            got = []
+            for members in self.base_family(w, True).patterns:
+                nonzero = [i for i in members if not left[i].is_zero()]
+                if nonzero:
+                    got.append((nonzero, {}))
+            got.sort(key=lambda pattern: pattern[0][0])
+            self._conv_patterns[w] = got
+        return got
+
+    def _left_sum(self, w: WeylElem, members: list[int], sums: dict[int, HeckeCoeff], k: int) -> HeckeCoeff:
+        """S(k) = sum over the members i of left[i] * sgn(residue of base entry k at i)."""
+        got = sums.get(k)
+        if got is None:
+            fld, left, residues = self.tower.field, self._conv_left[w], self.base_family(w, True).residues
+            got = COEFF_ZERO
+            for i in members:
+                # sgn is +1 on the squares, the even powers of the generator
+                got = got - left[i] if fld.dlog(residues[i][k]) % 2 else got + left[i]
+            sums[k] = got
+        return got
+
     def convolve_at(self, w1: WeylElem, w2: WeylElem, g: GroupElem) -> HeckeCoeff:
         """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer.
 
         For a monomial g (one exact term per entry, as at every canonical
-        lift) the second factors come from one family; any other g is
-        analysed point by point."""
+        lift) the second factors come from one family, one valuation pattern
+        at a time; any other g is analysed point by point."""
         self.require_window(w1)
         self.require_window(w2)
-        if monomial_of(g) is not None:
-            second_at = TransversalFamily(self, self.lift_inverse(w1), self.base_family(w1, True), g).phi
-        else:
-            w1_lift_inv, reps = self.lift_inverse(w1), self.coset_reps_with_inverses(w1)
-
-            def second_at(w, i):
-                return self.phi(w, w1_lift_inv * (reps[i][1] * g))
         total = COEFF_ZERO
+        if monomial_of(g) is not None:
+            fam = TransversalFamily(self, self.lift_inverse(w1), self.base_family(w1, True), g)
+            for members, sums in self._left_patterns(w1):
+                label, in_iwahori, src, scale, _ = fam.pattern(members[0])
+                # phi_{w2} at a member is eta(disc_ry^2) = sgn(disc_ry), and
+                # disc_ry is scale times the base residue at src, or scale over it
+                value = self._phi_value(w2, label, in_iwahori, scale)
+                if not value.is_zero():
+                    total = total + value * self._left_sum(w1, members, sums, src)
+            return total
+        w1_lift_inv, reps = self.lift_inverse(w1), self.coset_reps_with_inverses(w1)
         for i, first in enumerate(self._left_values(w1)):
             if first.is_zero():
                 continue
-            second = second_at(w2, i)
+            second = self.phi(w2, w1_lift_inv * (reps[i][1] * g))
             if not second.is_zero():
                 total = total + first * second
         return total
 
     def double_coset_product(self, w1: WeylElem, w2: WeylElem) -> frozenset[WeylElem]:
-        """The set of double cosets meeting (K w1 K)(K w2 K)."""
+        """The set of double cosets meeting (K w1 K)(K w2 K): one label per
+        valuation pattern of the family lift(w1) * r * lift(w2)."""
         self.require_window(w1)
         self.require_window(w2)
         fam = TransversalFamily(self, self.lift(w1), self.base_family(w2), self.lift(w2))
-        return frozenset(fam.analyze(i)[0] for i in range(len(fam)))
+        return frozenset(fam.pattern(members[0])[0] for members in fam.base.patterns)
 
     # -- the length-zero verification ---------------------------------------------------
 
@@ -536,7 +574,8 @@ class BaseFamily:
     members with p in {0, 1}^L by Moebius inversion, checked against the
     member at p = (2, ..., 2), and evaluated over F_q: each entry's valuation
     (math.inf for zero) and leading residue at every point, lowest exponent
-    first.
+    first.  `patterns` lists the member indices of each distinct valuation
+    pattern of the four entries, the patterns in order of first occurrence.
     """
 
     def __init__(self, ctx: HeckeContext, reps: list[GroupElem]):
@@ -565,6 +604,10 @@ class BaseFamily:
         columns = [self._evaluate(fld, form, n) for form in forms]
         self.ords = list(zip(*(c[0] for c in columns)))
         self.residues = list(zip(*(c[1] for c in columns)))
+        patterns: dict[tuple, list[int]] = {}
+        for i, ords in enumerate(self.ords):
+            patterns.setdefault(ords, []).append(i)
+        self.patterns = list(patterns.values())
 
     def __len__(self) -> int:
         return len(self.ords)
@@ -646,18 +689,23 @@ class TransversalFamily:
     def __len__(self) -> int:
         return len(self.base)
 
-    def analyze(self, i: int) -> tuple[WeylElem, bool, int]:
-        """(label, k1 and k2 Iwahori, residue of the discrepancy's y-entry) at member i."""
-        ords, residues = self.base.ords[i], self.base.residues[i]
+    def pattern(self, i: int) -> tuple[WeylElem, bool, int, int, bool]:
+        """`_pattern` of member i's valuation pattern, memoised per pattern;
+        raises ClassificationError for a pattern with no label."""
+        ords = self.base.ords[i]
         got = self._patterns.get(ords)
         if got is None:
-            got = self._patterns[ords] = self._pattern(ords, residues)
+            got = self._patterns[ords] = self._pattern(ords, self.base.residues[i])
         if isinstance(got, str):
             raise ClassificationError(got)
-        label, in_iwahori, src, scale, at_pivot = got
+        return got
+
+    def analyze(self, i: int) -> tuple[WeylElem, bool, int]:
+        """(label, k1 and k2 Iwahori, residue of the discrepancy's y-entry) at member i."""
+        label, in_iwahori, src, scale, at_pivot = self.pattern(i)
         # the y-entry meets m's pivot entry, or the complement product / pivot
         fld = self.ctx.tower.field
-        rb = residues[src]
+        rb = self.base.residues[i][src]
         return label, in_iwahori, fld.mul(scale, rb if at_pivot else fld.inv(rb))
 
     def _pattern(self, base_ords, base_residues):

@@ -496,6 +496,69 @@ def test_families_match_the_matrix_path(q, variant, request):
                     assert _outcome(lambda: by_family(fam, i)) == _outcome(lambda: by_matrix(g))
 
 
+@pytest.mark.parametrize("q", [5, 9, 13])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_pattern_sums_match_the_point_sums(q, variant, request):
+    # double_coset_product and convolve_at read one valuation pattern at a
+    # time; the reference visits every point of the same families
+    ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    window = ctx.window(2, 1)
+    for w1 in window:
+        left = ctx._left_values(w1)
+        for v in window:
+            fam = TransversalFamily(ctx, ctx.lift_inverse(w1), ctx.base_family(w1, True), ctx.lift(v))
+
+            def by_points(w2):
+                total = COEFF_ZERO
+                for i, first in enumerate(left):
+                    if not first.is_zero():
+                        total = total + first * fam.phi(w2, i)
+                return total
+
+            for w2 in window:
+                got = _outcome(lambda: ctx.convolve_at(w1, w2, ctx.lift(v)))
+                assert got == _outcome(lambda: by_points(w2))
+        for w2 in window:
+            fam = TransversalFamily(ctx, ctx.lift(w1), ctx.base_family(w2), ctx.lift(w2))
+            expected = _outcome(lambda: frozenset(fam.analyze(i)[0] for i in range(len(fam))))
+            assert _outcome(lambda: ctx.double_coset_product(w1, w2)) == expected
+
+
+def test_base_family_patterns_partition_the_members_in_first_occurrence_order(tower13):
+    ctx = HeckeContext(tower13, PARAHORIC)
+    for w in ctx.window(2, 1):
+        for inverse in (False, True):
+            base = ctx.base_family(w, inverse)
+            firsts = [members[0] for members in base.patterns]
+            assert firsts == sorted(firsts)
+            assert sorted(i for members in base.patterns for i in members) == list(range(len(base)))
+            assert all(len({base.ords[i] for i in members}) == 1 for members in base.patterns)
+            assert len({base.ords[i] for i in firsts}) == len(firsts) <= 3
+
+
+def test_omega_analyses_points_only_for_the_left_values(monkeypatch):
+    # pair work is per valuation pattern: analyze runs once per point of the
+    # left values of each w1 (1,095 points here), never per pair
+    ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
+    for w in ctx.window(2, 1):
+        ctx.coset_reps(w)
+    calls = _count_calls(monkeypatch, TransversalFamily, "analyze")
+    assert ctx.omega_check()
+    assert len(calls) <= 2000
+
+
+def test_transversals_conjugate_each_inner_representative_once(monkeypatch):
+    # conjugation by the head lift does not depend on the head letter's
+    # representative, so each inner representative is conjugated once
+    from sl8hecke.groupmodel import GroupElem
+
+    ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
+    products = _count_calls(monkeypatch, GroupElem, "__mul__")
+    for w in ctx.window(2, 1):
+        ctx.coset_reps(w)
+    assert len(products) <= 1300
+
+
 def test_family_forms_are_checked_off_the_samples(tower5):
     # a doctored member at p = 2 breaks multilinearity; the samples at
     # p in {0, 1} do not see it, the check point does
