@@ -258,20 +258,23 @@ def in_K0(g: GroupElem, variant: str) -> bool:
     return True
 
 
-def compact_torus_conditions(variant: str, ords, residues, xy, z: LaurentElem) -> bool:
+def compact_torus_conditions(field, variant: str, ords, residues, xy=None, z: LaurentElem | None = None) -> bool:
     """The compact-torus conditions on a diagonal (x, y, z), read from the
-    valuations and leading residues of x, y, z, the factors of x * y and z:
-    units, the parahoric residue condition, N(x * y) * N(z) = 1."""
+    valuations and leading residues of x, y, z: units, the parahoric residue
+    condition, N(x * y) * N(z) = 1.  The norms read the factors xy of x * y
+    and z as Laurent elements; with xy and z None, x * y and z are single
+    exact terms, whose norms are (rx * ry)**2 and rz**4 by their residues."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if any(ords):
         return False
-    fld = z.tower.field
-    if variant == PARAHORIC:
-        # cheap residue condition first
-        rx, ry, rz = residues
-        if fld.mul(fld.mul(rx, ry), fld.pow(rz, 2)) != 1:
-            return False
+    rx, ry, rz = residues
+    rxy = field.mul(rx, ry)
+    # cheap residue condition first
+    if variant == PARAHORIC and field.mul(rxy, field.mul(rz, rz)) != 1:
+        return False
+    if z is None:
+        return field.mul(field.mul(rxy, rxy), field.pow(rz, 4)) == 1
     return (xy[0] * xy[1]).norm_to_F() * z.norm_to_F() == z.tower.one(F)
 
 
@@ -279,7 +282,7 @@ def in_KM0(tt: TorusElem, variant: str) -> bool:
     entries = (tt.x, tt.y, tt.z)
     # a zero entry has infinite valuation, so its placeholder residue is never read
     residues = [0 if e.is_zero else e.unit_residue() for e in entries]
-    return compact_torus_conditions(variant, [_ordn(e) for e in entries], residues, (tt.x, tt.y), tt.z)
+    return compact_torus_conditions(tt.z.tower.field, variant, list(map(_ordn, entries)), residues, (tt.x, tt.y), tt.z)
 
 
 # -- characters ---------------------------------------------------------------------
@@ -380,6 +383,15 @@ class Monomial:
         """The determinant of the 2x2 part: first * second, negated for "anti"."""
         product = _term_mul(self.first, self.second)
         return product if self.kind == "diag" else -product
+
+
+def term_product(field, left, right) -> tuple[str, tuple]:
+    """`Monomial.__mul__` on monomials given as (kind, `Monomial.terms`),
+    with no Laurent element built: one F_q product and one exponent sum per entry."""
+    (kind1, (a1, a2, a4)), (kind2, (b1, b2, b4)) = left, right
+    pairs = ((a1, b1), (a2, b2)) if kind1 == "diag" else ((a1, b2), (a2, b1))
+    terms = tuple((field.mul(r, s), e + f) for (r, e), (s, f) in pairs + ((a4, b4),))
+    return ("diag" if kind1 == kind2 else "anti"), terms
 
 
 def monomial_of(g: GroupElem) -> Monomial | None:
@@ -528,25 +540,24 @@ def sign_character_trivial(field, variant: str) -> bool:
     """Exhaust residue triples allowed by the compact-torus constraints and
     check that the quadratic character of x*y is trivially 1 on all of them.
 
-    The torus constraints force (xy)**2 * z**4 = 1 at the residue level
-    (plus xy * z**2 = 1 for the parahoric), so xy = +-z**(-2) is always a
-    square because -1 is a square when 4 | q - 1.
+    Both read only xy = x*y and z, and each xy has a fibre of q - 1 pairs
+    (x, y), so enumerating (xy, z) covers every triple.  The torus
+    constraints force (xy)**2 * z**4 = 1 (plus xy * z**2 = 1 for the
+    parahoric), so xy = +-z**(-2) is a square as -1 is when 4 | q - 1.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    one = 1
-    for xr in range(1, field.q):
-        for yr in range(1, field.q):
-            xy = field.mul(xr, yr)
-            xy2 = field.mul(xy, xy)
-            for zr in range(1, field.q):
-                z2 = field.mul(zr, zr)
-                if field.mul(xy2, field.mul(z2, z2)) != one:
-                    continue
-                if variant == PARAHORIC and field.mul(xy, z2) != one:
-                    continue
-                if sgn(field, xy).exp != 0:
-                    return False
+    mul = field.mul
+    for xy in range(1, field.q):
+        xy2 = mul(xy, xy)
+        for zr in range(1, field.q):
+            z2 = mul(zr, zr)
+            if mul(xy2, mul(z2, z2)) != 1:
+                continue
+            if variant == PARAHORIC and mul(xy, z2) != 1:
+                continue
+            if sgn(field, xy).exp != 0:
+                return False
     return True
 
 

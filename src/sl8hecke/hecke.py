@@ -53,8 +53,9 @@ length and central exponent).  The main computations:
   * :class:`CocycleTable`: mu(w1, w2) = rho(lift(w1 w2)^-1 lift(w1)
     lift(w2)), the obstruction to the lift family being multiplicative.
     For the canonical family the discrepancy is a product of exact monomial
-    lifts, computed over F_q; a family perturbed by compact-torus factors,
-    whose entries are series, multiplies matrices.
+    lifts, computed on their (residue, exponent) terms over F_q; a family
+    perturbed by compact-torus factors, whose entries are series, multiplies
+    matrices.
     The commutator pairing beta(u, v) = mu(u,v)/mu(v,u) on commuting pairs
     is invariant under changing the lift family by compact-torus factors,
     so beta != 1 certifies that the cohomology class of mu is non-trivial
@@ -90,6 +91,7 @@ from .groupmodel import (
     quotients_in_iwahori,
     random_KM0,
     rho_M0,
+    term_product,
     upper_u,
 )
 from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI, eta_residue
@@ -217,6 +219,7 @@ class HeckeContext:
         self._conv_left: dict[WeylElem, list[HeckeCoeff]] = {}
         self._conv_patterns: dict[WeylElem, list[tuple[list[int], dict[int, HeckeCoeff]]]] = {}
         self._cands: dict[tuple, list | str] = {}
+        self._labels: dict[tuple, tuple | str] = {}
 
     # -- window -------------------------------------------------------------
 
@@ -242,6 +245,15 @@ class HeckeContext:
 
     def lift_monomial_inverse(self, w: WeylElem) -> Monomial:
         return lift_monomial_inverse(self.tower, w)
+
+    def lift_terms(self, w: WeylElem, inverse: bool = False) -> tuple[str, tuple]:
+        """(kind, terms) of the canonical lift of w, or of its inverse, memoised per tower."""
+        cache = self.tower.cache.setdefault("lift_terms", {})
+        got = cache.get((w, inverse))
+        if got is None:
+            m = self.lift_monomial_inverse(w) if inverse else self.lift_monomial(w)
+            got = cache[(w, inverse)] = (m.kind, m.terms())
+        return got
 
     # -- transversals ----------------------------------------------------------
 
@@ -366,8 +378,16 @@ class HeckeContext:
 
         The discrepancy's residue condition reads rx * ry = res(lx * ly) * r1 * r2
         and r1 * r2 = res(product), so with product and g4 fixed the outcome
-        depends on the residues not at all.
+        depends on the residues not at all: it is memoised on kind, ords,
+        product and g4 (`_find_label` is the analysis itself).
         """
+        key = (kind, ords, product.lead, product.coeffs, g4.lead, g4.coeffs)
+        got = self._labels.get(key)
+        if got is None:
+            got = self._labels[key] = self._find_label(kind, ords, residues, product, g4)
+        return got
+
+    def _find_label(self, kind: str, ords, residues, product, g4):
         anti = kind == "anti"
         (n1, n2), (r1, r2) = ords, residues
         cands = self._candidates(anti, n1, n2, g4.ord_norm())
@@ -380,7 +400,7 @@ class HeckeContext:
             z = inv_g4 * g4
             disc_ords = (lx.lead + nx, ly.lead + ny, z.lead)
             res = (fld.mul(lx.unit_residue(), rx), fld.mul(ly.unit_residue(), ry), z.unit_residue())
-            if compact_torus_conditions(self.variant, disc_ords, res, (lx * ly, product), z):
+            if compact_torus_conditions(fld, self.variant, disc_ords, res, (lx * ly, product), z):
                 return cand, ly.unit_residue(), pos
         return "no sign bit matches the discrepancy"
 
@@ -782,16 +802,20 @@ class CocycleTable:
         return rho_M0(tt)
 
     def _canonical_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
-        # the canonical lifts are exact monomials: the discrepancy is their
-        # product over F_q, and the torus checks read its terms
+        # the canonical lifts are exact monomials: the discrepancy is the
+        # product of their (residue, exponent) terms over F_q
         ctx = self.ctx
-        disc = ctx.lift_monomial_inverse(w1 * w2) * ctx.lift_monomial(w1) * ctx.lift_monomial(w2)
-        if disc.kind != "diag":
+        fld = ctx.tower.field
+        disc = ctx.lift_terms(w1 * w2, inverse=True)
+        for w in (w1, w2):
+            disc = term_product(fld, disc, ctx.lift_terms(w))
+        kind, ((rx, nx), (ry, ny), (rz, nz)) = disc
+        if kind != "diag":
             raise ClassificationError("lift discrepancy is not diagonal")
-        (rx, nx), (ry, ny), (rz, nz) = disc.terms()
-        if not compact_torus_conditions(ctx.variant, (nx, ny, nz), (rx, ry, rz), (disc.first, disc.second), disc.g4):
+        if not compact_torus_conditions(fld, ctx.variant, (nx, ny, nz), (rx, ry, rz)):
             raise ClassificationError("lift discrepancy left the compact torus")
-        return disc.second.norm_to_F().eta()
+        # rho = eta(N(y)), and the norm of a unit term is its residue squared
+        return eta_residue(fld, fld.mul(ry, ry))
 
     def beta(self, u: WeylElem, v: WeylElem) -> UnitI:
         """mu(u,v)/mu(v,u) on commuting pairs; equal to rho of the commutator

@@ -13,9 +13,10 @@ Field elements are encoded as plain integers 0..q-1.  For q = p the
 encoding is the residue itself; for q = p**2 the integer a + p*b encodes
 a + b*x where x**2 equals a fixed non-square of F_p.  The Laurent-series
 layer keeps coefficients as tuples of encodings; the field supplies its
-two sequence kernels, the truncated product ``mul_trunc`` (a schoolbook
-loop over F_p, numpy's convolution for long operands and over F_{p^2})
-and ``series_inverse``.
+sequence kernels: the truncated product ``mul_trunc`` (a schoolbook
+loop over F_p, numpy's convolution for long operands and over F_{p^2}),
+``series_inverse`` (a recurrence, or Newton iteration for long operands
+over F_p) and the root-squaring step ``graeffe`` that norms are built from.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ if TYPE_CHECKING:
 # (the two cross between 36 and 64 pairs at q = 13 on Python 3.11 with
 # numpy 2.4).
 CONVOLVE_CUTOVER = 48
+# Above this many terms a series inverse over F_p is cheaper by Newton
+# iteration on numpy's convolution than by the term-by-term recurrence.
+NEWTON_CUTOVER = 16
 
 
 class DomainError(ValueError):
@@ -300,11 +304,36 @@ class ResidueField:
         p = self.p
         return [v % p for v in out]
 
+    def graeffe(self, a, n: int) -> list[int]:
+        """First n coefficients of a(x) * a(-x) read in x**2, Graeffe's
+        root-squaring step: with a(x) = A(x**2) + x * B(x**2) it is
+        A**2 - x * B**2, two squares of half-length operands (in numpy over
+        F_p past CONVOLVE_CUTOVER, like `mul_trunc`)."""
+        even, odd = a[::2], a[1::2]
+        if self.f == 1 and len(even) * len(even) > CONVOLVE_CUTOVER:
+            import numpy as np
+
+            out = np.zeros(min(2 * len(even) - 1 + (len(odd) == len(even)), n), dtype=np.int64)
+            sq = np.convolve(even, even)[:n]
+            out[: len(sq)] = sq
+            sq = np.convolve(odd, odd)[: n - 1]  # odd is as long as even or one shorter
+            out[1 : len(sq) + 1] -= sq
+            return (out % self.p).tolist()
+        out = self.mul_trunc(even, even, n)
+        if odd and n > 1:
+            sq = self.mul_trunc(odd, odd, n - 1)
+            out += [0] * (len(sq) + 1 - len(out))
+            for k, y in enumerate(sq, 1):
+                out[k] = self.sub(out[k], y)
+        return out
+
     def series_inverse(self, b, n: int) -> list[int]:
         """First n coefficients of 1 / (b0 + b1*T + ...); requires b[0] != 0.
 
         The recurrence x_k = -x0 * sum_{j>=1} b_j x_{k-j} costs O(n * len(b))
-        field operations.
+        field operations; over F_p an operand of more than NEWTON_CUTOVER
+        terms instead doubles the number of correct terms per step by Newton
+        iteration (Brent and Zimmermann, Modern Computer Arithmetic, 4.2).
         """
         coeffs = [int(v) for v in b[:n]]
         if coeffs[0] == 0:
@@ -312,6 +341,21 @@ class ResidueField:
         while not coeffs[-1]:
             coeffs.pop()
         x0 = self.inv(coeffs[0])
+        if self.f == 1 and len(coeffs) > NEWTON_CUTOVER:
+            import numpy as np
+
+            p = self.p
+            b = np.asarray(coeffs, dtype=np.int64)
+            x = np.array([x0], dtype=np.int64)
+            k = 1
+            while k < n:
+                k2 = min(2 * k, n)
+                # b * x = 1 + T**k * d mod T**k2, so x - T**k * x * d inverts b
+                # mod T**k2; d stays unreduced, as x * d < n**2 * p**3 fits in int64
+                d = np.convolve(b[:k2], x)[k:k2]
+                x = np.concatenate((x, -np.convolve(x, d)[: k2 - k] % p))
+                k = k2
+            return x.tolist()
         minus_x0 = self.neg(x0)
         # with x left-padded by len(rev) zeros, x[k : k + len(rev)] holds
         # x_{k-len(rev)} .. x_{k-1}, matching rev = b_{len(rev)} .. b_1

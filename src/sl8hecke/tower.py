@@ -25,8 +25,13 @@ division are correct to relative precision N.
 
 Galois actions are coefficientwise: the generator of Gal(E2/F) sends
 pi2 -> -pi2, the chosen generator of Gal(E4/F) sends pi4 -> i4*pi4 with
-i4 = zeta**((q-1)/4) a fixed fourth root of unity in F_q.  Norms and
-traces to F multiply/sum the conjugates and re-read the result in t.
+i4 = zeta**((q-1)/4) a fixed fourth root of unity in F_q.  Traces to F
+sum the conjugates and re-read the result in t.  Norms to F never form the
+conjugates: for U = A(pi**2) + pi*B(pi**2), U(pi) * U(-pi) = A**2 - pi**2 * B**2
+(Graeffe's root-squaring step), applied once over E2 and twice over E4,
+where U(i4*pi) * U(-i4*pi) is the same step with pi**2 -> -pi**2.  A norm of
+a window longer than one term is memoised on its Tower by value and `exact`
+flag.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ class Tower:
         self._galois_patterns: dict = {}
         self._base_patterns: dict = {}
         self._constants: dict = {}
+        self._norms: dict = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -270,7 +276,11 @@ class LaurentElem:
             a, b = b, a
         if len(a) == 1:
             # a product of nonzero field elements is nonzero: no trimming
-            c, mul = a[0], fld.mul
+            c = a[0]
+            if fld.f == 1:
+                p = fld.p
+                return LaurentElem(tw, self.tag, lead, tuple([c * y % p for y in b]), exact)
+            mul = fld.mul
             return LaurentElem(tw, self.tag, lead, tuple([mul(c, y) for y in b]), exact)
         exact = exact and len(a) + len(b) - 1 <= tw.N
         # c0 is a product of units; truncation may leave trailing zeros
@@ -337,16 +347,12 @@ class LaurentElem:
         coeffs = tuple(map(fld.mul, self.coeffs, pattern))
         return LaurentElem(tw, self.tag, self.lead, coeffs, self.exact)
 
-    def _to_base(self, lead: int, coeffs: tuple, exact: bool) -> "LaurentElem":
-        """Re-read an E-element supported on exponents divisible by e as an F-element."""
+    def _to_base(self, w0: int, digits, exact: bool, sign: int = 1) -> "LaurentElem":
+        """Read sign * pi**(e*w0) * sum_j digits[j] * pi**(e*j) (trimmed, at most N/e digits rounded up)
+        in F: t = t_unit * pi**e, so base digit j is sign * t_unit**-(w0 + j) * digits[j]."""
         tw = self.tower
-        e = RAMIFICATION[self.tag]
         fld = tw.field
-        if lead % e != 0:
-            raise AssertionError("Galois-symmetric element has non-divisible lead")
-        if any(c for j, c in enumerate(coeffs) if j % e):
-            raise AssertionError("Galois-symmetric element has stray coefficients")
-        # base digit w picks up t_unit**(-w); the w-independent pattern is cached
+        # the w-independent part of the scale is cached
         pattern = tw._base_patterns.get(self.tag)
         if pattern is None:
             u_inv = fld.inv(tw.t_unit[self.tag])
@@ -357,14 +363,10 @@ class LaurentElem:
                 acc = fld.mul(acc, u_inv)
             pattern = tuple(vals)
             tw._base_patterns[self.tag] = pattern
-        w0 = lead // e
-        scaled = map(fld.mul, coeffs[::e], pattern)
-        head_scale = fld.pow(fld.inv(tw.t_unit[self.tag]), w0)
+        scaled = map(fld.mul, digits, pattern)
+        head_scale = fld.mul(sign, fld.pow(fld.inv(tw.t_unit[self.tag]), w0))
         if head_scale != 1:
             scaled = [fld.mul(head_scale, c) for c in scaled]
-        # Window tails beyond N/e base digits are exact only for polynomial
-        # support, signalled by the exact flag.  The last coefficient sits
-        # at a multiple of e (no strays), so the reading stays trimmed.
         return LaurentElem(tw, F, w0, tuple(scaled), exact)
 
     def norm_to_F(self) -> "LaurentElem":
@@ -385,11 +387,22 @@ class LaurentElem:
             else:
                 value = fld.mul(fld.pow(c, 4), fld.pow(fld.zeta, self.lead))
             return LaurentElem(tw, F, self.lead, (value,), self.exact)
-        e = RAMIFICATION[self.tag]
-        prod = self
-        for k in range(1, e):
-            prod = prod * self.galois(k)
-        return prod._to_base(prod.lead, prod.coeffs, prod.exact)
+        key = (self.tag, self.lead, self.coeffs, self.exact)
+        got = tw._norms.get(key)
+        if got is None:
+            # the conjugates of pi**lead * U(pi) are r**lead * pi**lead * U(r*pi) over
+            # the e-th roots of unity r, whose product is (-1)**lead; the first N
+            # coefficients of the product need only the first N of U
+            e = RAMIFICATION[self.tag]
+            digits, n = self.coeffs, tw.N
+            for _ in range(e.bit_length() - 1):
+                n = -(-n // 2)
+                digits = fld.graeffe(digits, n)
+            # the product of e windows of supp s is exact while its e * (s - 1) + 1 terms fit
+            exact = self.exact and e * (self.supp - 1) < tw.N
+            sign = fld.neg(1) if self.lead % 2 else 1
+            got = tw._norms[key] = self._to_base(self.lead, _trim(digits)[1], exact, sign)
+        return got
 
     def trace_to_F(self) -> "LaurentElem":
         """Sum of all Galois conjugates, read in F."""
@@ -412,7 +425,13 @@ class LaurentElem:
             raise PrecisionExhausted(
                 f"trace cancelled every retained coefficient in {self.tag}"
             )
-        return self._to_base(self.lead + j, acc, self.exact)
+        lead = self.lead + j
+        if lead % e or any(c for k, c in enumerate(acc) if k % e):
+            raise AssertionError("Galois-symmetric element has stray coefficients")
+        # Window tails beyond N/e base digits are exact only for polynomial
+        # support, signalled by the exact flag.  The last coefficient sits
+        # at a multiple of e (no strays), so the reading stays trimmed.
+        return self._to_base(lead // e, acc[::e], self.exact)
 
     def eta(self) -> UnitI:
         """The character of F^x that is trivial on t and 1 + tF_q[[t]] and

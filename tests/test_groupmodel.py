@@ -29,7 +29,8 @@ from sl8hecke.groupmodel import (
     torus,
     upper_u,
 )
-from sl8hecke.residue import UNIT_MINUS_ONE, UNIT_ONE, make_field, sgn
+from sl8hecke import groupmodel
+from sl8hecke.residue import UNIT_MINUS_ONE, UNIT_ONE, eta_residue, make_field, sgn
 from sl8hecke.tower import E2, E4
 
 
@@ -317,6 +318,36 @@ def test_decompose_quotient_valuations_follow_the_unipotent_kind(tower5):
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
 def test_sign_character_trivial(q, variant):
     assert sign_character_trivial(make_field(q), variant)
+
+
+def character_trivial_by_triples(field, variant, character):
+    """The (q-1)**3 loop over residue triples (x, y, z): the reference for
+    the enumeration of (xy, z) in `sign_character_trivial`."""
+    mul = field.mul
+    for xr in range(1, field.q):
+        for yr in range(1, field.q):
+            xy = mul(xr, yr)
+            xy2 = mul(xy, xy)
+            for zr in range(1, field.q):
+                z2 = mul(zr, zr)
+                if mul(xy2, mul(z2, z2)) != 1:
+                    continue
+                if variant == PARAHORIC and mul(xy, z2) != 1:
+                    continue
+                if character(field, xy).exp != 0:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29, 37, 41, 49, 53])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+@pytest.mark.parametrize("character", [sgn, eta_residue], ids=["sgn", "eta"])
+def test_sign_character_pairs_match_the_triple_loop(q, variant, character, monkeypatch):
+    # eta in place of sgn is not trivial on the admissible triples, so both
+    # verdicts are compared
+    field = make_field(q)
+    monkeypatch.setattr(groupmodel, "sgn", character)
+    assert sign_character_trivial(field, variant) == character_trivial_by_triples(field, variant, character)
 
 
 def test_sign_character_unit_triple(tower5):

@@ -524,6 +524,29 @@ def test_pattern_sums_match_the_point_sums(q, variant, request):
             assert _outcome(lambda: ctx.double_coset_product(w1, w2)) == expected
 
 
+@pytest.mark.parametrize("q", [5, 13])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_memoised_labels_match_the_uncached_analysis(q, variant, request):
+    # every member of both family kinds over the window (2, 1): the label
+    # memoised on the residue-free key against a fresh context that analyses
+    # every call afresh
+    tw = request.getfixturevalue(f"tower{q}")
+    ctx, fresh = HeckeContext(tw, variant), HeckeContext(tw, variant)
+    fresh._choose_label = fresh._find_label
+    window = ctx.window(2, 1)
+    for w1 in window:
+        for w2 in window:
+            for left, base in (
+                (ctx.lift(w1), ctx.base_family(w2)),
+                (ctx.lift_inverse(w1), ctx.base_family(w1, True)),
+            ):
+                memoised = TransversalFamily(ctx, left, base, ctx.lift(w2))
+                uncached = TransversalFamily(fresh, left, base, ctx.lift(w2))
+                for ords, residues in zip(base.ords, base.residues):
+                    assert memoised._pattern(ords, residues) == uncached._pattern(ords, residues)
+    assert ctx._labels and not fresh._labels
+
+
 def test_base_family_patterns_partition_the_members_in_first_occurrence_order(tower13):
     ctx = HeckeContext(tower13, PARAHORIC)
     for w in ctx.window(2, 1):

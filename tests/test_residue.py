@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -232,3 +234,27 @@ def test_series_inverse_roundtrip(q):
     prod = f.convolve(b, c)[:n]
     assert int(prod[0]) == 1
     assert not prod[1:].any()
+
+
+def recurrence_inverse(f, b, n):
+    """1 / b mod T**n by the term-by-term recurrence in scalar field operations."""
+    x = [f.inv(b[0])]
+    for k in range(1, n):
+        acc = 0
+        for j in range(1, min(k, len(b) - 1) + 1):
+            acc = f.add(acc, f.mul(b[j], x[k - j]))
+        x.append(f.mul(f.neg(x[0]), acc))
+    return x
+
+
+@pytest.mark.parametrize("q", ADMISSIBLE_Q + [37, 41, 49, 53])
+def test_newton_inverse_matches_the_recurrence(q):
+    # operands of 17 to N + 3 terms: Newton iteration over F_p, the
+    # recurrence over F_{p^2}; trailing zeros shorten some below the cut-over
+    f = make_field(q)
+    rng = random.Random(q)
+    for n in (17, 40):
+        for supp in range(17, n + 4):
+            b = [rng.randrange(q) for _ in range(supp)]
+            b[0] = rng.randrange(1, q)
+            assert f.series_inverse(b, n) == recurrence_inverse(f, b, n)

@@ -391,21 +391,24 @@ def ref_embed(tw, tag, x):
 
 
 @st.composite
-def kernel_operands(draw, count=2, divisor=False, tags=(F, E2, E4), max_supp=None):
-    tw = draw(st.sampled_from(DIFF_TOWERS))
+def windows(draw, tw, tag, choices):
+    """An element of `tag` whose given support is one of `choices`."""
     q = tw.q
-    tag = draw(st.sampled_from(tags))
-    choices = [s for s in supports(tw, divisor) if max_supp is None or s <= max_supp]
     # leads near N put one operand partly or wholly outside the other's window
     leads = st.one_of(st.integers(-6, 6), st.integers(tw.N - 6, tw.N + 6))
-    elems = []
-    for _ in range(count):
-        supp = draw(st.sampled_from(choices))
-        vals = draw(st.lists(st.integers(0, q - 1), min_size=supp, max_size=supp))
-        vals[0] = draw(st.integers(1, q - 1))
-        vals[-1] = draw(st.integers(1, q - 1))
-        elems.append(tw.from_coeffs(tag, draw(leads), vals))
-    return tw, tag, elems
+    supp = draw(st.sampled_from(choices))
+    vals = draw(st.lists(st.integers(0, q - 1), min_size=supp, max_size=supp))
+    vals[0] = draw(st.integers(1, q - 1))
+    vals[-1] = draw(st.integers(1, q - 1))
+    return tw.from_coeffs(tag, draw(leads), vals)
+
+
+@st.composite
+def kernel_operands(draw, count=2, divisor=False, tags=(F, E2, E4), max_supp=None):
+    tw = draw(st.sampled_from(DIFF_TOWERS))
+    tag = draw(st.sampled_from(tags))
+    choices = [s for s in supports(tw, divisor) if max_supp is None or s <= max_supp]
+    return tw, tag, [draw(windows(tw, tag, choices)) for _ in range(count)]
 
 
 def add_is_retained(x, y):
@@ -484,6 +487,72 @@ def test_norm_and_trace_match_dense_reference(data):
     assert_matches(x.norm_to_F(), ref_to_base(tw, tag, prod))
     summed = renormalise(x.lead, total)
     assert_matches(x.trace_to_F(), summed and ref_to_base(tw, tag, summed))
+
+
+def conjugate_norm(x):
+    """The norm as the product of the Galois conjugates, each product
+    truncated to the window, read in F: (the dense value, the exact flag),
+    the reference for the split norm."""
+    prod = x
+    for k in range(1, RAMIFICATION[x.tag]):
+        prod = prod * x.galois(k)
+    return ref_to_base(x.tower, x.tag, dense(prod)), prod.exact
+
+
+@pytest.mark.parametrize("tag", [E2, E4])
+@pytest.mark.parametrize("tw", DIFF_TOWERS, ids=lambda tw: f"q{tw.q}-N{tw.N}")
+@settings(max_examples=25)
+@given(data=st.data())
+def test_long_window_norms_match_dense_reference(tw, tag, data):
+    # full windows and windows truncated from N + 3 terms, past the support
+    # cap of test_norm_and_trace_match_dense_reference
+    x = data.draw(windows(tw, tag, (tw.N, tw.N + 3)))
+    fld = tw.field
+    prod = dense(x)
+    for k in range(1, RAMIFICATION[tag]):
+        prod = ref_mul(fld, prod, ref_galois(tw, tag, dense(x), k))
+    got = x.norm_to_F()
+    assert_matches(got, ref_to_base(tw, tag, prod))
+    assert got.exact == conjugate_norm(x)[1]
+
+
+@pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29, 37, 41, 49, 53])
+def test_split_norm_matches_the_conjugate_product(q):
+    # supports on both sides of the numpy cut-over of the half-length squares
+    # and of the exact boundary e * (supp - 1) < N, odd and even leads
+    rng = random.Random(q)
+    for n in (17, 40):
+        tw = Tower(make_field(q), precision=n)
+        for tag in (E2, E4):
+            e = RAMIFICATION[tag]
+            edge = (n - 1) // e + 1
+            for supp in (2, 3, 4, 5, 8, 12, 13, 14, edge, edge + 1, n - 1, n, n + 3):
+                for lead in (-3, 0, 5):
+                    vals = [rng.randrange(q) for _ in range(supp)]
+                    vals[0], vals[-1] = rng.randrange(1, q), rng.randrange(1, q)
+                    x = tw.from_coeffs(tag, lead, vals)
+                    value, exact = conjugate_norm(x)
+                    got = x.norm_to_F()
+                    assert_matches(got, value)
+                    assert got.exact == exact
+
+
+@pytest.mark.parametrize("inexact_first", [True, False])
+def test_equal_windows_with_different_exact_flags_get_their_own_norms(inexact_first):
+    for q in (5, 9, 13):
+        tw = Tower(make_field(q), precision=40)
+        for tag in (E2, E4):
+            vals = [1, 2, 0, 1]
+            exact = tw.from_coeffs(tag, 1, vals)
+            # the same window, with a nonzero digit truncated away
+            inexact = tw.from_coeffs(tag, 1, vals + [0] * (tw.N - len(vals)) + [1])
+            assert exact == inexact and exact.exact and not inexact.exact
+            order = (inexact, exact) if inexact_first else (exact, inexact)
+            for _ in range(2):  # computed, then memoised
+                for x in order:
+                    got = x.norm_to_F()
+                    assert_matches(got, conjugate_norm(x)[0])
+                    assert got.exact == x.exact
 
 
 @KERNEL_EXAMPLES
