@@ -23,7 +23,7 @@ from .residue import (
 from .tower import E2, E4, F, LaurentElem, PrecisionExhausted, Tower
 from .groupmodel import PARAHORIC, STABILIZER, GroupElem, TorusElem
 from .weyl import WeylElem, lift, plength
-from .hecke import CocycleTable, HeckeBasisFn, HeckeContext, nontriviality_certificate
+from .hecke import CocycleTable, HeckeContext, nontriviality_certificate
 
 __all__ = [
     "HeckeCoeff",
@@ -47,7 +47,6 @@ __all__ = [
     "lift",
     "plength",
     "CocycleTable",
-    "HeckeBasisFn",
     "HeckeContext",
     "nontriviality_certificate",
 ]

@@ -38,12 +38,13 @@ length and central exponent).  The main computations:
 
   * ``convolve_at(w1, w2, g)``: the finite convolution sum
     sum_h phi_{w1}(h) phi_{w2}(h^-1 g) over h in the left cosets of
-    K w1 K, evaluated exactly in Gaussian integers.  When g is an exact
-    monomial, the second factors come from one family lift(w1)^-1 * r^-1 * g,
-    one valuation pattern at a time: phi_{w2} at a member is the quadratic
-    character of the discrepancy's y-residue, a pattern's fixed scale times a
-    base residue, so each pattern adds its scale's sign times a sum over its
-    members memoised per w1.  Any other g is analysed point by point.
+    K w1 K, evaluated exactly in Gaussian integers at an exact monomial g
+    (one exact term per entry, as at every canonical lift).  The second
+    factors come from one family lift(w1)^-1 * r^-1 * g, one valuation pattern
+    at a time: phi_{w2} at a member is the quadratic character of the
+    discrepancy's y-residue, a pattern's fixed scale times a base residue, so
+    each pattern adds its scale's sign times a sum over its members memoised
+    per w1.  The left values phi_{w1}(r * lift(w1)) are read per pattern too.
 
   * ``double_coset_product(w1, w2)``: the set of double cosets in
     K w1 K w2 K, the labels of the valuation patterns of the family
@@ -110,19 +111,6 @@ from .weyl import (
     translation_power,
     window_elements,
 )
-
-
-@dataclass(frozen=True)
-class HeckeBasisFn:
-    """The basis function supported on the double coset of w, with value
-    `scale` at the canonical lift and the two-sided character equivariance
-    phi(k1 g k2) = rho(k1) phi(g) rho(k2)."""
-
-    w: "WeylElem"
-    scale: HeckeCoeff = HeckeCoeff(1, 0)
-
-    def __call__(self, ctx: "HeckeContext", g: GroupElem) -> HeckeCoeff:
-        return ctx.phi(self.w, g, self.scale)
 
 
 class WindowExceeded(ValueError):
@@ -216,9 +204,7 @@ class HeckeContext:
         self.window_z = window_z
         self._reps: dict[tuple[str, ...], list[tuple[GroupElem, GroupElem]]] = {}
         self._bases: dict[tuple[tuple[str, ...], bool], BaseFamily] = {}
-        self._conv_left: dict[WeylElem, list[HeckeCoeff]] = {}
-        self._conv_patterns: dict[WeylElem, list[tuple[list[int], dict[int, HeckeCoeff]]]] = {}
-        self._cands: dict[tuple, list | str] = {}
+        self._conv_patterns: dict[WeylElem, list[tuple[int, dict[int, HeckeCoeff]]]] = {}
         self._labels: dict[tuple, tuple | str] = {}
 
     # -- window -------------------------------------------------------------
@@ -343,13 +329,6 @@ class HeckeContext:
         """The sign-bit candidates for monomial data of this kind and valuation
         triple, as (label, x- and y-entries and E4 part of the label's lift
         inverse), or the message of the ClassificationError they raise."""
-        key = (anti, n1, n2, n3)
-        got = self._cands.get(key)
-        if got is None:
-            got = self._cands[key] = self._make_candidates(anti, n1, n2, n3)
-        return got
-
-    def _make_candidates(self, anti: bool, n1: int, n2: int, n3: int):
         if n3 % 2 or n1 + n2 + n3 != 0:
             return f"valuation triple {(n1, n2, n3)} outside the group image"
         zexp = -n3 // 2
@@ -442,68 +421,63 @@ class HeckeContext:
         return value if scale is COEFF_ONE else scale * value
 
     def _left_values(self, w: WeylElem) -> list[HeckeCoeff]:
-        # phi_w(r * lift(w)) per transversal element, memoised
-        got = self._conv_left.get(w)
-        if got is None:
-            fam = TransversalFamily(self, identity(self.tower), self.base_family(w), self.lift(w))
-            got = [fam.phi(w, i) for i in range(len(fam))]
-            self._conv_left[w] = got
-        return got
+        """phi_w(r * lift(w)) at each member r of the transversal of w, per
+        valuation pattern: eta(disc_ry^2) = sgn(disc_ry) is the value at the
+        pattern's scale times sgn of the base residue at its source."""
+        fam = TransversalFamily(self, identity(self.tower), self.base_family(w), self.lift(w))
+        fld, residues = self.tower.field, fam.base.residues
+        out = [COEFF_ZERO] * len(fam)
+        for members in fam.base.patterns:
+            label, in_iwahori, src, scale, _ = fam.pattern(members[0])
+            value = self._phi_value(w, label, in_iwahori, scale)
+            if not value.is_zero():
+                for i in members:
+                    # sgn is +1 on the squares, the even powers of the generator
+                    out[i] = -value if fld.dlog(residues[i][src]) % 2 else value
+        return out
 
-    def _left_patterns(self, w: WeylElem) -> list[tuple[list[int], dict[int, HeckeCoeff]]]:
+    def _left_patterns(self, w: WeylElem) -> list[tuple[int, dict[int, HeckeCoeff]]]:
         """The valuation patterns of the inverse family of w that hold a nonzero
-        left value, in order of their first such member, memoised: (those
-        members, the sums S(k) by base entry k, filled by `_left_sum`)."""
+        left value, in order of their first such member, memoised: (that member,
+        S(k) = the sum of left[i] * sgn(residue of base entry k at i) over the
+        pattern's members i, by base entry k, none for an entry that is zero
+        across the pattern and so never a pivot)."""
         got = self._conv_patterns.get(w)
         if got is None:
-            left = self._left_values(w)
+            left, base = self._left_values(w), self.base_family(w, True)
+            fld, res = self.tower.field, base.residues
             got = []
-            for members in self.base_family(w, True).patterns:
+            for members in base.patterns:
                 nonzero = [i for i in members if not left[i].is_zero()]
                 if nonzero:
-                    got.append((nonzero, {}))
-            got.sort(key=lambda pattern: pattern[0][0])
+                    # each left value v times the signed count of its members
+                    by_value: dict[HeckeCoeff, list[int]] = {}
+                    for i in nonzero:
+                        by_value.setdefault(left[i], []).append(i)
+                    sums = {
+                        k: sum((v * _sgn_sum(fld, (res[i][k] for i in ii)) for v, ii in by_value.items()), COEFF_ZERO)
+                        for k in range(4)
+                        if res[nonzero[0]][k]
+                    }
+                    got.append((nonzero[0], sums))
+            got.sort(key=lambda pattern: pattern[0])
             self._conv_patterns[w] = got
         return got
 
-    def _left_sum(self, w: WeylElem, members: list[int], sums: dict[int, HeckeCoeff], k: int) -> HeckeCoeff:
-        """S(k) = sum over the members i of left[i] * sgn(residue of base entry k at i)."""
-        got = sums.get(k)
-        if got is None:
-            fld, left, residues = self.tower.field, self._conv_left[w], self.base_family(w, True).residues
-            got = COEFF_ZERO
-            for i in members:
-                # sgn is +1 on the squares, the even powers of the generator
-                got = got - left[i] if fld.dlog(residues[i][k]) % 2 else got + left[i]
-            sums[k] = got
-        return got
-
     def convolve_at(self, w1: WeylElem, w2: WeylElem, g: GroupElem) -> HeckeCoeff:
-        """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer.
-
-        For a monomial g (one exact term per entry, as at every canonical
-        lift) the second factors come from one family, one valuation pattern
-        at a time; any other g is analysed point by point."""
+        """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer, at an exact
+        monomial g (one exact term per entry, as at every canonical lift); any
+        other g raises ValueError.  Each valuation pattern of the family
+        lift(w1)^-1 * r^-1 * g adds its value at its scale times S(source)."""
         self.require_window(w1)
         self.require_window(w2)
+        fam = TransversalFamily(self, self.lift_inverse(w1), self.base_family(w1, True), g)
         total = COEFF_ZERO
-        if monomial_of(g) is not None:
-            fam = TransversalFamily(self, self.lift_inverse(w1), self.base_family(w1, True), g)
-            for members, sums in self._left_patterns(w1):
-                label, in_iwahori, src, scale, _ = fam.pattern(members[0])
-                # phi_{w2} at a member is eta(disc_ry^2) = sgn(disc_ry), and
-                # disc_ry is scale times the base residue at src, or scale over it
-                value = self._phi_value(w2, label, in_iwahori, scale)
-                if not value.is_zero():
-                    total = total + value * self._left_sum(w1, members, sums, src)
-            return total
-        w1_lift_inv, reps = self.lift_inverse(w1), self.coset_reps_with_inverses(w1)
-        for i, first in enumerate(self._left_values(w1)):
-            if first.is_zero():
-                continue
-            second = self.phi(w2, w1_lift_inv * (reps[i][1] * g))
-            if not second.is_zero():
-                total = total + first * second
+        for first, sums in self._left_patterns(w1):
+            label, in_iwahori, src, scale, _ = fam.pattern(first)
+            value = self._phi_value(w2, label, in_iwahori, scale)
+            if not value.is_zero():
+                total = total + value * sums[src]
         return total
 
     def double_coset_product(self, w1: WeylElem, w2: WeylElem) -> frozenset[WeylElem]:
@@ -563,6 +537,11 @@ class HeckeContext:
         entry["pass"] = True
         entry["vanishing"] = vanishing
         return entry
+
+
+def _sgn_sum(fld, residues) -> HeckeCoeff:
+    """The sum of sgn over nonzero residues: +1 on the squares, the even powers of the generator."""
+    return HeckeCoeff(sum(-1 if fld.dlog(r) % 2 else 1 for r in residues), 0)
 
 
 def _grid_values(field, coeffs) -> list[int]:

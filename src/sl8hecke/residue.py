@@ -69,15 +69,8 @@ class HeckeCoeff:
             self.re * other.im + self.im * other.re,
         )
 
-    def conjugate(self) -> "HeckeCoeff":
-        return HeckeCoeff(self.re, -self.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
-
-    @staticmethod
-    def from_int(n: int) -> "HeckeCoeff":
-        return HeckeCoeff(n, 0)
 
     def __repr__(self) -> str:
         if self.im == 0:
@@ -261,8 +254,6 @@ class ResidueField:
 
     def _smallest_generator(self) -> int:
         for a in range(2, self.q):
-            if a % self.p == 0 and self.f == 1:
-                continue
             if self._order(a) == self.q - 1:
                 return a
         raise AssertionError(f"no generator found for q={self.q}")

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from functools import partial
 
 import pytest
 
@@ -266,6 +267,18 @@ def one_coeff():
     return HeckeCoeff(1, 0)
 
 
+def _convolve_by_points(ctx, w1, w2, g):
+    """(phi_{w1} * phi_{w2})(g) point by point on the matrix path, at any g:
+    phi_{w1}(r * lift(w1)) * phi_{w2}(lift(w1)^-1 * r^-1 * g) summed over the
+    transversal r of w1, the second factor read only where the first is nonzero."""
+    total = COEFF_ZERO
+    for r, r_inv in ctx.coset_reps_with_inverses(w1):
+        first = ctx.phi(w1, r * ctx.lift(w1))
+        if not first.is_zero():
+            total = total + first * ctx.phi(w2, ctx.lift_inverse(w1) * (r_inv * g))
+    return total
+
+
 def test_convolution_vanishing_s(ctx_stab, ctx_par):
     for ctx in (ctx_stab, ctx_par):
         assert ctx.convolve_at(W_S, W_S, ctx.lift(W_S)) == COEFF_ZERO
@@ -308,22 +321,24 @@ def test_convolution_terms_match_character_values(ctx_stab):
 
 def test_reflection_square_is_q_times_identity_function(ctx_stab, ctx_par, rng):
     # phi_s * phi_s is supported on {1, s} and vanishes at the reflection,
-    # so it must equal q * phi_1 as a function: check at sample points
+    # so it must equal q * phi_1 as a function: check at sample points.
+    # convolve_at takes the monomial points; the random_K0 draws are not
+    # monomial, so the per-point oracle sums them
     from sl8hecke.groupmodel import random_K0
 
     for ctx in (ctx_stab, ctx_par):
         q = HeckeCoeff(ctx.tower.q, 0)
         for w_pair in (W_S, W_SP):
-            for point in [
-                identity(ctx.tower),
-                ctx.lift(W_Z),
-                ctx.lift(W_SP if w_pair == W_S else W_S),
+            monomial = [identity(ctx.tower), ctx.lift(W_Z), ctx.lift(W_SP if w_pair == W_S else W_S)]
+            sampled = [
                 random_K0(ctx.tower, ctx.variant, rng),
                 random_K0(ctx.tower, ctx.variant, rng) * ctx.lift(w_pair),
-            ]:
-                got = ctx.convolve_at(w_pair, w_pair, point)
-                expected = q * ctx.phi(W_ID, point)
-                assert got == expected
+            ]
+            for convolve, points in ((ctx.convolve_at, monomial), (partial(_convolve_by_points, ctx), sampled)):
+                for point in points:
+                    got = convolve(w_pair, w_pair, point)
+                    expected = q * ctx.phi(W_ID, point)
+                    assert got == expected
 
 
 def test_double_coset_product_inverse_pair(ctx_stab):
@@ -338,16 +353,15 @@ def test_identity_acts_as_unit(ctx_stab):
 
 def test_basis_function_equivariance_and_scale(ctx_stab, rng):
     from sl8hecke.groupmodel import random_K0, rho0
-    from sl8hecke.hecke import HeckeBasisFn
 
-    phi = HeckeBasisFn(W_S, HeckeCoeff(2, 1))
+    scale = HeckeCoeff(2, 1)
     s_lift = ctx_stab.lift(W_S)
-    assert phi(ctx_stab, s_lift) == HeckeCoeff(2, 1)
-    assert phi(ctx_stab, ctx_stab.lift(W_SP)).is_zero()
+    assert ctx_stab.phi(W_S, s_lift, scale) == HeckeCoeff(2, 1)
+    assert ctx_stab.phi(W_S, ctx_stab.lift(W_SP), scale).is_zero()
     for _ in range(10):
         k1 = random_K0(ctx_stab.tower, STABILIZER, rng)
         k2 = random_K0(ctx_stab.tower, STABILIZER, rng)
-        lhs = phi(ctx_stab, k1 * s_lift * k2)
+        lhs = ctx_stab.phi(W_S, k1 * s_lift * k2, scale)
         rhs = rho0(k1, STABILIZER).as_coeff() * HeckeCoeff(2, 1) * rho0(k2, STABILIZER).as_coeff()
         assert lhs == rhs
 
@@ -570,6 +584,43 @@ def test_omega_analyses_points_only_for_the_left_values(monkeypatch):
     assert len(calls) <= 2000
 
 
+def test_omega_analyses_no_point(monkeypatch):
+    # the left values are read per valuation pattern too, so with the
+    # transversals built no point is analysed, on a family or as a matrix
+    ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
+    for w in ctx.window(2, 1):
+        ctx.coset_reps(w)
+    analyses = _count_calls(monkeypatch, TransversalFamily, "analyze")
+    matrices = _count_calls(monkeypatch, HeckeContext, "_analyze_matrix")
+    assert ctx.omega_check()
+    assert (len(analyses), len(matrices)) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "q, max_word",
+    [
+        pytest.param(5, 2, id="q5"),
+        pytest.param(9, 2, id="q9"),
+        pytest.param(13, 2, id="q13"),
+        pytest.param(5, 3, id="q5-words3"),
+    ],
+)
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_left_values_match_the_point_values(q, max_word, variant, request):
+    # the per-pattern left values of every w of the window (words of length
+    # max_word only, when 3) against every point on the family path and on
+    # the matrix path
+    tw = request.getfixturevalue(f"tower{q}")
+    ctx = HeckeContext(tw, variant)
+    for w in ctx.window(max_word, 1):
+        if max_word == 3 and len(w.word) != 3:
+            continue
+        fam = TransversalFamily(ctx, identity(tw), ctx.base_family(w), ctx.lift(w))
+        got = _outcome(lambda: ctx._left_values(w))
+        assert got == _outcome(lambda: [fam.phi(w, i) for i in range(len(fam))])
+        assert got == _outcome(lambda: [ctx.phi(w, r * ctx.lift(w)) for r in ctx.coset_reps(w)])
+
+
 def test_transversals_conjugate_each_inner_representative_once(monkeypatch):
     # conjugation by the head lift does not depend on the head letter's
     # representative, so each inner representative is conjugated once
@@ -670,26 +721,17 @@ def test_family_frames_must_be_exact_monomials(tower5):
 
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
 @pytest.mark.parametrize("q", [5, 13])
-def test_convolve_at_a_non_monomial_point_sums_phi_products(q, variant, request, monkeypatch):
-    # an exact g that is not monomial is analysed point by point, with no family
-    import sl8hecke.hecke as hecke
-
+def test_convolve_at_a_non_monomial_point_sums_phi_products(q, variant, request):
+    # convolve_at reads families framed by exact monomials: an exact g that is
+    # not monomial raises, and only the per-point oracle sums its phi products,
+    # which are not all zero there
     tw = request.getfixturevalue(f"tower{q}")
     ctx = HeckeContext(tw, variant)
-    ctx._left_values(W_S)  # the left factors' family, built before families are forbidden
-
-    def no_family(*args):
-        raise AssertionError("a family was built for a non-monomial point")
-
-    monkeypatch.setattr(hecke, "TransversalFamily", no_family)
-    reps = ctx.coset_reps_with_inverses(W_S)
     values = []
     for g in (upper_u(tw, 2) * ctx.lift(W_S), upper_u(tw, 3), lower_l(tw, tw.uniformizer(E2)) * ctx.lift(W_Z)):
-        expected = COEFF_ZERO
-        for r, r_inv in reps:
-            expected = expected + ctx.phi(W_S, r * ctx.lift(W_S)) * ctx.phi(W_S, ctx.lift_inverse(W_S) * (r_inv * g))
-        assert ctx.convolve_at(W_S, W_S, g) == expected
-        values.append(expected)
+        with pytest.raises(ValueError):
+            ctx.convolve_at(W_S, W_S, g)
+        values.append(_convolve_by_points(ctx, W_S, W_S, g))
     assert any(not v.is_zero() for v in values)
 
 
