@@ -4,14 +4,18 @@ Everything here runs over a :class:`HeckeContext`, which fixes the tower,
 the compact-subgroup variant, and the verification window (maximal word
 length and central exponent).  The main computations:
 
-  * ``coset_reps(w)``: an exact transversal of K/(K cap wKw^-1).  For the
-    finite reflection these are the q upper unipotents u(x) over residue
-    representatives, for the affine reflection the q lower unipotents
-    l(pi2*c); longer reduced words take products of conjugated letter
-    transversals.  Every transversal is validated exhaustively: each
-    representative r gets ``coset_key(r * lift(w))``, a right-K-invariant
-    key (Hermite data of two Iwahori-stable lattices and ord of the E4
-    part), and only representatives sharing a key get the exact pair test.
+  * ``coset_reps(w)``: an exact transversal of K/(K cap wKw^-1).  For a
+    reduced word a_1 ... a_L it is the set of products of L root-subgroup
+    factors (Iwahori-Matsumoto), factor i the letter unipotent, u(x) for
+    the finite reflection and l(pi2*x) for the affine one, x over residue
+    representatives, conjugated by the lift of a_1 ... a_{i-1}: an
+    elementary unipotent whose coefficient is one exact term.  The members
+    and their inverses are read off the product's multilinear forms over
+    F_q, with no matrix product.  Every transversal is validated
+    exhaustively: each representative r gets ``coset_key(r * lift(w))``, a
+    right-K-invariant key (Hermite data of two Iwahori-stable lattices and
+    ord of the E4 part), and only representatives sharing a key get the
+    exact pair test.
 
   * ``classify(g)``: the double-coset label of g, obtained by the pivot
     step of the Iwahori factorisation on g's invariants (entry valuations
@@ -24,10 +28,11 @@ length and central exponent).  The main computations:
 
   * :class:`BaseFamily`: the members r(p) of a transversal, or their
     inverses, p the residue parameters.  Its entries are multilinear forms
-    in p, read once from 2^L members, and each entry's valuation and leading
-    residue is evaluated over F_q at every point; the members are grouped by
-    the valuation pattern of their four entries (a handful per family).
-    The context memoises one per word and direction (``base_family``).
+    in p, composed from the factors (the inverses' from the factors in
+    reverse order at -p), and each entry's digits are evaluated over F_q at
+    every point; the members are grouped by the valuation pattern of their
+    four entries (a handful per family).  The context builds both with the
+    transversal and memoises them per word and direction (``base_family``).
 
   * :class:`TransversalFamily`: left * r(p) * right over a base family, for
     exact monomial frames left and right (canonical lifts).  A monomial
@@ -44,7 +49,9 @@ length and central exponent).  The main computations:
     at a time: phi_{w2} at a member is the quadratic character of the
     discrepancy's y-residue, a pattern's fixed scale times a base residue, so
     each pattern adds its scale's sign times a sum over its members memoised
-    per w1.  The left values phi_{w1}(r * lift(w1)) are read per pattern too.
+    per word of w1.  The left values phi_{w1}(r * lift(w1)) are all 1: every
+    member r is a product of unipotents with d-entry residue 1 (checked),
+    so the value is rho0(r) = eta(N(d)) = 1.
 
   * ``double_coset_product(w1, w2)``: the set of double cosets in
     K w1 K w2 K, the labels of the valuation patterns of the family
@@ -82,21 +89,18 @@ from .groupmodel import (
     TorusElem,
     commutator,
     compact_torus_conditions,
-    identity,
     in_K0,
     in_KM0,
     iwahori_decompose,
-    lower_l,
     monomial_of,
     pivot_step,
     quotients_in_iwahori,
     random_KM0,
     rho_M0,
     term_product,
-    upper_u,
 )
 from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI, eta_residue
-from .tower import E2, LaurentElem, Tower
+from .tower import E2, E4, LaurentElem, Tower
 from .weyl import (
     S,
     W_ID,
@@ -122,7 +126,8 @@ class ClassificationError(RuntimeError):
 
 
 class TransversalError(RuntimeError):
-    """A coset transversal failed its disjointness validation."""
+    """A coset transversal failed its validation: a member outside K, two
+    members in one coset, or a member whose d-entry residue is not 1."""
 
 
 def coset_key(h: GroupElem) -> tuple:
@@ -204,7 +209,7 @@ class HeckeContext:
         self.window_z = window_z
         self._reps: dict[tuple[str, ...], list[tuple[GroupElem, GroupElem]]] = {}
         self._bases: dict[tuple[tuple[str, ...], bool], BaseFamily] = {}
-        self._conv_patterns: dict[WeylElem, list[tuple[int, dict[int, HeckeCoeff]]]] = {}
+        self._conv_patterns: dict[tuple[str, ...], list[tuple[int, dict[int, HeckeCoeff]]]] = {}
         self._labels: dict[tuple, tuple | str] = {}
 
     # -- window -------------------------------------------------------------
@@ -243,56 +248,57 @@ class HeckeContext:
 
     # -- transversals ----------------------------------------------------------
 
-    def _letter_reps(self, letter: str) -> list[tuple[GroupElem, GroupElem]]:
-        tw = self.tower
-        out = []
-        if letter == S:
-            for enc in range(tw.q):
-                x = tw.constant(E2, enc)
-                out.append((upper_u(tw, x), upper_u(tw, -x)))
-        else:
-            pi2 = tw.uniformizer(E2)
-            for enc in range(tw.q):
-                c = pi2 * tw.constant(E2, enc)
-                out.append((lower_l(tw, c), lower_l(tw, -c)))
-        return out
-
     def coset_reps(self, w: WeylElem) -> list[GroupElem]:
         return [r for r, _ in self.coset_reps_with_inverses(w)]
 
     def coset_reps_with_inverses(self, w: WeylElem) -> list[tuple[GroupElem, GroupElem]]:
-        """Transversal of K/(K cap wKw^-1); depends only on the word part."""
+        """Transversal of K/(K cap wKw^-1), each member with its inverse;
+        depends only on the word part.
+
+        For the reduced word a_1 ... a_L, member i is r(p) = X_1(p_1) ... X_L(p_L)
+        with p the base-q digits of i, p_1 the most significant, and its
+        inverse is X_L(-p_L) ... X_1(-p_1) (`_factors`).  Both families are
+        built from their forms and memoised beside the members (`base_family`)."""
         self.require_window(w)
         key = w.word
         got = self._reps.get(key)
         if got is not None:
             return got
         tw = self.tower
-        if not key:
-            got = [(identity(tw), identity(tw))]
-        else:
-            head, tail = key[0], key[1:]
-            head_lift = self.lift(WeylElem((head,)))
-            head_lift_inv = head_lift.inverse()
-            # the inner representatives conjugated by the head lift, once for all head letters
-            inner = [
-                (head_lift * t2 * head_lift_inv, head_lift * t2i * head_lift_inv)
-                for t2, t2i in self.coset_reps_with_inverses(WeylElem(tail))
-            ]
-            got = [(t1 * conj, conj_inv * t1i) for t1, t1i in self._letter_reps(head) for conj, conj_inv in inner]
+        fld, factors = tw.field, self._factors(key)
+        inverse = [(i, lower, fld.neg(c), e) for i, lower, c, e in reversed(factors)]
+        bases = [BaseFamily(tw, len(key), _product_forms(fld, len(key), f)) for f in (factors, inverse)]
+        # phi_w(r * lift(w)) = rho0(r) = eta(N(d)) for r in K: 1 when d = 1 mod pi2
+        if any(ords[3] != 0 or res[3] != 1 for ords, res in zip(bases[0].ords, bases[0].residues)):
+            raise TransversalError(f"a member of the transversal of {w} has d-entry residue other than 1")
+        got = list(zip(bases[0].members, bases[1].members))
         self._validate_transversal(w, got)
+        self._bases[(key, False)], self._bases[(key, True)] = bases
         self._reps[key] = got
         return got
+
+    def _factors(self, word: tuple[str, ...]) -> list[tuple[int, bool, int, int]]:
+        """The root-subgroup factors X_i(p_i) = P Y_{a_i}(p_i) P^-1 of the
+        transversal of a reduced word, P = lift(a_1 ... a_{i-1}), with
+        Y_s(x) = u(x) and Y_{s'}(x) = l(pi2 * x): each the elementary
+        unipotent u(c * pi2**e * p_i), or l(...) when lower, as (i, lower, c, e).
+
+        A diagonal P = diag(m1, m2) scales the coefficient of u by m1 / m2 and
+        of l by m2 / m1; an antidiagonal one also swaps u and l."""
+        fld = self.tower.field
+        out = []
+        for i, letter in enumerate(word):
+            kind, ((r1, e1), (r2, e2), _) = self.lift_terms(WeylElem(word[:i]))
+            lower = (letter != S) != (kind == "anti")
+            (rn, en), (rd, ed) = ((r2, e2), (r1, e1)) if lower else ((r1, e1), (r2, e2))
+            out.append((i, lower, fld.mul(rn, fld.inv(rd)), en - ed + (letter != S)))
+        return out
 
     def base_family(self, w: WeylElem, inverse: bool = False) -> "BaseFamily":
         """The family of the transversal of w (its members, or their inverses
         when `inverse`), memoised on the word and the direction."""
-        key = (w.word, inverse)
-        got = self._bases.get(key)
-        if got is None:
-            reps = self.coset_reps_with_inverses(w)
-            got = self._bases[key] = BaseFamily(self, [pair[inverse] for pair in reps])
-        return got
+        self.coset_reps_with_inverses(w)
+        return self._bases[(w.word, inverse)]
 
     def _validate_transversal(self, w: WeylElem, reps) -> None:
         """Every representative (r, r^-1) must lie in K and distinct ones in
@@ -420,55 +426,28 @@ class HeckeContext:
         value = eta_residue(fld, fld.mul(disc_ry, disc_ry)).as_coeff()
         return value if scale is COEFF_ONE else scale * value
 
-    def _left_values(self, w: WeylElem) -> list[HeckeCoeff]:
-        """phi_w(r * lift(w)) at each member r of the transversal of w, per
-        valuation pattern: eta(disc_ry^2) = sgn(disc_ry) is the value at the
-        pattern's scale times sgn of the base residue at its source."""
-        fam = TransversalFamily(self, identity(self.tower), self.base_family(w), self.lift(w))
-        fld, residues = self.tower.field, fam.base.residues
-        out = [COEFF_ZERO] * len(fam)
-        for members in fam.base.patterns:
-            label, in_iwahori, src, scale, _ = fam.pattern(members[0])
-            value = self._phi_value(w, label, in_iwahori, scale)
-            if not value.is_zero():
-                for i in members:
-                    # sgn is +1 on the squares, the even powers of the generator
-                    out[i] = -value if fld.dlog(residues[i][src]) % 2 else value
-        return out
-
     def _left_patterns(self, w: WeylElem) -> list[tuple[int, dict[int, HeckeCoeff]]]:
-        """The valuation patterns of the inverse family of w that hold a nonzero
-        left value, in order of their first such member, memoised: (that member,
-        S(k) = the sum of left[i] * sgn(residue of base entry k at i) over the
-        pattern's members i, by base entry k, none for an entry that is zero
-        across the pattern and so never a pivot)."""
-        got = self._conv_patterns.get(w)
+        """The valuation patterns of the inverse family of w, memoised per
+        word: (first member, S(k) = the sum of sgn(residue of base entry k
+        at i) over the pattern's members i, by base entry k, none for an entry
+        that is zero across the pattern and so never a pivot)."""
+        got = self._conv_patterns.get(w.word)
         if got is None:
-            left, base = self._left_values(w), self.base_family(w, True)
+            base = self.base_family(w, True)
             fld, res = self.tower.field, base.residues
-            got = []
-            for members in base.patterns:
-                nonzero = [i for i in members if not left[i].is_zero()]
-                if nonzero:
-                    # each left value v times the signed count of its members
-                    by_value: dict[HeckeCoeff, list[int]] = {}
-                    for i in nonzero:
-                        by_value.setdefault(left[i], []).append(i)
-                    sums = {
-                        k: sum((v * _sgn_sum(fld, (res[i][k] for i in ii)) for v, ii in by_value.items()), COEFF_ZERO)
-                        for k in range(4)
-                        if res[nonzero[0]][k]
-                    }
-                    got.append((nonzero[0], sums))
-            got.sort(key=lambda pattern: pattern[0])
-            self._conv_patterns[w] = got
+            got = self._conv_patterns[w.word] = [
+                (members[0], {k: _sgn_sum(fld, (res[i][k] for i in members)) for k in range(4) if res[members[0]][k]})
+                for members in base.patterns
+            ]
         return got
 
     def convolve_at(self, w1: WeylElem, w2: WeylElem, g: GroupElem) -> HeckeCoeff:
         """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer, at an exact
         monomial g (one exact term per entry, as at every canonical lift); any
-        other g raises ValueError.  Each valuation pattern of the family
-        lift(w1)^-1 * r^-1 * g adds its value at its scale times S(source)."""
+        other g raises ValueError.  The left value phi_{w1}(r * lift(w1)) is 1
+        at every member r (`coset_reps_with_inverses` checks its d-residue),
+        so each valuation pattern of the family lift(w1)^-1 * r^-1 * g adds
+        its value at its scale times S(source)."""
         self.require_window(w1)
         self.require_window(w2)
         fam = TransversalFamily(self, self.lift_inverse(w1), self.base_family(w1, True), g)
@@ -561,79 +540,68 @@ def _grid_values(field, coeffs) -> list[int]:
     return out
 
 
+def _product_forms(field, length: int, factors) -> list[dict[int, list[int]]]:
+    """The forms of the entries a, b, c, d of the product of elementary
+    unipotents, each factor (i, lower, c, e) being u(c * pi2**e * p_i), or
+    l(...) when lower, over p in F_q^length.  An entry's form
+    sum_S G_S * prod_{i in S} p_i is given by levels: exponent k -> the pi2**k
+    digit of G_S at every bit mask S, p_1 the most significant bit.  The
+    factors are multiplied on the right into the identity's forms, each a
+    column operation with one F_q product per coefficient."""
+    size = 2**length
+    forms: list[dict[int, list[int]]] = [{0: [1] + [0] * (size - 1)}, {}, {}, {0: [1] + [0] * (size - 1)}]
+    for i, lower, c, e in factors:
+        bit = 1 << (length - 1 - i)
+        # u(x) adds x times column 0 to column 1; l(x) adds x times column 1 to column 0
+        for src, dst in ((1, 0), (3, 2)) if lower else ((0, 1), (2, 3)):
+            for k, coeffs in forms[src].items():
+                target = forms[dst].setdefault(k + e, [0] * size)
+                # p_i occurs in one factor only, so no mask here holds its bit
+                for mask, g in enumerate(coeffs):
+                    if g:
+                        target[mask | bit] = field.add(target[mask | bit], field.mul(c, g))
+    return forms
+
+
 class BaseFamily:
     """The members r(p) of a length-L transversal (or their inverses), p in
-    F_q^L the residue parameters: as ``coset_reps`` builds them, member i has
-    the base-q digits of i as p, p_1 the most significant.
+    F_q^L the residue parameters: member i has the base-q digits of i as p,
+    p_1 the most significant.
 
-    Each r(p) is a product of L unipotent letters, each affine in one
+    Each r(p) is a product of L elementary unipotents, each linear in one
     parameter, so every matrix entry is a multilinear form
-    sum_S G_S * prod_{i in S} p_i with fixed Laurent coefficients G_S, while
-    det and the E4 part are constant.  The forms are read from the 2^L
-    members with p in {0, 1}^L by Moebius inversion, checked against the
-    member at p = (2, ..., 2), and evaluated over F_q: each entry's valuation
-    (math.inf for zero) and leading residue at every point, lowest exponent
-    first.  `patterns` lists the member indices of each distinct valuation
-    pattern of the four entries, the patterns in order of first occurrence.
+    sum_S G_S * prod_{i in S} p_i with exact Laurent coefficients G_S, and
+    det and the E4 part are 1.  `forms` gives them as `_product_forms` does,
+    and each level is evaluated over F_q at every point.  Each entry's
+    valuation (math.inf for zero) and leading residue is its lowest nonzero
+    level, and `members` holds the matrices, each entry built from its digits
+    with no Laurent arithmetic.  `patterns` lists the member indices of each
+    distinct valuation pattern of the four entries, the patterns in order of
+    first occurrence.
     """
 
-    def __init__(self, ctx: HeckeContext, reps: list[GroupElem]):
-        tw = ctx.tower
-        fld, q, n = tw.field, tw.q, len(reps)
-        L = 0
-        while q**L < n:
-            L += 1
-        if q**L != n:
-            raise ValueError(f"{n} members do not form a transversal over F_{q}")
-        # sample t has p_i = bit L - 1 - i of t: its transversal index is t's bits read in base q
-        samples = [reps[sum(((t >> k) & 1) * q**k for k in range(L))] for t in range(2**L)]
-        forms = [[(m.a, m.b, m.c, m.d)[e] for m in samples] for e in range(4)]
-        for form in forms:
-            for bit in (1 << k for k in range(L)):
-                for mask in range(2**L):
-                    if mask & bit:
-                        form[mask] = form[mask] - form[mask ^ bit]
-            if not all(coeff.exact for coeff in form):
-                raise ClassificationError("a family coefficient is not exact")
-        self.det, self.g4 = samples[0].det2(), samples[0].g4
-        if self.det.is_zero:
-            raise ValueError("matrix is singular: the determinant is zero")
-        if L:
-            self._check(tw, reps[sum(2 * q**k for k in range(L))], forms)
-        columns = [self._evaluate(fld, form, n) for form in forms]
+    def __init__(self, tower: Tower, length: int, forms):
+        fld, n = tower.field, tower.q**length
+        # per entry: exponent -> the digit at that exponent at every point, ascending
+        levels = [{k: _grid_values(fld, form[k]) for k in sorted(form)} for form in forms]
+        columns = [self._leading(entry, n) for entry in levels]
         self.ords = list(zip(*(c[0] for c in columns)))
         self.residues = list(zip(*(c[1] for c in columns)))
         patterns: dict[tuple, list[int]] = {}
         for i, ords in enumerate(self.ords):
             patterns.setdefault(ords, []).append(i)
         self.patterns = list(patterns.values())
+        self.members = self._matrices(tower, levels, n)
 
     def __len__(self) -> int:
         return len(self.ords)
 
-    def _check(self, tw: Tower, g: GroupElem, forms) -> None:
-        fld = tw.field
-        two = fld.from_int(2)
-        for entry, form in zip((g.a, g.b, g.c, g.d), forms):
-            value = tw.zero(E2)
-            for mask, coeff in enumerate(form):
-                value = value + coeff * tw.constant(E2, fld.pow(two, bin(mask).count("1")))
-            if value != entry:
-                raise ClassificationError("family forms disagree with the matrix product")
-        if g.det2() != self.det or g.g4 != self.g4:
-            raise ClassificationError("family determinant or E4 part is not constant")
-
     @staticmethod
-    def _evaluate(fld, form, n: int) -> tuple[list, list]:
-        """Valuation (math.inf for zero) and leading residue of the form at every point."""
-        levels: dict[int, list[int]] = {}
-        for mask, coeff in enumerate(form):
-            for k, c in enumerate(coeff.coeffs, coeff.lead):
-                levels.setdefault(k, [0] * len(form))[mask] = c
+    def _leading(levels: dict[int, list[int]], n: int) -> tuple[list, list]:
+        """Valuation (math.inf for zero) and leading residue of an entry at every point."""
         ords, residues = [math.inf] * n, [0] * n
         todo = range(n)
-        for k in sorted(levels):
-            values = _grid_values(fld, levels[k])
+        for k, values in levels.items():
             for i in todo:
                 if values[i]:
                     ords[i], residues[i] = k, values[i]
@@ -641,6 +609,19 @@ class BaseFamily:
             if not todo:
                 break
         return ords, residues
+
+    @staticmethod
+    def _matrices(tower: Tower, levels, n: int) -> list[GroupElem]:
+        entries = []
+        for entry in levels:
+            if not entry:
+                entries.append([tower.zero(E2)] * n)
+                continue
+            lo, hi = min(entry), max(entry)
+            rows = [entry.get(k) or [0] * n for k in range(lo, hi + 1)]
+            entries.append([tower.from_coeffs(E2, lo, digits) for digits in zip(*rows)])
+        one4 = tower.one(E4)
+        return [GroupElem(a, b, c, d, one4) for a, b, c, d in zip(*entries)]
 
 
 class TransversalFamily:
@@ -652,19 +633,18 @@ class TransversalFamily:
     of left * r * right is l_i * r[i ^ a][j ^ b] * m_{j ^ b}.  So each point's
     entry valuations and leading residues are the base's, permuted, shifted
     by a fixed exponent and scaled by a fixed residue per entry; det and the
-    E4 part are the frames' times the base's.  Labels and basis-function
+    E4 part are the frames' (the base's are 1).  Labels and basis-function
     values come from the pivot step on those invariants, with no matrix
     arithmetic per point, and everything but two residues is memoised per
     valuation pattern of the base's four entries.
 
-    `reps` is a list of members, whose base family is built here, or a
-    memoised `BaseFamily` (``HeckeContext.base_family``).  A frame that is
-    not such a monomial raises ValueError.
+    `base` is a memoised `BaseFamily` (``HeckeContext.base_family``).  A
+    frame that is not such a monomial raises ValueError.
     """
 
-    def __init__(self, ctx: HeckeContext, left: GroupElem, reps, right: GroupElem):
+    def __init__(self, ctx: HeckeContext, left: GroupElem, base: BaseFamily, right: GroupElem):
         self.ctx = ctx
-        self.base = reps if isinstance(reps, BaseFamily) else BaseFamily(ctx, reps)
+        self.base = base
         left, right = monomial_of(left), monomial_of(right)
         if left is None or right is None:
             raise ValueError("a family frame must be a monomial with one exact term per entry")
@@ -679,8 +659,8 @@ class TransversalFamily:
                 self.source.append(2 * (i ^ a) + (j ^ b))
                 self.shift.append(e1 + e2)
                 self.scale.append(fld.mul(c1, c2))
-        det = left.det2() * self.base.det * right.det2()
-        self.g4 = left.g4 * self.base.g4 * right.g4
+        det = left.det2() * right.det2()
+        self.g4 = left.g4 * right.g4
         self.det_ord, self.det_res = det.lead, det.unit_residue()
         self.products = {"diag": det, "anti": -det}
         self._patterns: dict[tuple, tuple | str] = {}

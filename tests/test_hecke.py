@@ -34,7 +34,7 @@ from sl8hecke.hecke import (
     perturbed_table,
     sz_perturbed_table,
 )
-from sl8hecke.residue import COEFF_ZERO, HeckeCoeff, ResidueField, UNIT_MINUS_ONE, UNIT_ONE, make_field
+from sl8hecke.residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, ResidueField, UNIT_MINUS_ONE, UNIT_ONE, make_field
 from sl8hecke.tower import E2, E4, Tower
 from sl8hecke.weyl import W_EPS, W_ID, W_S, W_SP, W_Z, WeylElem
 
@@ -495,16 +495,11 @@ def test_families_match_the_matrix_path(q, variant, request):
     for w1 in window:
         for w2 in window:
             kinds = (
-                (ctx.lift(w1), ctx.coset_reps(w2), ctx.lift(w2), [ctx.lift(w1) * m for m in right[w2]]),
-                (
-                    ctx.lift_inverse(w1),
-                    [r_inv for _, r_inv in ctx.coset_reps_with_inverses(w1)],
-                    ctx.lift(w2),
-                    [m * ctx.lift(w2) for m in left[w1]],
-                ),
+                (ctx.lift(w1), ctx.base_family(w2), ctx.lift(w2), [ctx.lift(w1) * m for m in right[w2]]),
+                (ctx.lift_inverse(w1), ctx.base_family(w1, True), ctx.lift(w2), [m * ctx.lift(w2) for m in left[w1]]),
             )
-            for fam_left, reps, fam_right, matrices in kinds:
-                fam = TransversalFamily(ctx, fam_left, reps, fam_right)
+            for fam_left, base, fam_right, matrices in kinds:
+                fam = TransversalFamily(ctx, fam_left, base, fam_right)
                 assert len(fam) == len(matrices)
                 for i, g in enumerate(matrices):
                     assert _outcome(lambda: by_family(fam, i)) == _outcome(lambda: by_matrix(g))
@@ -518,7 +513,7 @@ def test_pattern_sums_match_the_point_sums(q, variant, request):
     ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
     window = ctx.window(2, 1)
     for w1 in window:
-        left = ctx._left_values(w1)
+        left = [ctx.phi(w1, r * ctx.lift(w1)) for r in ctx.coset_reps(w1)]
         for v in window:
             fam = TransversalFamily(ctx, ctx.lift_inverse(w1), ctx.base_family(w1, True), ctx.lift(v))
 
@@ -573,20 +568,9 @@ def test_base_family_patterns_partition_the_members_in_first_occurrence_order(to
             assert len({base.ords[i] for i in firsts}) == len(firsts) <= 3
 
 
-def test_omega_analyses_points_only_for_the_left_values(monkeypatch):
-    # pair work is per valuation pattern: analyze runs once per point of the
-    # left values of each w1 (1,095 points here), never per pair
-    ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
-    for w in ctx.window(2, 1):
-        ctx.coset_reps(w)
-    calls = _count_calls(monkeypatch, TransversalFamily, "analyze")
-    assert ctx.omega_check()
-    assert len(calls) <= 2000
-
-
 def test_omega_analyses_no_point(monkeypatch):
-    # the left values are read per valuation pattern too, so with the
-    # transversals built no point is analysed, on a family or as a matrix
+    # pair work is per valuation pattern and every left value is 1, so with
+    # the transversals built no point is analysed, on a family or as a matrix
     ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
     for w in ctx.window(2, 1):
         ctx.coset_reps(w)
@@ -607,42 +591,95 @@ def test_omega_analyses_no_point(monkeypatch):
 )
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
 def test_left_values_match_the_point_values(q, max_word, variant, request):
-    # the per-pattern left values of every w of the window (words of length
-    # max_word only, when 3) against every point on the family path and on
-    # the matrix path
+    # convolve_at takes every left value phi_w(r * lift(w)) to be 1: checked
+    # for every w of the window (words of length max_word only, when 3) at
+    # every point on the matrix path and on the family path
     tw = request.getfixturevalue(f"tower{q}")
     ctx = HeckeContext(tw, variant)
     for w in ctx.window(max_word, 1):
         if max_word == 3 and len(w.word) != 3:
             continue
         fam = TransversalFamily(ctx, identity(tw), ctx.base_family(w), ctx.lift(w))
-        got = _outcome(lambda: ctx._left_values(w))
+        got = _outcome(lambda: [ctx.phi(w, r * ctx.lift(w)) for r in ctx.coset_reps(w)])
         assert got == _outcome(lambda: [fam.phi(w, i) for i in range(len(fam))])
-        assert got == _outcome(lambda: [ctx.phi(w, r * ctx.lift(w)) for r in ctx.coset_reps(w)])
+        assert got == [COEFF_ONE] * len(fam)
 
 
-def test_transversals_conjugate_each_inner_representative_once(monkeypatch):
-    # conjugation by the head lift does not depend on the head letter's
-    # representative, so each inner representative is conjugated once
+def test_transversals_multiply_only_for_validation(monkeypatch):
+    # members and inverses are read off the factor forms; the only matrix
+    # products are validation's r * lift(w), one per member: 1 + 13 + 13 +
+    # 169 + 169 over the words (), s, s', s s' and s' s
     from sl8hecke.groupmodel import GroupElem
 
     ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
     products = _count_calls(monkeypatch, GroupElem, "__mul__")
     for w in ctx.window(2, 1):
         ctx.coset_reps(w)
-    assert len(products) <= 1300
+    assert len(products) == 365
 
 
-def test_family_forms_are_checked_off_the_samples(tower5):
-    # a doctored member at p = 2 breaks multilinearity; the samples at
-    # p in {0, 1} do not see it, the check point does
-    from sl8hecke.hecke import ClassificationError
+def _reps_by_letter_products(ctx, word):
+    """The transversal of a reduced word on the matrix path, each member with
+    its inverse: the q unipotents of the head letter, u(x) for s and
+    l(pi2 * x) for s', times the tail's transversal conjugated by the head
+    letter's lift, p_1 most significant."""
+    tw = ctx.tower
+    if not word:
+        return [(identity(tw), identity(tw))]
+    head = ctx.lift(WeylElem(word[:1]))
+    head_inv = head.inverse()
+    inner = [(head * t * head_inv, head * t_inv * head_inv) for t, t_inv in _reps_by_letter_products(ctx, word[1:])]
+    xs = [tw.constant(E2, enc) for enc in range(tw.q)]
+    if word[0] == "s":
+        letters = [(upper_u(tw, x), upper_u(tw, -x)) for x in xs]
+    else:
+        letters = [(lower_l(tw, c), lower_l(tw, -c)) for c in (tw.uniformizer(E2) * x for x in xs)]
+    return [(t1 * conj, conj_inv * t1_inv) for t1, t1_inv in letters for conj, conj_inv in inner]
+
+
+@pytest.mark.parametrize(
+    "q, max_word",
+    [
+        pytest.param(5, 2, id="q5"),
+        pytest.param(9, 2, id="q9"),
+        pytest.param(13, 2, id="q13"),
+        pytest.param(5, 3, id="q5-words3"),
+    ],
+)
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_transversals_match_the_letter_products(q, max_word, variant, request):
+    # every member and every inverse of the factor-form build equals the
+    # recursive letter product's, in the same order
+    ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    for word in sorted({w.word for w in ctx.window(max_word, 1)}):
+        got = ctx.coset_reps_with_inverses(WeylElem(word))
+        expected = _reps_by_letter_products(ctx, word)
+        assert len(got) == len(expected) == q ** len(word)
+        for (r, r_inv), (e, e_inv) in zip(got, expected):
+            assert r == e and r_inv == e_inv
+
+
+def test_a_member_with_d_residue_other_than_one_is_rejected(tower5, monkeypatch):
+    # negating a and d keeps every member in K with the same determinant, but
+    # its d-entry residue is -1, so the left values could not be taken as 1
+    import sl8hecke.hecke as hecke
+    from sl8hecke.hecke import TransversalError
+
+    product_forms = hecke._product_forms
+
+    def doctored(field, length, factors):
+        forms = product_forms(field, length, factors)
+        for entry in (0, 3):
+            forms[entry] = {k: [field.neg(g) for g in coeffs] for k, coeffs in forms[entry].items()}
+        return forms
 
     ctx = HeckeContext(tower5, STABILIZER)
-    reps = list(ctx.coset_reps(W_S))
-    reps[2] = reps[3]
-    with pytest.raises(ClassificationError):
-        TransversalFamily(ctx, identity(tower5), reps, ctx.lift(W_S))
+    fld = tower5.field
+    base = hecke.BaseFamily(tower5, 1, doctored(fld, 1, ctx._factors(W_S.word)))
+    assert all(in_K0(r, STABILIZER) for r in base.members)
+    monkeypatch.setattr(hecke, "_product_forms", doctored)
+    with pytest.raises(TransversalError, match="d-entry residue"):
+        ctx.coset_reps(W_S)
 
 
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
@@ -664,7 +701,8 @@ def test_omega_builds_few_weyl_elements(variant, tower13, monkeypatch):
 
 
 def test_double_coset_product_multiplies_only_family_samples(tower13, monkeypatch):
-    # 2^2 samples and one check point of lift(s) * r * lift(s' s), two products each
+    # the family lift(s) * r * lift(s' s) reads the memoised base family and
+    # the lifts' terms: no sample and no matrix product
     from sl8hecke.groupmodel import GroupElem
 
     ctx = HeckeContext(tower13, STABILIZER)
@@ -679,7 +717,7 @@ def test_double_coset_product_multiplies_only_family_samples(tower13, monkeypatc
 
     monkeypatch.setattr(GroupElem, "__mul__", counting)
     assert ctx.double_coset_product(W_S, w2) == frozenset({W_S * w2})
-    assert len(products) <= 10
+    assert len(products) == 0
 
 
 def _count_calls(monkeypatch, cls, name):
@@ -695,28 +733,29 @@ def _count_calls(monkeypatch, cls, name):
 
 
 def test_omega_multiplies_no_frames_and_builds_one_base_per_transversal(monkeypatch):
-    # families read framed points off one base family per (word, direction);
-    # the frames are exact monomials, never multiplied into matrix samples
+    # families read framed points off one base family per (word, direction),
+    # built with the transversal; the frames are exact monomials, never
+    # multiplied into a matrix
     from sl8hecke.groupmodel import GroupElem
     from sl8hecke.hecke import BaseFamily
 
     ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
     window = ctx.window(2, 1)
+    bases = _count_calls(monkeypatch, BaseFamily, "__init__")
     for w in window:
         ctx.coset_reps(w)
     products = _count_calls(monkeypatch, GroupElem, "__mul__")
-    bases = _count_calls(monkeypatch, BaseFamily, "__init__")
     assert ctx.omega_check()
-    assert len(products) <= 100
-    assert len(bases) <= 2 * len({w.word for w in window})
+    assert len(products) == 0
+    assert len(bases) == 2 * len({w.word for w in window})
 
 
 def test_family_frames_must_be_exact_monomials(tower5):
     ctx = HeckeContext(tower5, STABILIZER)
     with pytest.raises(ValueError):
-        TransversalFamily(ctx, upper_u(tower5, 1), ctx.coset_reps(W_S), ctx.lift(W_S))
+        TransversalFamily(ctx, upper_u(tower5, 1), ctx.base_family(W_S), ctx.lift(W_S))
     with pytest.raises(ValueError):
-        TransversalFamily(ctx, identity(tower5), ctx.coset_reps(W_S), random_K0(tower5, STABILIZER, random.Random(3)))
+        TransversalFamily(ctx, identity(tower5), ctx.base_family(W_S), random_K0(tower5, STABILIZER, random.Random(3)))
 
 
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
