@@ -14,33 +14,65 @@ encoding is the residue itself; for q = p**2 the integer a + p*b encodes
 a + b*x where x**2 equals a fixed non-square of F_p.  The Laurent-series
 layer keeps coefficients as tuples of encodings; the field supplies its
 sequence kernels: the truncated product ``mul_trunc`` (a schoolbook
-loop over F_p, numpy's convolution for long operands and over F_{p^2}),
-``series_inverse`` (a recurrence, or Newton iteration for long operands
-over F_p) and the root-squaring step ``graeffe`` that norms are built from.
+loop for short operands over F_p; long operands, and every product over
+F_{p^2}, are packed into Python integers and multiplied once, Kronecker
+substitution), ``series_inverse`` (a recurrence, or Newton iteration on
+packed products for long operands over F_p), the quotient recurrence
+``series_quotient`` and the root-squaring step ``graeffe`` that norms are
+built from.  None of them uses numpy; ``convolve`` is numpy's convolution,
+kept as the reference that the tests compare these kernels against.
 """
 
 from __future__ import annotations
 
 import operator
+from array import array
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from sys import byteorder
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
 # Above this many coefficient pairs a series product over F_p is cheaper
-# through numpy's convolution than through the pure-Python schoolbook loop
-# (the two cross between 36 and 64 pairs at q = 13 on Python 3.11 with
-# numpy 2.4).
-CONVOLVE_CUTOVER = 48
+# as one packed integer product than by the pure-Python schoolbook loop
+# (parity near 16 pairs, at 2x8 and 4x4, at q = 5, 13 and 53 on Python
+# 3.11: the loop is 15% faster at 8 pairs, the packed product 10-30%
+# faster from 20 pairs and about 2x at 48).
+CONVOLVE_CUTOVER = 16
 # Above this many terms a series inverse over F_p is cheaper by Newton
-# iteration on numpy's convolution than by the term-by-term recurrence.
+# iteration on packed products than by the term-by-term recurrence (the two
+# cross near 20 terms at N = 40).
 NEWTON_CUTOVER = 16
 
 
 class DomainError(ValueError):
     """An operation was evaluated outside its mathematical domain."""
+
+
+def _packed_product(a, b, top: int) -> array:
+    """The integer convolution of two non-empty sequences of ints in [0, top].
+
+    Kronecker substitution: each sequence is packed into one Python int, a
+    coefficient per fixed-width slot, the two ints are multiplied once and
+    the product is read back slot by slot.  A slot is 32 bits wide unless a
+    coefficient, at most min(len(a), len(b)) * top**2, could reach 2**32;
+    then it is 64 bits wide, and past 2**64 the product is refused.  Native
+    byte order on both sides keeps the slots in coefficient order on either
+    endianness.
+    """
+    bound = min(len(a), len(b)) * top * top
+    if bound < 1 << 32:
+        code, width = "I", 4
+    elif bound < 1 << 64:
+        code, width = "Q", 8
+    else:
+        raise OverflowError(f"a coefficient could reach {bound}, past a 64-bit slot")
+    x = int.from_bytes(array(code, a).tobytes(), byteorder)
+    y = int.from_bytes(array(code, b).tobytes(), byteorder)
+    return array(code, (x * y).to_bytes(width * (len(a) + len(b) - 1), byteorder))
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +174,8 @@ class ResidueField:
 
     Immutable after construction; all methods are pure and safe for
     concurrent use.  Scalar elements are integer encodings; ``convolve``,
-    ``mul_trunc`` and ``series_inverse`` act on sequences of encodings.
+    ``mul_trunc``, ``graeffe``, ``series_inverse`` and ``series_quotient``
+    act on sequences of encodings.
     """
 
     def __init__(self, q: int, zeta: int | None = None):
@@ -189,6 +222,8 @@ class ResidueField:
         return (a % p + b % p) % p + p * ((a // p + b // p) % p)
 
     def sub(self, a: int, b: int) -> int:
+        if self.f == 1:
+            return (a - b) % self.p
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
@@ -263,8 +298,9 @@ class ResidueField:
     def convolve(self, a, b) -> np.ndarray:
         """Full linear convolution of two coefficient sequences (series product).
 
-        numpy is imported here, not with the module: runs whose products are
-        all short over F_p never load it."""
+        numpy's convolution, the reference that the tests compare the packed
+        kernels against; nothing in the package calls it, so no run of the
+        package loads numpy."""
         import numpy as np
 
         a = np.asarray(a, dtype=np.int64)
@@ -281,90 +317,115 @@ class ResidueField:
     def mul_trunc(self, a, b, n: int) -> list[int]:
         """First n coefficients of the product of two coefficient sequences.
 
-        A schoolbook loop for short operands over F_p; products over F_{p^2}
-        and products of more than CONVOLVE_CUTOVER coefficient pairs go
-        through numpy's convolution.
+        A schoolbook loop for at most CONVOLVE_CUTOVER coefficient pairs over
+        F_p; a longer product over F_p is one packed integer product.  Over
+        F_{p^2} the four products of the F_p coordinates are packed, combined
+        over the integers and reduced once.
         """
-        if self.f != 1 or len(a) * len(b) > CONVOLVE_CUTOVER:
-            return self.convolve(a, b)[:n].tolist()
-        # accumulate over the integers, reduce once per coefficient
-        out = [0] * min(len(a) + len(b) - 1, n)
-        for i, x in enumerate(a[:n]):
-            for k, y in enumerate(b[: n - i], i):
-                out[k] += x * y
         p = self.p
-        return [v % p for v in out]
+        if self.f == 1:
+            if len(a) * len(b) > CONVOLVE_CUTOVER:
+                return [v % p for v in _packed_product(a, b, p - 1)[:n]]
+            # accumulate over the integers, reduce once per coefficient
+            out = [0] * min(len(a) + len(b) - 1, n)
+            for i, x in enumerate(a[:n]):
+                for k, y in enumerate(b[: n - i], i):
+                    out[k] += x * y
+            return [v % p for v in out]
+        # (a0 + x a1)(b0 + x b1) = a0 b0 + r a1 b1 + x (a0 b1 + a1 b0) with x**2 = r
+        r = self.nonsquare
+        a0, a1 = [v % p for v in a], [v // p for v in a]
+        b0, b1 = [v % p for v in b], [v // p for v in b]
+        top = p - 1
+        return [
+            (u + r * v) % p + p * ((s + t) % p)
+            for u, v, s, t in zip(
+                _packed_product(a0, b0, top)[:n],
+                _packed_product(a1, b1, top),
+                _packed_product(a0, b1, top),
+                _packed_product(a1, b0, top),
+            )
+        ]
 
     def graeffe(self, a, n: int) -> list[int]:
         """First n coefficients of a(x) * a(-x) read in x**2, Graeffe's
         root-squaring step: with a(x) = A(x**2) + x * B(x**2) it is
-        A**2 - x * B**2, two squares of half-length operands (in numpy over
-        F_p past CONVOLVE_CUTOVER, like `mul_trunc`)."""
+        A**2 - x * B**2, two `mul_trunc` squares of half-length operands."""
         even, odd = a[::2], a[1::2]
-        if self.f == 1 and len(even) * len(even) > CONVOLVE_CUTOVER:
-            import numpy as np
-
-            out = np.zeros(min(2 * len(even) - 1 + (len(odd) == len(even)), n), dtype=np.int64)
-            sq = np.convolve(even, even)[:n]
-            out[: len(sq)] = sq
-            sq = np.convolve(odd, odd)[: n - 1]  # odd is as long as even or one shorter
-            out[1 : len(sq) + 1] -= sq
-            return (out % self.p).tolist()
         out = self.mul_trunc(even, even, n)
         if odd and n > 1:
             sq = self.mul_trunc(odd, odd, n - 1)
             out += [0] * (len(sq) + 1 - len(out))
+            sub = self.sub
             for k, y in enumerate(sq, 1):
-                out[k] = self.sub(out[k], y)
+                out[k] = sub(out[k], y)
         return out
+
+    def _unit_series(self, b, n: int) -> list[int]:
+        """The first n coefficients of b without trailing zeros; b[0] must be a unit."""
+        coeffs = [int(v) for v in b[:n]]
+        if coeffs[0] == 0:
+            raise DomainError("series division needs an invertible constant term")
+        while not coeffs[-1]:
+            coeffs.pop()
+        return coeffs
 
     def series_inverse(self, b, n: int) -> list[int]:
         """First n coefficients of 1 / (b0 + b1*T + ...); requires b[0] != 0.
 
-        The recurrence x_k = -x0 * sum_{j>=1} b_j x_{k-j} costs O(n * len(b))
-        field operations; over F_p an operand of more than NEWTON_CUTOVER
-        terms instead doubles the number of correct terms per step by Newton
-        iteration (Brent and Zimmermann, Modern Computer Arithmetic, 4.2).
+        The recurrence of `series_quotient` costs O(n * len(b)) field
+        operations; over F_p an operand of more than NEWTON_CUTOVER terms
+        instead doubles the number of correct terms per step by Newton
+        iteration on packed products (Brent and Zimmermann, Modern Computer
+        Arithmetic, 4.2).
         """
-        coeffs = [int(v) for v in b[:n]]
-        if coeffs[0] == 0:
-            raise DomainError("series inverse needs an invertible constant term")
-        while not coeffs[-1]:
-            coeffs.pop()
-        x0 = self.inv(coeffs[0])
-        if self.f == 1 and len(coeffs) > NEWTON_CUTOVER:
-            import numpy as np
+        coeffs = self._unit_series(b, n)
+        if self.f != 1 or len(coeffs) <= NEWTON_CUTOVER:
+            return self._recurrence((1,), coeffs, n)
+        p = self.p
+        x = [self.inv(coeffs[0])]
+        k = 1
+        while k < n:
+            k2 = min(2 * k, n)
+            # b * x = 1 + T**k * d mod T**k2, so x - T**k * x * d inverts b mod T**k2
+            d = [v % p for v in _packed_product(coeffs[:k2], x, p - 1)[k:k2]]
+            x += [-v % p for v in _packed_product(x, d, p - 1)[: k2 - k]]
+            k = k2
+        return x
 
-            p = self.p
-            b = np.asarray(coeffs, dtype=np.int64)
-            x = np.array([x0], dtype=np.int64)
-            k = 1
-            while k < n:
-                k2 = min(2 * k, n)
-                # b * x = 1 + T**k * d mod T**k2, so x - T**k * x * d inverts b
-                # mod T**k2; d stays unreduced, as x * d < n**2 * p**3 fits in int64
-                d = np.convolve(b[:k2], x)[k:k2]
-                x = np.concatenate((x, -np.convolve(x, d)[: k2 - k] % p))
-                k = k2
-            return x.tolist()
-        minus_x0 = self.neg(x0)
-        # with x left-padded by len(rev) zeros, x[k : k + len(rev)] holds
-        # x_{k-len(rev)} .. x_{k-1}, matching rev = b_{len(rev)} .. b_1
-        rev = coeffs[:0:-1]
-        pad = len(rev)
-        x = [0] * pad + [x0]
+    def series_quotient(self, a, b, n: int) -> list[int]:
+        """First n coefficients of (a0 + a1*T + ...) / (b0 + b1*T + ...);
+        requires b[0] != 0.  The same digits as `mul_trunc(a,
+        series_inverse(b, n), n)` from one recurrence, O(n * len(b)) field
+        operations."""
+        return self._recurrence(a, self._unit_series(b, n), n)
+
+    def _recurrence(self, a, b: list[int], n: int) -> list[int]:
+        """x_k = (a_k - sum_{j>=1} b_j x_{k-j}) / b_0 for k < n, b as `_unit_series` leaves it.
+
+        The taps -b_j / b_0 are scaled once, and a window of the last
+        len(b) - 1 terms, oldest first, slides along."""
+        c = self.inv(b[0])
+        window = deque([0] * (len(b) - 1), maxlen=len(b) - 1)
+        out = []
         if self.f == 1:
             p = self.p
-            for k in range(1, n):
-                x.append(minus_x0 * sum(map(operator.mul, rev, x[k : k + pad])) % p)
-        else:
-            add, mul = self.add, self.mul
-            for k in range(1, n):
-                acc = 0
-                for u, v in zip(rev, x[k : k + pad]):
-                    acc = add(acc, mul(u, v))
-                x.append(mul(minus_x0, acc))
-        return x[pad:]
+            taps = [-c * v % p for v in b[:0:-1]]
+            heads = [c * v for v in a[:n]]
+            for h in heads + [0] * (n - len(heads)):
+                v = (h + sum(map(operator.mul, taps, window))) % p
+                window.append(v)
+                out.append(v)
+            return out
+        add, mul = self.add, self.mul
+        taps = [mul(self.neg(c), v) for v in b[:0:-1]]
+        heads = [mul(c, v) for v in a[:n]]
+        for v in heads + [0] * (n - len(heads)):
+            for u, w in zip(taps, window):
+                v = add(v, mul(u, w))
+            window.append(v)
+            out.append(v)
+        return out
 
     def __repr__(self) -> str:
         return f"ResidueField(q={self.q}, zeta={self.zeta})"

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .residue import DomainError, ResidueField, UnitI, eta_residue
+from .residue import NEWTON_CUTOVER, DomainError, ResidueField, UnitI, eta_residue
 
 F = "F"
 E2 = "E2"
@@ -297,7 +297,12 @@ class LaurentElem:
 
     def __truediv__(self, other: "LaurentElem") -> "LaurentElem":
         self._check(other)
-        return self * other.inverse()
+        if self.is_zero or not 2 <= other.supp <= NEWTON_CUTOVER:
+            return self * other.inverse()
+        # one recurrence gives the window of self * other.inverse()
+        tw = self.tower
+        digits = tw.field.series_quotient(self.coeffs, other.coeffs, tw.N)
+        return LaurentElem(tw, self.tag, self.lead - other.lead, _trim(digits)[1], False)
 
     def __pow__(self, n: int) -> "LaurentElem":
         base = self if n >= 0 else self.inverse()

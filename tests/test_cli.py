@@ -149,9 +149,28 @@ def test_cocycle_json_matches_golden_output(capsysbinary):
     assert capsysbinary.readouterr().out == golden.read_bytes()
 
 
+def test_report_goldens_reproduce_with_numpy_blocked():
+    # with `import numpy` made to fail, the report runs every series kernel
+    # on packed integers and still prints each golden byte for byte
+    code = "import sys\nsys.modules['numpy'] = None\nfrom sl8hecke.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for name, q, variant, seed in (
+        ("report-q5-seed0.json", "5", "both", "0"),
+        ("report-q9-parahoric-seed1.json", "9", "parahoric", "1"),
+    ):
+        run = subprocess.run(
+            [sys.executable, "-c", code, "--q", q, "--variant", variant, "--seed", seed, "--format", "json", "report"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout == (DATA / name).read_bytes(), name
+
+
 def test_cli_and_omega_at_q13_do_not_import_numpy():
-    # numpy serves only long series products and F_{p^2} products; importing
-    # the CLI and running omega at q = 13 make none, so numpy stays unloaded
+    # no module of the package imports numpy (only the tests' reference
+    # convolution does), so importing the CLI and running omega leave it unloaded
     code = (
         "import sys, sl8hecke.cli\n"
         "from sl8hecke import HeckeContext, Tower, make_field\n"

@@ -700,7 +700,7 @@ def test_omega_builds_few_weyl_elements(variant, tower13, monkeypatch):
     assert len(built) <= 5000
 
 
-def test_double_coset_product_multiplies_only_family_samples(tower13, monkeypatch):
+def test_double_coset_product_makes_no_matrix_product(tower13, monkeypatch):
     # the family lift(s) * r * lift(s' s) reads the memoised base family and
     # the lifts' terms: no sample and no matrix product
     from sl8hecke.groupmodel import GroupElem

@@ -11,6 +11,7 @@ from sl8hecke.residue import (
     UNIT_MINUS_ONE,
     UNIT_ONE,
     UnitI,
+    _packed_product,
     char_sum_eta_squares,
     eta_residue,
     make_field,
@@ -212,7 +213,7 @@ def test_convolve_matches_schoolbook(q):
 
 @pytest.mark.parametrize("q", [5, 9, 13])
 def test_mul_trunc_matches_truncated_convolution(q):
-    # every shape on both sides of the numpy cut-over, truncated at n = 17
+    # every shape on both sides of the packed-product cut-over, truncated at n = 17
     f = make_field(q)
     n = 17
     for sa in range(1, 21):
@@ -258,3 +259,89 @@ def test_newton_inverse_matches_the_recurrence(q):
             b = [rng.randrange(q) for _ in range(supp)]
             b[0] = rng.randrange(1, q)
             assert f.series_inverse(b, n) == recurrence_inverse(f, b, n)
+
+
+# -- packed kernels against numpy and the scalar recurrence ------------------------
+
+PACKED_Q = [5, 9, 13, 25, 49, 53]
+
+
+@pytest.mark.parametrize("q", PACKED_Q)
+def test_mul_trunc_matches_numpy_at_every_shape_up_to_the_window(q):
+    # every shape 1..40 x 1..40, truncated at N = 40: the schoolbook loop and
+    # the packed product over F_p, the packed coordinate products over F_{p^2};
+    # one operand pair per shape is all q - 1, the largest slot values
+    f = make_field(q)
+    rng = random.Random(q)
+    n = 40
+    for sa in range(1, n + 1):
+        for sb in range(1, n + 1):
+            a = [rng.randrange(q) for _ in range(sa)]
+            b = [rng.randrange(q) for _ in range(sb)]
+            for x, y in ((a, b), ([q - 1] * sa, [q - 1] * sb)):
+                assert f.mul_trunc(x, y, n) == f.convolve(x, y)[:n].tolist(), (sa, sb)
+
+
+@pytest.mark.parametrize("q", PACKED_Q)
+def test_graeffe_matches_the_conjugate_product(q):
+    # a(x) * a(-x) by numpy's convolution, read in x**2
+    f = make_field(q)
+    rng = random.Random(q)
+    for size in range(1, 41):
+        a = [rng.randrange(q) for _ in range(size)]
+        minus = [c if k % 2 == 0 else f.neg(c) for k, c in enumerate(a)]
+        full = f.convolve(a, minus).tolist()
+        assert not any(full[1::2])
+        for n in (1, 7, 17, 20, 40):
+            assert f.graeffe(a, n) == full[::2][:n], (size, n)
+
+
+@pytest.mark.parametrize("q", [5, 13, 53])
+def test_packed_newton_matches_the_recurrence_past_one_window(q):
+    # n past 40 makes Newton steps whose correction d is shorter than the
+    # step, for supports just past the cut-over; all-(p - 1) operands too
+    f = make_field(q)
+    rng = random.Random(q)
+    for n in (64, 97):
+        for supp in (17, 18, 33, n):
+            b = [rng.randrange(q) for _ in range(supp)]
+            b[0] = rng.randrange(1, q)
+            for divisor in (b, [q - 1] * supp):
+                assert f.series_inverse(divisor, n) == recurrence_inverse(f, divisor, n)
+
+
+@pytest.mark.parametrize("q", ADMISSIBLE_Q + [37, 41, 49, 53])
+def test_series_quotient_is_the_product_with_the_inverse(q):
+    f = make_field(q)
+    rng = random.Random(q)
+    for n in (17, 40):
+        for supp in (1, 2, 3, 4, 5, 8, 16, 17, n):
+            b = [rng.randrange(q) for _ in range(supp)]
+            b[0] = rng.randrange(1, q)
+            for size in (1, 2, 4, 13, n, n + 3):
+                a = [rng.randrange(q) for _ in range(size)]
+                assert f.series_quotient(a, b, n) == f.mul_trunc(a, recurrence_inverse(f, b, n), n)
+    with pytest.raises(DomainError):
+        f.series_quotient([1, 2], [0, 1], 17)
+
+
+def test_packed_product_widens_slots_past_32_bits():
+    def exact(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    # min(len) * top**2 reaches 2**32 exactly: a 32-bit slot would read 0
+    assert list(_packed_product([1 << 16], [1 << 16], 1 << 16)) == [1 << 32]
+    assert list(_packed_product([(1 << 16) - 1], [(1 << 16) - 1], (1 << 16) - 1)) == [((1 << 16) - 1) ** 2]
+    a = [(1 << 20) - 1, 3, 1 << 19, (1 << 20) - 7]
+    b = [(1 << 20) - 3, 1 << 20, 5]
+    assert list(_packed_product(a, b, 1 << 20)) == exact(a, b)
+    # products of p - 1 sums within 32 bits: the same digits from both widths
+    top = 52
+    a, b = [top] * 40, [top, 0, top] * 13
+    assert list(_packed_product(a, b, top)) == list(_packed_product(a, b, 1 << 20)) == exact(a, b)
+    with pytest.raises(OverflowError):
+        _packed_product([1], [1], 1 << 32)

@@ -289,7 +289,7 @@ def test_debug_serialisation_mentions_tag_and_lead(tw):
 #
 # The reference reads every element as its lead plus all N window
 # coefficients and recomputes each operation with scalar field arithmetic.
-# Supports are drawn on both sides of the numpy cut-over of products, and
+# Supports are drawn on both sides of the packed-product cut-over, and
 # divisors include supports 2, 4 and N.  The N = 17 tower makes short
 # products overflow the window and has a window length not divisible by e.
 
@@ -518,7 +518,7 @@ def test_long_window_norms_match_dense_reference(tw, tag, data):
 
 @pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29, 37, 41, 49, 53])
 def test_split_norm_matches_the_conjugate_product(q):
-    # supports on both sides of the numpy cut-over of the half-length squares
+    # supports on both sides of the packed-product cut-over of the half-length squares
     # and of the exact boundary e * (supp - 1) < N, odd and even leads
     rng = random.Random(q)
     for n in (17, 40):
@@ -599,3 +599,29 @@ def test_zero_is_the_empty_window():
             assert_invariants(z)
             assert tw.from_coeffs(tag, 3, [0, 0, 0]) == z
             assert (tw.one(tag) * z).is_zero and (z * tw.one(tag)).is_zero
+
+
+def test_division_is_the_product_with_the_inverse():
+    # divisors of 2..NEWTON_CUTOVER terms take the quotient recurrence, the
+    # rest the inverse: either way the value, lead and exact flag of
+    # x * y.inverse(), and a zero divisor raises
+    rng = random.Random(7)
+    for tw in DIFF_TOWERS:
+        q = tw.q
+        for tag in (F, E2, E4):
+            zero = tw.zero(tag)
+            for _ in range(60):
+                x, y = (
+                    tw.from_coeffs(
+                        tag,
+                        rng.randrange(-5, 6),
+                        [rng.randrange(1, q)] + [rng.randrange(q) for _ in range(rng.randrange(tw.N + 3))],
+                    )
+                    for _ in range(2)
+                )
+                for a in (x, zero):
+                    got, want = a / y, a * y.inverse()
+                    assert_invariants(got)
+                    assert (got, got.lead, got.exact) == (want, want.lead, want.exact)
+                    with pytest.raises(ZeroDivisionError):
+                        _ = a / zero
