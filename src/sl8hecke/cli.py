@@ -34,19 +34,15 @@ from .groupmodel import (
     elem_s,
     elem_z,
     sign_character_trivial,
-    in_KM0,
-    random_K0,
-    random_KM0,
-    rho0,
     rho_M0,
     torus,
 )
 from .hecke import (
     CocycleTable,
     HeckeContext,
-    multiplicative_family_search,
+    cocycle_certificate,
     nontriviality_certificate,
-    sz_perturbed_table,
+    rho0_certificate,
 )
 from .residue import (
     COEFF_ONE,
@@ -68,7 +64,6 @@ from .weyl import (
     W_Z,
     group_structure_check,
     lattice_check,
-    lift,
 )
 
 PASS = "pass"
@@ -192,13 +187,22 @@ class Session:
         # the canonical lift family of each variant, shared by every check that reads mu
         self.tables = {v: CocycleTable(ctx) for v, ctx in self.contexts.items()}
         self.rng = random.Random(config.seed)
-        self._ge1: dict = {}
+        self._once: dict = {}
+
+    def once(self, key, make):
+        """make(), computed on first read and kept for the rest of the run."""
+        if key not in self._once:
+            self._once[key] = make()
+        return self._once[key]
 
     def ge1(self, level):
-        """generic.check_ge1 at one level, computed once per run."""
-        if level not in self._ge1:
-            self._ge1[level] = generic.check_ge1(self.tower, level)
-        return self._ge1[level]
+        return self.once(("ge1", level), lambda: generic.check_ge1(self.tower, level))
+
+    def cocycle_certificate(self, v: str):
+        return self.once(("cocycle", v), lambda: cocycle_certificate(self.contexts[v]))
+
+    def rho0_certificate(self, v: str):
+        return self.once(("rho0", v), lambda: rho0_certificate(self.contexts[v]))
 
 
 def sampled(n: int, draw: Callable[[], tuple], holds: Callable[..., bool]) -> bool:
@@ -217,10 +221,6 @@ def _associative(mul):
 
 def _triple(draw):
     return lambda: (draw(), draw(), draw())
-
-
-def _in_compact_torus(g) -> bool:
-    return g.is_diagonal() and in_KM0(g.to_torus(), STABILIZER)
 
 
 def _canonical_generator(s: Session, v: str):
@@ -269,37 +269,6 @@ def _galois_stable(s: Session, v: str):
     return True, not remaining
 
 
-def _compact_torus_draw(s: Session):
-    return lambda: (random_KM0(s.tower, STABILIZER, s.rng).to_group(),)
-
-
-def _normalizers(s: Session, v: str):
-    def conjugates_into_torus(n):
-        return lambda t: _in_compact_torus(n * t * n.inverse())
-
-    # a list, not a generator: both lifts draw their 15 samples whatever the verdict
-    lifts = (elem_s(s.tower), elem_z(s.tower))
-    return True, all([sampled(15, _compact_torus_draw(s), conjugates_into_torus(n)) for n in lifts])
-
-
-def _character_invariance(s: Session, v: str):
-    s_t = elem_s(s.tower)
-    return True, sampled(
-        25,
-        _compact_torus_draw(s),
-        lambda t: rho_M0((s_t.inverse() * t * s_t).to_torus()) == rho_M0(t.to_torus()),
-    )
-
-
-def _lift_homomorphism(s: Session, v: str):
-    tw, window = s.tower, s.contexts[v].window(2, 1)
-    return True, sampled(
-        40,
-        lambda: (s.rng.choice(window), s.rng.choice(window)),
-        lambda a, b: _in_compact_torus(lift(tw, a * b).inverse() * lift(tw, a) * lift(tw, b)),
-    )
-
-
 def _commutator(s: Session, v: str):
     tw, fld = s.tower, s.field
     com = commutator(elem_s(tw), elem_z(tw))
@@ -317,6 +286,13 @@ def _normalised(s: Session, v: str):
 def _cocycle_identity(s: Session, v: str):
     window = s.contexts[v].window()
     return True, sampled(500, _triple(lambda: s.rng.choice(window)), s.tables[v].cocycle_identity_holds)
+
+
+def _no_multiplicative_family(s: Session, v: str):
+    # beta(s, z) is the same in every family, so beta(s, z) != 1 leaves mu(s, z)
+    # or mu(z, s) != 1 in each: no family is multiplicative on both pairs
+    proven = s.cocycle_certificate(v).holds and s.tables[v].beta(W_S, W_Z) != UNIT_ONE
+    return "0", "0" if proven else "unproven"
 
 
 def _certificate(s: Session, v: str):
@@ -389,7 +365,7 @@ class Row(NamedTuple):
     runs once per configured variant among them, the variant appended to its
     id; any other row runs once, after those of its section, with the first
     configured variant.  ``inputs`` is formatted with ``q``, ``units``
-    (q - 1), ``zeta`` and ``variant``.
+    (q - 1), ``pairs`` ((q - 1)**2), ``zeta`` and ``variant``.
     """
 
     id: str
@@ -460,20 +436,22 @@ CHECKS = (
         "central and of infinite order (valuation-certified to n=50)",
         "{variant}", lambda s, v: (True, group_structure_check(s.tower, v)), BOTH),
     Row("weyl.rho0_homomorphism", "groupmodel",
-        "the depth-zero character is multiplicative on the compact subgroup", "50 seeded pairs",
-        lambda s, v: (True, sampled(50, lambda: (random_K0(s.tower, v, s.rng), random_K0(s.tower, v, s.rng)),
-                                    lambda g, h: rho0(g * h, v) == rho0(g, v) * rho0(h, v))), BOTH),
+        "the depth-zero character is multiplicative on the compact subgroup: the d-entry residue "
+        "is multiplicative on the Iwahori and rho0 is its quadratic character",
+        "exhaustive over {pairs} residue pairs",
+        lambda s, v: (True, s.rho0_certificate(v).reduction and s.rho0_certificate(v).multiplicative), BOTH),
     Row("weyl.rho0_restriction", "groupmodel",
-        "the compact-subgroup character restricts to the torus character", "20 seeded torus elements",
-        lambda s, v: (True, sampled(20, lambda: (random_KM0(s.tower, v, s.rng),),
-                                    lambda t: rho0(t.to_group(), v) == rho_M0(t))), BOTH),
-    Row("weyl.normalizers", "groupmodel", "the reflection and translation lifts normalize the compact torus",
-        "15 seeded elements each", _normalizers),
+        "the compact-subgroup character restricts to the torus character", "exhaustive over {units} residues",
+        lambda s, v: (True, s.rho0_certificate(v).restriction), BOTH),
+    Row("weyl.normalizers", "groupmodel", "the letter lifts normalize the compact torus: a diagonal lift "
+        "commutes with it and an antidiagonal one swaps its first two entries",
+        "letter relations", lambda s, v: (True, s.cocycle_certificate(v).normalizes)),
     Row("weyl.character_invariance", "groupmodel",
-        "conjugation by the reflection lift fixes the torus character",
-        "25 seeded elements", _character_invariance),
-    Row("weyl.lift_homomorphism", "weyl", "the canonical lift is a homomorphism modulo the compact torus",
-        "40 seeded pairs", _lift_homomorphism),
+        "conjugation by the letter lifts fixes the torus character",
+        "exhaustive over {pairs} residue pairs", lambda s, v: (True, s.cocycle_certificate(v).invariant)),
+    Row("weyl.lift_homomorphism", "weyl", "the canonical lift is a homomorphism modulo the compact torus: "
+        "the letter squares and commutators lie in it",
+        "letter relations", lambda s, v: (True, s.cocycle_certificate(v).lift_multiplicative)),
     Row("lattice.image_identity", "weyl",
         "the valuation-triple lattice {sum zero, even last entry} equals the span of (1,1,-2) "
         "and (1,-1,0), and membership matches the exact norm condition on the |n|<=4 box",
@@ -485,17 +463,16 @@ CHECKS = (
     Row("cocycle.beta", "hecke", "the commutator pairing of the reflection against the translation is -1",
         "beta(s, z)", lambda s, v: (UNIT_MINUS_ONE, s.tables[v].beta(W_S, W_Z)), BOTH),
     Row("cocycle.beta_stability", "hecke",
-        "the pairing is unchanged under 20 random compact-torus lift families", "20 seeded families",
-        lambda s, v: (True, sampled(20, lambda: (sz_perturbed_table(s.contexts[v], s.rng),),
-                                    lambda t: t.beta(W_S, W_Z) == UNIT_MINUS_ONE)), BOTH),
+        "the pairing is the same in every compact-torus lift family: the lifts normalize the compact "
+        "torus and fix its character", "exhaustive over {pairs} residue pairs",
+        lambda s, v: (True, s.cocycle_certificate(v).holds), BOTH),
     Row("cocycle.identity", "hecke", "the 2-cocycle identity holds on 500 seeded window triples",
         "500 triples", _cocycle_identity, BOTH),
     Row("cocycle.certificate", "hecke", "a commuting pair with pairing -1 certifies a non-trivial class "
         "and obstructs any character extension to the normaliser", "certificate search", _certificate, BOTH),
-    Row("cocycle.no_multiplicative_family", "hecke", "no sampled lift family is multiplicative on the "
+    Row("cocycle.no_multiplicative_family", "hecke", "no compact-torus lift family is multiplicative on the "
         "length-additive pairs through (s, z): clean coset representatives cannot exist",
-        "40 seeded families",
-        lambda s, v: ("0", str(multiplicative_family_search(s.contexts[v], s.rng, trials=40))), BOTH),
+        "beta(s, z) and {pairs} residue pairs", _no_multiplicative_family, BOTH),
     Row("cocycle.sign_element_pairing", "hecke",
         "the order-two sign element pairs trivially against the reflection",
         "beta(s, eps)", lambda s, v: (UNIT_ONE, s.tables[v].beta(W_S, W_EPS)), (PARAHORIC,)),
@@ -549,7 +526,9 @@ def run_all(config: Config, sections=SECTIONS) -> Report:
                 continue
             expected, got, *ok = row.check(s, variant)
             passed = ok[0] if ok else str(expected) == str(got)
-            inputs = row.inputs.format(q=fld.q, units=fld.q - 1, zeta=fld.zeta, variant=variant)
+            inputs = row.inputs.format(
+                q=fld.q, units=fld.q - 1, pairs=(fld.q - 1) ** 2, zeta=fld.zeta, variant=variant
+            )
             report.checks.append(
                 Check(id_, row.module, row.claim, inputs, str(expected), str(got), PASS if passed else FAIL)
             )

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .residue import UnitI, sgn
+from .residue import UnitI, eta_residue, sgn
 from .tower import E2, E4, F, LaurentElem, Tower
 
 STABILIZER = "stabilizer"
@@ -295,6 +295,12 @@ def rho_M0(tt: TorusElem) -> UnitI:
     return tt.y.norm_to_F().eta()
 
 
+def rho_residues(field, rx: int, ry: int, rz: int) -> UnitI:
+    """rho on a compact-torus element read from the leading residues of its
+    entries: eta(N(y)), and E2/F is ramified, so N(y) has residue ry**2."""
+    return eta_residue(field, field.mul(ry, ry))
+
+
 def rho0(g: GroupElem, variant: str = STABILIZER) -> UnitI:
     """The depth-zero character of the compact subgroup: eta(N(d))."""
     if not in_K0(g, variant):
@@ -536,29 +542,25 @@ def iwahori_decompose(g: GroupElem) -> Decomposition:
 # -- the sign-character triviality check ------------------------------------------------
 
 
-def sign_character_trivial(field, variant: str) -> bool:
-    """Exhaust residue triples allowed by the compact-torus constraints and
-    check that the quadratic character of x*y is trivially 1 on all of them.
+def admissible_torus_residues(field, variant: str):
+    """The residue pairs (xy, z) of x * y and z over the unit triples
+    (x, y, z) of the compact torus: every pair of units, in order, that
+    passes `compact_torus_conditions`.  The conditions read x and y only
+    through x * y, so each pair stands for its fibre of q - 1 triples."""
+    for xy in range(1, field.q):
+        for zr in range(1, field.q):
+            if compact_torus_conditions(field, variant, (0, 0, 0), (xy, 1, zr)):
+                yield xy, zr
 
-    Both read only xy = x*y and z, and each xy has a fibre of q - 1 pairs
-    (x, y), so enumerating (xy, z) covers every triple.  The torus
-    constraints force (xy)**2 * z**4 = 1 (plus xy * z**2 = 1 for the
+
+def sign_character_trivial(field, variant: str) -> bool:
+    """Exhaust the residue pairs allowed by the compact-torus constraints
+    and check that the quadratic character of x*y is trivially 1 on all of them.
+
+    The constraints force (xy)**2 * z**4 = 1 (plus xy * z**2 = 1 for the
     parahoric), so xy = +-z**(-2) is a square as -1 is when 4 | q - 1.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    mul = field.mul
-    for xy in range(1, field.q):
-        xy2 = mul(xy, xy)
-        for zr in range(1, field.q):
-            z2 = mul(zr, zr)
-            if mul(xy2, mul(z2, z2)) != 1:
-                continue
-            if variant == PARAHORIC and mul(xy, z2) != 1:
-                continue
-            if sgn(field, xy).exp != 0:
-                return False
-    return True
+    return all(sgn(field, xy).exp == 0 for xy, _ in admissible_torus_residues(field, variant))
 
 
 # -- random members (exact constructions, used by property checks) ----------------------

@@ -70,6 +70,14 @@ length and central exponent).  The main computations:
     and that the torus character admits no extension to its normaliser.
     mu(s, z), mu(z, s) and beta(s, z) read only the lifts of s, z and sz, so
     the checks that vary the family for them perturb those three alone.
+
+  * ``cocycle_certificate`` and ``rho0_certificate``: the facts behind
+    the cocycle and the depth-zero character, checked on the letter lifts'
+    terms and exhausted over residues (every character involved has depth
+    zero).  The letter relations lie in the compact torus, the letter lifts
+    normalise it and fix rho, and rho0 is the quadratic character of the
+    d-entry residue.  The perturbed families and the random members of
+    `groupmodel` are the sampled cross-checks of the same facts.
 """
 
 from __future__ import annotations
@@ -87,19 +95,25 @@ from .groupmodel import (
     MembershipError,
     Monomial,
     TorusElem,
+    admissible_torus_residues,
     commutator,
     compact_torus_conditions,
     in_K0,
     in_KM0,
     iwahori_decompose,
+    letters,
+    lower_l,
     monomial_of,
     pivot_step,
     quotients_in_iwahori,
     random_KM0,
+    rho0,
     rho_M0,
+    rho_residues,
     term_product,
+    upper_u,
 )
-from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI, eta_residue
+from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI, eta_residue, sgn
 from .tower import E2, E4, LaurentElem, Tower
 from .weyl import (
     S,
@@ -650,7 +664,8 @@ class TransversalFamily:
             raise ValueError("a family frame must be a monomial with one exact term per entry")
         lt, rt = left.terms(), right.terms()
         a, b = left.kind == "anti", right.kind == "anti"
-        fld = ctx.tower.field
+        tw = ctx.tower
+        fld = tw.field
         # entry k = 2i + j reads base entry 2 (i ^ a) + (j ^ b)
         self.source, self.shift, self.scale = [], [], []
         for i in (0, 1):
@@ -659,10 +674,16 @@ class TransversalFamily:
                 self.source.append(2 * (i ^ a) + (j ^ b))
                 self.shift.append(e1 + e2)
                 self.scale.append(fld.mul(c1, c2))
-        det = left.det2() * right.det2()
-        self.g4 = left.g4 * right.g4
-        self.det_ord, self.det_res = det.lead, det.unit_residue()
-        self.products = {"diag": det, "anti": -det}
+        # det and the E4 part are the frames' (the base's are 1), each one term:
+        # those of the monomial left * right, whose det is first * second, negated if anti
+        kind, ((r1, e1), (r2, e2), (r4, e4)) = term_product(fld, (left.kind, lt), (right.kind, rt))
+        det_res = fld.mul(r1, r2)
+        self.det_ord, self.det_res = e1 + e2, det_res if kind == "diag" else fld.neg(det_res)
+        self.g4 = LaurentElem(tw, E4, e4, (r4,))
+        self.products = {
+            "diag": LaurentElem(tw, E2, self.det_ord, (self.det_res,)),
+            "anti": LaurentElem(tw, E2, self.det_ord, (fld.neg(self.det_res),)),
+        }
         self._patterns: dict[tuple, tuple | str] = {}
 
     def __len__(self) -> int:
@@ -773,8 +794,7 @@ class CocycleTable:
             raise ClassificationError("lift discrepancy is not diagonal")
         if not compact_torus_conditions(fld, ctx.variant, (nx, ny, nz), (rx, ry, rz)):
             raise ClassificationError("lift discrepancy left the compact torus")
-        # rho = eta(N(y)), and the norm of a unit term is its residue squared
-        return eta_residue(fld, fld.mul(ry, ry))
+        return rho_residues(fld, rx, ry, rz)
 
     def beta(self, u: WeylElem, v: WeylElem) -> UnitI:
         """mu(u,v)/mu(v,u) on commuting pairs; equal to rho of the commutator
@@ -822,6 +842,148 @@ def nontriviality_certificate(table: CocycleTable) -> Certificate:
         if value != UNIT_ONE:
             return Certificate(True, (u, v), value)
     return Certificate(False, None, None)
+
+
+# ---------------------------------------------------------------------------------
+# residue certificates: the sampled group facts, exhausted over residues
+
+
+@dataclass(frozen=True)
+class CocycleCertificate:
+    """The letter facts that make mu a 2-cocycle on all of W, with L the
+    canonical lift and T0 the compact torus of the variant.
+
+    (a) `relations` maps L(a)**2, [L(a), L(z)] and [L(a), L(eps)] for a in
+        {s, s'}, and L(eps)**2, to whether each lands in T0.  `normalizes`:
+        conjugation by each letter lift sends diag(x, y, z) to itself (a
+        diagonal lift) or to diag(y, x, z) (an antidiagonal one), and the T0
+        conditions read x and y only through x * y, so every lift normalises T0.
+    (b) `invariant`: rho is fixed by that swap on every unit triple of T0.
+        rho has depth zero, so this is exhausted over the (q - 1)**2 residue
+        pairs (xy, z) and the fibre of each admissible one.
+
+    Then every L(uv)^-1 L(u) L(v) lies in T0, mu is a 2-cocycle on all of W,
+    and changing the lifts by T0 factors changes mu by a coboundary:
+    beta(u, v) is the same in every compact-torus lift family (K. S. Brown,
+    Cohomology of Groups, ch. IV).
+    """
+
+    relations: dict[str, bool]
+    normalizes: bool
+    invariant: bool
+
+    @property
+    def lift_multiplicative(self) -> bool:
+        """(a): L is a homomorphism modulo T0."""
+        return self.normalizes and all(self.relations.values())
+
+    @property
+    def holds(self) -> bool:
+        return self.lift_multiplicative and self.invariant
+
+
+def cocycle_certificate(ctx: HeckeContext) -> CocycleCertificate:
+    """Check (a) and (b) of `CocycleCertificate` on the (residue, exponent)
+    terms of the letter lifts and on residues, with no Laurent arithmetic."""
+    fld, variant = ctx.tower.field, ctx.variant
+    lets = letters(ctx.tower)
+    terms = {name: (m.kind, m.terms()) for name, m in lets.items()}
+    inverse = {name: (m.kind, m.inverse().terms()) for name, m in lets.items()}
+
+    def product(*factors):
+        out = factors[0]
+        for f in factors[1:]:
+            out = term_product(fld, out, f)
+        return out
+
+    def in_torus(m) -> bool:
+        kind, ((rx, nx), (ry, ny), (rz, nz)) = m
+        return kind == "diag" and compact_torus_conditions(fld, variant, (nx, ny, nz), (rx, ry, rz))
+
+    relations = {}
+    for a in ("s", "s'"):
+        relations[f"{a}^2"] = in_torus(product(terms[a], terms[a]))
+        for b in ("z", "eps"):
+            relations[f"[{a}, {b}]"] = in_torus(product(terms[a], terms[b], inverse[a], inverse[b]))
+    relations["eps^2"] = in_torus(product(terms["eps"], terms["eps"]))
+    # a witness with three distinct residues shows each letter's permutation
+    x, y, z = ((fld.pow(fld.zeta, k), 0) for k in (1, 2, 3))
+    normalizes = all(
+        product(terms[n], ("diag", (x, y, z)), inverse[n]) == ("diag", (y, x, z) if m.kind == "anti" else (x, y, z))
+        for n, m in lets.items()
+    )
+    invariant = all(
+        rho_residues(fld, rx, ry, rz) == rho_residues(fld, ry, rx, rz)
+        for xy, rz in admissible_torus_residues(fld, variant)
+        for ry in range(1, fld.q)
+        for rx in (fld.mul(xy, fld.inv(ry)),)
+    )
+    return CocycleCertificate(relations, normalizes, invariant)
+
+
+@dataclass(frozen=True)
+class Rho0Certificate:
+    """The reduction of rho0(g) = eta(N(d)) on the compact subgroup K0 to the
+    residue of g's d-entry, on an exact witness for every unit residue r.
+
+    - `reduction`: g_r = l(pi2) * diag(r^-1, r) * u(1) lies in K0 with
+      d-entry r + r^-1 * pi2, and rho0(g_r) = sgn(r): E2/F is ramified, so
+      N(d) = d_res**2 mod t, and eta(d_res**2) = sgn(d_res).
+    - `multiplicative`: K0 lies in the Iwahori, so (gh)_d = c_g b_h + d_g d_h
+      with c_g in the maximal ideal and b_h integral.  Over all (q - 1)**2
+      witness pairs, the residue of (g_r g_r')_d, read from the entries'
+      leading terms, has sgn(r) sgn(r'), so rho0 is multiplicative.
+    - `restriction`: the monomial torus witness (r^-1, r, 1) lies in the
+      compact torus, and rho0 of its matrix, rho_M0 and `rho_residues` agree.
+
+    (Moy-Prasad, Invent. Math. 116, 1994: depth-zero characters factor
+    through the reductive quotient.)
+    """
+
+    reduction: bool
+    multiplicative: bool
+    restriction: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.reduction and self.multiplicative and self.restriction
+
+
+def _leading(x: LaurentElem) -> tuple:
+    """(valuation, leading residue), (math.inf, 0) for zero."""
+    return (math.inf, 0) if x.is_zero else (x.lead, x.unit_residue())
+
+
+def rho0_certificate(ctx: HeckeContext) -> Rho0Certificate:
+    """Check `Rho0Certificate` on the witnesses of the q - 1 unit residues
+    and on every pair of them."""
+    tw, variant = ctx.tower, ctx.variant
+    fld = tw.field
+    lower, upper = lower_l(tw, tw.uniformizer(E2)), upper_u(tw, 1)
+    reduction = restriction = True
+    witnesses = {}
+    for r in range(1, fld.q):
+        t = TorusElem(tw.constant(E2, fld.inv(r)), tw.constant(E2, r), tw.one(E4))
+        g = lower * t.to_group() * upper
+        reduction = reduction and in_K0(g, variant) and rho0(g, variant) == sgn(fld, g.d.unit_residue())
+        restriction = (
+            restriction
+            and in_KM0(t, variant)
+            and rho0(t.to_group(), variant) == rho_M0(t) == rho_residues(fld, fld.inv(r), r, 1)
+        )
+        witnesses[r] = (_leading(g.b), _leading(g.c), _leading(g.d))
+
+    def d_residue_multiplies(g, h) -> bool:
+        (_, (nc, rc), (nd, rd)), ((nb, rb), _, (ne, re)) = g, h
+        if nd or ne or nc + nb < 0:
+            return False
+        res = fld.mul(rd, re)
+        if nc + nb == 0:
+            res = fld.add(res, fld.mul(rc, rb))
+        return res != 0 and sgn(fld, res) == sgn(fld, rd) * sgn(fld, re)
+
+    multiplicative = all(d_residue_multiplies(g, h) for g in witnesses.values() for h in witnesses.values())
+    return Rho0Certificate(reduction, multiplicative, restriction)
 
 
 def perturbed_table(ctx: HeckeContext, rng: random.Random) -> CocycleTable:

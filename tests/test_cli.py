@@ -183,3 +183,44 @@ def test_cli_and_omega_at_q13_do_not_import_numpy():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+SAMPLERS = ("random_K0", "random_KM0", "perturbed_table", "sz_perturbed_table", "multiplicative_family_search")
+
+
+def test_cli_binds_no_sampler():
+    import sl8hecke.cli as cli
+
+    assert not set(SAMPLERS) & set(vars(cli))
+
+
+def test_report_runs_without_samplers_or_series_inversion(monkeypatch, capsysbinary):
+    # the weyl and cocycle rows read residue certificates: with every sampler,
+    # the matrix mu of perturbed families and the series inverse and quotient
+    # made to raise, the report still passes with the goldens' ids and statuses
+    from sl8hecke import groupmodel, hecke
+    from sl8hecke.residue import ResidueField
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the report called a sampler or a series inversion")
+
+    for module in (groupmodel, hecke):
+        for name in SAMPLERS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(hecke.CocycleTable, "_matrix_mu", forbidden)
+    monkeypatch.setattr(ResidueField, "series_inverse", forbidden)
+    monkeypatch.setattr(ResidueField, "series_quotient", forbidden)
+
+    def verdicts(payload):
+        return [(c["id"], c["status"]) for c in json.loads(payload)["checks"]]
+
+    both = verdicts((DATA / "report-q5-seed0.json").read_bytes())
+    for name, q, variant, seed in (
+        ("report-q5-seed0.json", "5", "both", "0"),
+        (None, "9", "both", "0"),
+        ("report-q9-parahoric-seed1.json", "9", "parahoric", "1"),
+    ):
+        assert main(["--q", q, "--variant", variant, "--seed", seed, "--format", "json", "report"]) == 0
+        out = capsysbinary.readouterr().out
+        assert verdicts(out) == (both if name is None else verdicts((DATA / name).read_bytes()))
