@@ -15,15 +15,17 @@ residue condition (det g2 mod p) * (g4 mod p)**2 = 1.
 The torus character rho sends a diagonal (x, y, z) to eta(N_{E2/F}(y));
 its inflation to the compact group reads the lower-right entry.
 
-A `Monomial` is a monomial element: its kind (diagonal or antidiagonal),
-two E2 entries and the E4 part.  With one exact term c * pi**e in every
-entry it multiplies and inverts exactly on the (residue, exponent) pairs,
-with no Laurent arithmetic.  The letters of the canonical Weyl lifts are
-defined once, as such monomials (`letters`): the unit-determinant
-reflection s, its affine partner s', the central-direction torus element z
-with E4 part pi4**(-2) and the sign element eps = (-1, 1, 1); `elem_s`,
-`elem_s_prime`, `elem_z` and `elem_eps` are their matrices.  The unipotents
-u(x), l(c) are matrices.
+An exact monomial, one term c * pi**e in each of its two E2 entries and
+its E4 part, is held as terms: (kind, ((r1, e1), (r2, e2), (r4, e4))), kind
+"diag" or "anti" and (r, e) each entry's residue and exponent.
+`term_product` and `term_inverse` are its product and inverse, one F_q
+operation and one integer sum per entry with no Laurent arithmetic;
+`monomial_matrix` gives its matrix and `monomial_terms` reads it back from
+one.  The letters of the canonical Weyl lifts are defined once, as terms
+(`letters`): the unit-determinant reflection s, its affine partner s', the
+central-direction torus element z with E4 part pi4**(-2) and the sign
+element eps = (-1, 1, 1); `elem_s`, `elem_s_prime`, `elem_z` and `elem_eps`
+are their matrices.  The unipotents u(x), l(c) are matrices.
 
 `iwahori_decompose` factors any invertible element as k1 * m * k2 with k1,
 k2 Iwahori (unipotent, so they land in both compact subgroups) and m
@@ -164,39 +166,38 @@ def identity(tower: Tower) -> GroupElem:
     return got
 
 
-def letters(tower: Tower) -> dict[str, "Monomial"]:
-    """The letters of the canonical lifts as monomials, memoised per tower:
-    s = ((0, 1), (-1, 0)) x 1, the finite reflection; s' = ((0, pi2**-1),
+def letters(tower: Tower) -> dict[str, tuple]:
+    """The letters of the canonical lifts as monomial terms, memoised per
+    tower: s = ((0, 1), (-1, 0)) x 1, the finite reflection; s' = ((0, pi2**-1),
     (-pi2, 0)) x 1, the affine reflection; z = (diag(zeta*pi2, pi2), pi4**-2),
     the central-direction translation; eps = (-1, 1, 1), the stabiliser-only
     torus element of order two."""
     got = tower.cache.get("letters")
     if got is None:
-        one2, one4, pi2 = tower.one(E2), tower.one(E4), tower.uniformizer(E2)
-        zeta = tower.constant(E2, tower.field.zeta)
+        minus = tower.field.neg(1)
         got = tower.cache["letters"] = {
-            "s": Monomial("anti", one2, -one2, one4),
-            "s'": Monomial("anti", pi2 ** -1, -pi2, one4),
-            "z": Monomial("diag", zeta * pi2, pi2, tower.uniformizer(E4) ** -2),
-            "eps": Monomial("diag", -one2, one2, one4),
+            "s": ("anti", ((1, 0), (minus, 0), (1, 0))),
+            "s'": ("anti", ((1, -1), (minus, 1), (1, 0))),
+            "z": ("diag", ((tower.field.zeta, 1), (1, 1), (1, -2))),
+            "eps": ("diag", ((minus, 0), (1, 0), (1, 0))),
         }
     return got
 
 
 def elem_s(tower: Tower) -> GroupElem:
-    return letters(tower)["s"].as_group()
+    return monomial_matrix(tower, letters(tower)["s"])
 
 
 def elem_s_prime(tower: Tower) -> GroupElem:
-    return letters(tower)["s'"].as_group()
+    return monomial_matrix(tower, letters(tower)["s'"])
 
 
 def elem_z(tower: Tower) -> GroupElem:
-    return letters(tower)["z"].as_group()
+    return monomial_matrix(tower, letters(tower)["z"])
 
 
 def elem_eps(tower: Tower) -> GroupElem:
-    return letters(tower)["eps"].as_group()
+    return monomial_matrix(tower, letters(tower)["eps"])
 
 
 def torus(tower: Tower, x: LaurentElem, y: LaurentElem, z: LaurentElem) -> TorusElem:
@@ -311,49 +312,19 @@ def rho0(g: GroupElem, variant: str = STABILIZER) -> UnitI:
 # -- Iwahori factorisation ------------------------------------------------------------
 
 
-def _one_term(x: LaurentElem) -> bool:
-    return len(x.coeffs) == 1 and x.exact
-
-
-def _require_terms(*entries: LaurentElem) -> None:
-    if not all(map(_one_term, entries)):
-        raise ValueError("a monomial entry is not one exact term")
-
-
-def _term_mul(x: LaurentElem, y: LaurentElem) -> LaurentElem:
-    if len(x.coeffs) != 1 or len(y.coeffs) != 1 or not (x.exact and y.exact):
-        raise ValueError("a monomial entry is not one exact term")
-    return LaurentElem(x.tower, x.tag, x.lead + y.lead, (x.tower.field.mul(x.coeffs[0], y.coeffs[0]),))
-
-
-def _term_inv(x: LaurentElem) -> LaurentElem:
-    _require_terms(x)
-    return LaurentElem(x.tower, x.tag, -x.lead, (x.tower.field.inv(x.coeffs[0]),))
-
-
 @dataclass(slots=True)
 class Monomial:
-    """A monomial element: diag(first, second) or antidiag(first; second),
-    with the E4 part g4.  Row i holds entry i of (first, second), in column i
-    for "diag" and in column 1 - i for "anti".  An immutable value; the
-    class is not frozen because frozen construction would cost more than
-    the product itself.
-
-    When every entry is one exact term c * pi**e, as in every canonical lift
-    of the Weyl group, `*`, `inverse` and `det2` are exact and act on the
-    (residue, exponent) pairs alone: one F_q operation and one integer sum per
-    entry, no Laurent arithmetic; any other entry raises ValueError.  The
-    middle factor of an Iwahori decomposition is a Monomial whose
-    complementary entry may be a series; it only converts with `as_group`."""
+    """The middle factor of an Iwahori decomposition: diag(first, second) or
+    antidiag(first; second), with the E4 part g4.  Row i holds entry i of
+    (first, second), in column i for "diag" and in column 1 - i for "anti".
+    Its complementary entry may be a series; it only converts with
+    `as_group`.  An exact monomial, one term c * pi**e per entry, is held as
+    terms instead (`term_product`)."""
 
     kind: str  # "diag" | "anti"
     first: LaurentElem
     second: LaurentElem
     g4: LaurentElem
-
-    @staticmethod
-    def identity(tower: Tower) -> "Monomial":
-        return Monomial("diag", tower.one(E2), tower.one(E2), tower.one(E4))
 
     def as_group(self) -> GroupElem:
         tw = self.first.tower
@@ -362,53 +333,50 @@ class Monomial:
             return GroupElem(self.first, z2, z2, self.second, self.g4)
         return GroupElem(z2, self.first, self.second, z2, self.g4)
 
-    def terms(self) -> tuple[tuple[int, int], ...]:
-        """The (residue, exponent) pairs of first, second and g4; raises
-        ValueError unless every entry is one exact term."""
-        entries = (self.first, self.second, self.g4)
-        _require_terms(*entries)
-        return tuple((x.coeffs[0], x.lead) for x in entries)
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        # row i of self meets row i of other (diag) or row 1 - i (anti)
-        b1, b2 = (other.first, other.second) if self.kind == "diag" else (other.second, other.first)
-        return Monomial(
-            "diag" if self.kind == other.kind else "anti",
-            _term_mul(self.first, b1),
-            _term_mul(self.second, b2),
-            _term_mul(self.g4, other.g4),
-        )
-
-    def inverse(self) -> "Monomial":
-        first, second = _term_inv(self.first), _term_inv(self.second)
-        if self.kind == "anti":
-            first, second = second, first
-        return Monomial(self.kind, first, second, _term_inv(self.g4))
-
-    def det2(self) -> LaurentElem:
-        """The determinant of the 2x2 part: first * second, negated for "anti"."""
-        product = _term_mul(self.first, self.second)
-        return product if self.kind == "diag" else -product
+IDENTITY_TERMS = ("diag", ((1, 0), (1, 0), (1, 0)))
 
 
 def term_product(field, left, right) -> tuple[str, tuple]:
-    """`Monomial.__mul__` on monomials given as (kind, `Monomial.terms`),
-    with no Laurent element built: one F_q product and one exponent sum per entry."""
+    """The product of two exact monomials given as terms (kind, ((r1, e1),
+    (r2, e2), (r4, e4))), the (residue, exponent) pairs of first, second and
+    the E4 part: one F_q product and one exponent sum per entry.  Row i of
+    left meets row i of right (diag) or row 1 - i (anti)."""
     (kind1, (a1, a2, a4)), (kind2, (b1, b2, b4)) = left, right
     pairs = ((a1, b1), (a2, b2)) if kind1 == "diag" else ((a1, b2), (a2, b1))
     terms = tuple((field.mul(r, s), e + f) for (r, e), (s, f) in pairs + ((a4, b4),))
     return ("diag" if kind1 == kind2 else "anti"), terms
 
 
-def monomial_of(g: GroupElem) -> Monomial | None:
-    """g as a Monomial with one exact term in every entry, or None when it is not one."""
+def term_inverse(field, m) -> tuple[str, tuple]:
+    """The inverse of an exact monomial given as terms: each entry inverted,
+    the two E2 entries swapped for "anti"."""
+    kind, ((r1, e1), (r2, e2), (r4, e4)) = m
+    first, second = (field.inv(r1), -e1), (field.inv(r2), -e2)
+    if kind == "anti":
+        first, second = second, first
+    return kind, (first, second, (field.inv(r4), -e4))
+
+
+def monomial_matrix(tower: Tower, m) -> GroupElem:
+    """The matrix of an exact monomial given as terms."""
+    kind, ((r1, e1), (r2, e2), (r4, e4)) = m
+    first, second = LaurentElem(tower, E2, e1, (r1,)), LaurentElem(tower, E2, e2, (r2,))
+    return Monomial(kind, first, second, LaurentElem(tower, E4, e4, (r4,))).as_group()
+
+
+def monomial_terms(g: GroupElem) -> tuple[str, tuple] | None:
+    """g as the terms of an exact monomial, or None unless g is diagonal or
+    antidiagonal with one exact term in every entry."""
     if g.b.is_zero and g.c.is_zero:
-        m = Monomial("diag", g.a, g.d, g.g4)
+        kind, entries = "diag", (g.a, g.d, g.g4)
     elif g.a.is_zero and g.d.is_zero:
-        m = Monomial("anti", g.b, g.c, g.g4)
+        kind, entries = "anti", (g.b, g.c, g.g4)
     else:
         return None
-    return m if all(map(_one_term, (m.first, m.second, m.g4))) else None
+    if not all(len(x.coeffs) == 1 and x.exact for x in entries):
+        return None
+    return kind, tuple((x.coeffs[0], x.lead) for x in entries)
 
 
 # Each pivot case as (pivot, num, rest, y), indices into the entries

@@ -35,23 +35,25 @@ length and central exponent).  The main computations:
     transversal and memoises them per word and direction (``base_family``).
 
   * :class:`TransversalFamily`: left * r(p) * right over a base family, for
-    exact monomial frames left and right (canonical lifts).  A monomial
-    frame permutes the entries and shifts each one's exponent and scales
-    its residue by a fixed term, so each point's invariants are read from
-    the base with no matrix arithmetic, and everything but two residues is
-    memoised per valuation pattern of the base's four entries.
+    exact monomial frames left and right given as terms (canonical lifts,
+    `weyl.lift_terms`).  A monomial frame permutes the entries and shifts
+    each one's exponent and scales its residue by a fixed term, so each
+    point's invariants are read from the base with no matrix arithmetic,
+    and everything but two residues is memoised per valuation pattern of
+    the base's four entries.
 
   * ``convolve_at(w1, w2, g)``: the finite convolution sum
     sum_h phi_{w1}(h) phi_{w2}(h^-1 g) over h in the left cosets of
     K w1 K, evaluated exactly in Gaussian integers at an exact monomial g
-    (one exact term per entry, as at every canonical lift).  The second
-    factors come from one family lift(w1)^-1 * r^-1 * g, one valuation pattern
-    at a time: phi_{w2} at a member is the quadratic character of the
-    discrepancy's y-residue, a pattern's fixed scale times a base residue, so
-    each pattern adds its scale's sign times a sum over its members memoised
-    per word of w1.  The left values phi_{w1}(r * lift(w1)) are all 1: every
-    member r is a product of unipotents with d-entry residue 1 (checked),
-    so the value is rho0(r) = eta(N(d)) = 1.
+    (one exact term per entry, as at every canonical lift), read once as
+    terms (`monomial_terms`).  The second factors come from one family
+    lift(w1)^-1 * r^-1 * g, one valuation pattern at a time: phi_{w2} at a
+    member is the quadratic character of the discrepancy's y-residue, a
+    pattern's fixed scale times a base residue, so each pattern adds its
+    scale's sign times a sum over its members memoised per word of w1.  The
+    left values phi_{w1}(r * lift(w1)) are all 1: every member r is a
+    product of unipotents with d-entry residue 1 (checked), so the value is
+    rho0(r) = eta(N(d)) = 1.
 
   * ``double_coset_product(w1, w2)``: the set of double cosets in
     K w1 K w2 K, the labels of the valuation patterns of the family
@@ -60,10 +62,9 @@ length and central exponent).  The main computations:
 
   * :class:`CocycleTable`: mu(w1, w2) = rho(lift(w1 w2)^-1 lift(w1)
     lift(w2)), the obstruction to the lift family being multiplicative.
-    For the canonical family the discrepancy is a product of exact monomial
-    lifts, computed on their (residue, exponent) terms over F_q; a family
-    perturbed by compact-torus factors, whose entries are series, multiplies
-    matrices.
+    For the canonical family the discrepancy is the `term_product` of the
+    lifts' terms, over F_q with no Laurent arithmetic; a family perturbed
+    by compact-torus factors, whose entries are series, multiplies matrices.
     The commutator pairing beta(u, v) = mu(u,v)/mu(v,u) on commuting pairs
     is invariant under changing the lift family by compact-torus factors,
     so beta != 1 certifies that the cohomology class of mu is non-trivial
@@ -73,11 +74,12 @@ length and central exponent).  The main computations:
 
   * ``cocycle_certificate`` and ``rho0_certificate``: the facts behind
     the cocycle and the depth-zero character, checked on the letter lifts'
-    terms and exhausted over residues (every character involved has depth
-    zero).  The letter relations lie in the compact torus, the letter lifts
-    normalise it and fix rho, and rho0 is the quadratic character of the
-    d-entry residue.  The perturbed families and the random members of
-    `groupmodel` are the sampled cross-checks of the same facts.
+    terms (`groupmodel.letters`) and exhausted over residues (every
+    character involved has depth zero).  The letter relations lie in the
+    compact torus, the letter lifts normalise it and fix rho, and rho0 is
+    the quadratic character of the d-entry residue.  The perturbed
+    families and the random members of `groupmodel` are the sampled
+    cross-checks of the same facts.
 """
 
 from __future__ import annotations
@@ -93,7 +95,6 @@ from .groupmodel import (
     Decomposition,
     GroupElem,
     MembershipError,
-    Monomial,
     TorusElem,
     admissible_torus_residues,
     commutator,
@@ -103,13 +104,14 @@ from .groupmodel import (
     iwahori_decompose,
     letters,
     lower_l,
-    monomial_of,
+    monomial_terms,
     pivot_step,
     quotients_in_iwahori,
     random_KM0,
     rho0,
     rho_M0,
     rho_residues,
+    term_inverse,
     term_product,
     upper_u,
 )
@@ -123,8 +125,7 @@ from .weyl import (
     WeylElem,
     lift,
     lift_inverse,
-    lift_monomial,
-    lift_monomial_inverse,
+    lift_terms,
     plength,
     translation_power,
     window_elements,
@@ -245,20 +246,8 @@ class HeckeContext:
     def lift_inverse(self, w: WeylElem) -> GroupElem:
         return lift_inverse(self.tower, w)
 
-    def lift_monomial(self, w: WeylElem) -> Monomial:
-        return lift_monomial(self.tower, w)
-
-    def lift_monomial_inverse(self, w: WeylElem) -> Monomial:
-        return lift_monomial_inverse(self.tower, w)
-
     def lift_terms(self, w: WeylElem, inverse: bool = False) -> tuple[str, tuple]:
-        """(kind, terms) of the canonical lift of w, or of its inverse, memoised per tower."""
-        cache = self.tower.cache.setdefault("lift_terms", {})
-        got = cache.get((w, inverse))
-        if got is None:
-            m = self.lift_monomial_inverse(w) if inverse else self.lift_monomial(w)
-            got = cache[(w, inverse)] = (m.kind, m.terms())
-        return got
+        return lift_terms(self.tower, w, inverse)
 
     # -- transversals ----------------------------------------------------------
 
@@ -347,8 +336,8 @@ class HeckeContext:
 
     def _candidates(self, anti: bool, n1: int, n2: int, n3: int):
         """The sign-bit candidates for monomial data of this kind and valuation
-        triple, as (label, x- and y-entries and E4 part of the label's lift
-        inverse), or the message of the ClassificationError they raise."""
+        triple, as (label, the terms of the x- and y-entries and E4 part of the
+        label's lift inverse), or the message of the ClassificationError they raise."""
         if n3 % 2 or n1 + n2 + n3 != 0:
             return f"valuation triple {(n1, n2, n3)} outside the group image"
         zexp = -n3 // 2
@@ -361,11 +350,11 @@ class HeckeContext:
         out = []
         for ebit in (0, 1) if self.variant == PARAHORIC else (0,):
             cand = WeylElem(core.word, zexp, ebit)
-            inv = self.lift_monomial_inverse(cand)
+            kind, terms = self.lift_terms(cand, inverse=True)
             # inv * m is diagonal iff inv is monomial of m's kind
-            if (inv.kind == "anti") != anti:
+            if (kind == "anti") != anti:
                 return "discrepancy is not diagonal"
-            out.append((cand, inv.first, inv.second, inv.g4))
+            out.append((cand, *terms))
         return out
 
     def _choose_label(self, kind: str, ords, residues, product, g4):
@@ -392,15 +381,17 @@ class HeckeContext:
         cands = self._candidates(anti, n1, n2, g4.ord_norm())
         if isinstance(cands, str):
             return cands
-        fld = self.tower.field
+        tw = self.tower
+        fld = tw.field
         # disc = diag(lx * first, ly * second), or (lx * second, ly * first) if anti
         (nx, rx), (ny, ry), pos = ((n2, r2), (n1, r1), 0) if anti else ((n1, r1), (n2, r2), 1)
-        for cand, lx, ly, inv_g4 in cands:
-            z = inv_g4 * g4
-            disc_ords = (lx.lead + nx, ly.lead + ny, z.lead)
-            res = (fld.mul(lx.unit_residue(), rx), fld.mul(ly.unit_residue(), ry), z.unit_residue())
-            if compact_torus_conditions(fld, self.variant, disc_ords, res, (lx * ly, product), z):
-                return cand, ly.unit_residue(), pos
+        for cand, (lxr, lxe), (lyr, lye), (l4r, l4e) in cands:
+            z = LaurentElem(tw, E4, l4e, (l4r,)) * g4
+            disc_ords = (lxe + nx, lye + ny, z.lead)
+            res = (fld.mul(lxr, rx), fld.mul(lyr, ry), z.unit_residue())
+            lxy = LaurentElem(tw, E2, lxe + lye, (fld.mul(lxr, lyr),))
+            if compact_torus_conditions(fld, self.variant, disc_ords, res, (lxy, product), z):
+                return cand, lyr, pos
         return "no sign bit matches the discrepancy"
 
     def _analyze_matrix(self, g: GroupElem) -> tuple[WeylElem, Decomposition, int]:
@@ -464,7 +455,10 @@ class HeckeContext:
         its value at its scale times S(source)."""
         self.require_window(w1)
         self.require_window(w2)
-        fam = TransversalFamily(self, self.lift_inverse(w1), self.base_family(w1, True), g)
+        right = monomial_terms(g)
+        if right is None:
+            raise ValueError("convolve_at needs an exact monomial g, one exact term per entry")
+        fam = TransversalFamily(self, self.lift_terms(w1, inverse=True), self.base_family(w1, True), right)
         total = COEFF_ZERO
         for first, sums in self._left_patterns(w1):
             label, in_iwahori, src, scale, _ = fam.pattern(first)
@@ -478,7 +472,7 @@ class HeckeContext:
         valuation pattern of the family lift(w1) * r * lift(w2)."""
         self.require_window(w1)
         self.require_window(w2)
-        fam = TransversalFamily(self, self.lift(w1), self.base_family(w2), self.lift(w2))
+        fam = TransversalFamily(self, self.lift_terms(w1), self.base_family(w2), self.lift_terms(w2))
         return frozenset(fam.pattern(members[0])[0] for members in fam.base.patterns)
 
     # -- the length-zero verification ---------------------------------------------------
@@ -640,7 +634,7 @@ class BaseFamily:
 
 class TransversalFamily:
     """The elements left * r(p) * right over a base family r(p), for
-    monomial frames left and right with one exact term per entry.
+    exact monomial frames left and right given as terms (`groupmodel`).
 
     With l_i and m_i the row-i entries of left and right, and a, b = 1 for
     an antidiagonal left, right frame (0 for a diagonal one), entry (i, j)
@@ -652,18 +646,14 @@ class TransversalFamily:
     arithmetic per point, and everything but two residues is memoised per
     valuation pattern of the base's four entries.
 
-    `base` is a memoised `BaseFamily` (``HeckeContext.base_family``).  A
-    frame that is not such a monomial raises ValueError.
+    `base` is a memoised `BaseFamily` (``HeckeContext.base_family``).
     """
 
-    def __init__(self, ctx: HeckeContext, left: GroupElem, base: BaseFamily, right: GroupElem):
+    def __init__(self, ctx: HeckeContext, left: tuple, base: BaseFamily, right: tuple):
         self.ctx = ctx
         self.base = base
-        left, right = monomial_of(left), monomial_of(right)
-        if left is None or right is None:
-            raise ValueError("a family frame must be a monomial with one exact term per entry")
-        lt, rt = left.terms(), right.terms()
-        a, b = left.kind == "anti", right.kind == "anti"
+        (left_kind, lt), (right_kind, rt) = left, right
+        a, b = left_kind == "anti", right_kind == "anti"
         tw = ctx.tower
         fld = tw.field
         # entry k = 2i + j reads base entry 2 (i ^ a) + (j ^ b)
@@ -676,7 +666,7 @@ class TransversalFamily:
                 self.scale.append(fld.mul(c1, c2))
         # det and the E4 part are the frames' (the base's are 1), each one term:
         # those of the monomial left * right, whose det is first * second, negated if anti
-        kind, ((r1, e1), (r2, e2), (r4, e4)) = term_product(fld, (left.kind, lt), (right.kind, rt))
+        kind, ((r1, e1), (r2, e2), (r4, e4)) = term_product(fld, left, right)
         det_res = fld.mul(r1, r2)
         self.det_ord, self.det_res = e1 + e2, det_res if kind == "diag" else fld.neg(det_res)
         self.g4 = LaurentElem(tw, E4, e4, (r4,))
@@ -886,9 +876,8 @@ def cocycle_certificate(ctx: HeckeContext) -> CocycleCertificate:
     """Check (a) and (b) of `CocycleCertificate` on the (residue, exponent)
     terms of the letter lifts and on residues, with no Laurent arithmetic."""
     fld, variant = ctx.tower.field, ctx.variant
-    lets = letters(ctx.tower)
-    terms = {name: (m.kind, m.terms()) for name, m in lets.items()}
-    inverse = {name: (m.kind, m.inverse().terms()) for name, m in lets.items()}
+    terms = letters(ctx.tower)
+    inverse = {name: term_inverse(fld, m) for name, m in terms.items()}
 
     def product(*factors):
         out = factors[0]
@@ -909,8 +898,8 @@ def cocycle_certificate(ctx: HeckeContext) -> CocycleCertificate:
     # a witness with three distinct residues shows each letter's permutation
     x, y, z = ((fld.pow(fld.zeta, k), 0) for k in (1, 2, 3))
     normalizes = all(
-        product(terms[n], ("diag", (x, y, z)), inverse[n]) == ("diag", (y, x, z) if m.kind == "anti" else (x, y, z))
-        for n, m in lets.items()
+        product(m, ("diag", (x, y, z)), inverse[n]) == ("diag", (y, x, z) if m[0] == "anti" else (x, y, z))
+        for n, m in terms.items()
     )
     invariant = all(
         rho_residues(fld, rx, ry, rz) == rho_residues(fld, ry, rx, rz)

@@ -42,9 +42,9 @@ if TYPE_CHECKING:
 # 3.11: the loop is 15% faster at 8 pairs, the packed product 10-30%
 # faster from 20 pairs and about 2x at 48).
 CONVOLVE_CUTOVER = 16
-# Above this many terms a series inverse over F_p is cheaper by Newton
-# iteration on packed products than by the term-by-term recurrence (the two
-# cross near 20 terms at N = 40).
+# Above this many terms a series inverse is cheaper by Newton iteration on
+# packed products than by the term-by-term recurrence (the two cross near 20
+# terms at N = 40 over F_p, near 12 over F_{p^2}).
 NEWTON_CUTOVER = 16
 
 
@@ -374,22 +374,20 @@ class ResidueField:
         """First n coefficients of 1 / (b0 + b1*T + ...); requires b[0] != 0.
 
         The recurrence of `series_quotient` costs O(n * len(b)) field
-        operations; over F_p an operand of more than NEWTON_CUTOVER terms
-        instead doubles the number of correct terms per step by Newton
-        iteration on packed products (Brent and Zimmermann, Modern Computer
-        Arithmetic, 4.2).
+        operations; an operand of more than NEWTON_CUTOVER terms instead
+        doubles the number of correct terms per step by Newton iteration on
+        `mul_trunc` (Brent and Zimmermann, Modern Computer Arithmetic, 4.2).
         """
         coeffs = self._unit_series(b, n)
-        if self.f != 1 or len(coeffs) <= NEWTON_CUTOVER:
+        if len(coeffs) <= NEWTON_CUTOVER:
             return self._recurrence((1,), coeffs, n)
-        p = self.p
         x = [self.inv(coeffs[0])]
         k = 1
         while k < n:
             k2 = min(2 * k, n)
             # b * x = 1 + T**k * d mod T**k2, so x - T**k * x * d inverts b mod T**k2
-            d = [v % p for v in _packed_product(coeffs[:k2], x, p - 1)[k:k2]]
-            x += [-v % p for v in _packed_product(x, d, p - 1)[: k2 - k]]
+            d = self.mul_trunc(coeffs[:k2], x, k2)[k:]
+            x += map(self.neg, self.mul_trunc(x, d, k2 - k))
             k = k2
         return x
 

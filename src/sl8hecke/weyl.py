@@ -7,17 +7,17 @@ sign bit for the order-two element eps.  The sign bit is meaningful only
 for the parahoric variant; in the stabiliser variant eps lifts into the
 compact torus and its class is trivial.
 
-`lift_monomial` sends a normal form to the canonical representative as an
-exact monomial (`groupmodel.Monomial`): the letter lifts in word order,
-times the z-lift to the zexp, times the eps-lift to the ebit, every product
-one F_q operation and one exponent sum per entry.  `lift` and
-`lift_inverse` are the matrices of the monomial lift and of its inverse;
-all four are memoised per tower.  `h_M0` reads the valuation triple
-(ord x, ord y, ord z) of a torus element; on the compact-quotient level it
-identifies the torus part of the group with the integer lattice
-{n1 + n2 + n3 = 0, n3 even}, which `lattice_check` verifies against the
-span of (1, 1, -2) and (1, -1, 0) via Hermite normal forms and against
-the norm-condition criterion by exact evaluation.
+`lift_terms` sends a normal form to the canonical representative, or to
+its inverse, as the terms of an exact monomial (see `groupmodel`): the
+letter lifts in word order, times the z-lift to the zexp, times the
+eps-lift to the ebit, every product one F_q operation and one exponent sum
+per entry.  `lift` and `lift_inverse` are the matrices of those terms.
+Each is memoised per tower, the terms once per direction.  `h_M0` reads
+the valuation triple (ord x, ord y, ord z) of a torus element; on the
+compact-quotient level it identifies the torus part of the group with the
+integer lattice {n1 + n2 + n3 = 0, n3 even}, which `lattice_check`
+verifies against the span of (1, 1, -2) and (1, -1, 0) via Hermite normal
+forms and against the norm-condition criterion by exact evaluation.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 from .groupmodel import (
     PARAHORIC,
+    IDENTITY_TERMS,
     GroupElem,
-    Monomial,
     TorusElem,
     commutator,
     elem_eps,
@@ -37,6 +37,9 @@ from .groupmodel import (
     identity,
     in_KM0,
     letters,
+    monomial_matrix,
+    term_inverse,
+    term_product,
 )
 from .residue import sgn
 from .tower import E2, E4, Tower
@@ -122,36 +125,34 @@ def translation_power(n: int) -> WeylElem:
     return WeylElem((SP, S) * (-n))
 
 
-def lift_monomial(tower: Tower, w: WeylElem) -> Monomial:
-    """Canonical representative as an exact monomial: the letter lifts in
-    word order, times z to the zexp, times eps to the ebit; memoised per tower."""
-    return _memo(tower, "weyl_lift_monomial", w, lambda: _letter_product(tower, w))
-
-
-def lift_monomial_inverse(tower: Tower, w: WeylElem) -> Monomial:
-    """Inverse of the canonical representative as an exact monomial; memoised."""
-    return _memo(tower, "weyl_lift_monomial_inv", w, lambda: lift_monomial(tower, w).inverse())
+def lift_terms(tower: Tower, w: WeylElem, inverse: bool = False) -> tuple[str, tuple]:
+    """The canonical representative, or its inverse, as the terms of an exact
+    monomial: the letter lifts in word order, times z to the zexp, times eps
+    to the ebit; memoised per tower and direction."""
+    if inverse:
+        return _memo(tower, "weyl_lift_terms_inv", w, lambda: term_inverse(tower.field, lift_terms(tower, w)))
+    return _memo(tower, "weyl_lift_terms", w, lambda: _letter_product(tower, w))
 
 
 def lift(tower: Tower, w: WeylElem) -> GroupElem:
-    """Canonical matrix representative, the matrix of the monomial lift; memoised."""
-    return _memo(tower, "weyl_lift", w, lambda: lift_monomial(tower, w).as_group())
+    """Canonical matrix representative, the matrix of `lift_terms`; memoised."""
+    return _memo(tower, "weyl_lift", w, lambda: monomial_matrix(tower, lift_terms(tower, w)))
 
 
 def lift_inverse(tower: Tower, w: WeylElem) -> GroupElem:
     """Memoised inverse of the canonical representative."""
-    return _memo(tower, "weyl_lift_inv", w, lambda: lift_monomial_inverse(tower, w).as_group())
+    return _memo(tower, "weyl_lift_inv", w, lambda: monomial_matrix(tower, lift_terms(tower, w, True)))
 
 
-def _letter_product(tower: Tower, w: WeylElem) -> Monomial:
-    let = letters(tower)
-    got = Monomial.identity(tower)
+def _letter_product(tower: Tower, w: WeylElem) -> tuple[str, tuple]:
+    fld, let = tower.field, letters(tower)
+    got = IDENTITY_TERMS
     for letter in w.word:
-        got = got * let[letter]
-    z = let["z"] if w.zexp >= 0 else let["z"].inverse()
+        got = term_product(fld, got, let[letter])
+    z = let["z"] if w.zexp >= 0 else term_inverse(fld, let["z"])
     for _ in range(abs(w.zexp)):
-        got = got * z
-    return got * let["eps"] if w.ebit else got
+        got = term_product(fld, got, z)
+    return term_product(fld, got, let["eps"]) if w.ebit else got
 
 
 def _memo(tower: Tower, name: str, w: WeylElem, make):

@@ -17,9 +17,13 @@ from sl8hecke.groupmodel import (
     in_KM0,
     iwahori_decompose,
     lower_l,
+    monomial_matrix,
+    monomial_terms,
     random_K0,
     rho0,
     rho_M0,
+    term_inverse,
+    term_product,
     torus,
     upper_u,
 )
@@ -29,7 +33,6 @@ from sl8hecke.hecke import (
     HeckeContext,
     TransversalFamily,
     WindowExceeded,
-    multiplicative_family_search,
     nontriviality_certificate,
     perturbed_table,
     sz_perturbed_table,
@@ -495,11 +498,11 @@ def test_families_match_the_matrix_path(q, variant, request):
     for w1 in window:
         for w2 in window:
             kinds = (
-                (ctx.lift(w1), ctx.base_family(w2), ctx.lift(w2), [ctx.lift(w1) * m for m in right[w2]]),
-                (ctx.lift_inverse(w1), ctx.base_family(w1, True), ctx.lift(w2), [m * ctx.lift(w2) for m in left[w1]]),
+                (ctx.lift_terms(w1), ctx.base_family(w2), [ctx.lift(w1) * m for m in right[w2]]),
+                (ctx.lift_terms(w1, True), ctx.base_family(w1, True), [m * ctx.lift(w2) for m in left[w1]]),
             )
-            for fam_left, base, fam_right, matrices in kinds:
-                fam = TransversalFamily(ctx, fam_left, base, fam_right)
+            for fam_left, base, matrices in kinds:
+                fam = TransversalFamily(ctx, fam_left, base, ctx.lift_terms(w2))
                 assert len(fam) == len(matrices)
                 for i, g in enumerate(matrices):
                     assert _outcome(lambda: by_family(fam, i)) == _outcome(lambda: by_matrix(g))
@@ -515,7 +518,7 @@ def test_pattern_sums_match_the_point_sums(q, variant, request):
     for w1 in window:
         left = [ctx.phi(w1, r * ctx.lift(w1)) for r in ctx.coset_reps(w1)]
         for v in window:
-            fam = TransversalFamily(ctx, ctx.lift_inverse(w1), ctx.base_family(w1, True), ctx.lift(v))
+            fam = TransversalFamily(ctx, ctx.lift_terms(w1, True), ctx.base_family(w1, True), ctx.lift_terms(v))
 
             def by_points(w2):
                 total = COEFF_ZERO
@@ -528,7 +531,7 @@ def test_pattern_sums_match_the_point_sums(q, variant, request):
                 got = _outcome(lambda: ctx.convolve_at(w1, w2, ctx.lift(v)))
                 assert got == _outcome(lambda: by_points(w2))
         for w2 in window:
-            fam = TransversalFamily(ctx, ctx.lift(w1), ctx.base_family(w2), ctx.lift(w2))
+            fam = TransversalFamily(ctx, ctx.lift_terms(w1), ctx.base_family(w2), ctx.lift_terms(w2))
             expected = _outcome(lambda: frozenset(fam.analyze(i)[0] for i in range(len(fam))))
             assert _outcome(lambda: ctx.double_coset_product(w1, w2)) == expected
 
@@ -546,11 +549,11 @@ def test_memoised_labels_match_the_uncached_analysis(q, variant, request):
     for w1 in window:
         for w2 in window:
             for left, base in (
-                (ctx.lift(w1), ctx.base_family(w2)),
-                (ctx.lift_inverse(w1), ctx.base_family(w1, True)),
+                (ctx.lift_terms(w1), ctx.base_family(w2)),
+                (ctx.lift_terms(w1, True), ctx.base_family(w1, True)),
             ):
-                memoised = TransversalFamily(ctx, left, base, ctx.lift(w2))
-                uncached = TransversalFamily(fresh, left, base, ctx.lift(w2))
+                memoised = TransversalFamily(ctx, left, base, ctx.lift_terms(w2))
+                uncached = TransversalFamily(fresh, left, base, ctx.lift_terms(w2))
                 for ords, residues in zip(base.ords, base.residues):
                     assert memoised._pattern(ords, residues) == uncached._pattern(ords, residues)
     assert ctx._labels and not fresh._labels
@@ -599,7 +602,7 @@ def test_left_values_match_the_point_values(q, max_word, variant, request):
     for w in ctx.window(max_word, 1):
         if max_word == 3 and len(w.word) != 3:
             continue
-        fam = TransversalFamily(ctx, identity(tw), ctx.base_family(w), ctx.lift(w))
+        fam = TransversalFamily(ctx, monomial_terms(identity(tw)), ctx.base_family(w), ctx.lift_terms(w))
         got = _outcome(lambda: [ctx.phi(w, r * ctx.lift(w)) for r in ctx.coset_reps(w)])
         assert got == _outcome(lambda: [fam.phi(w, i) for i in range(len(fam))])
         assert got == [COEFF_ONE] * len(fam)
@@ -751,11 +754,13 @@ def test_omega_multiplies_no_frames_and_builds_one_base_per_transversal(monkeypa
 
 
 def test_family_frames_must_be_exact_monomials(tower5):
+    # a family frame is the terms of an exact monomial: neither matrix has them,
+    # and convolve_at, which frames its family with g, refuses both
     ctx = HeckeContext(tower5, STABILIZER)
-    with pytest.raises(ValueError):
-        TransversalFamily(ctx, upper_u(tower5, 1), ctx.base_family(W_S), ctx.lift(W_S))
-    with pytest.raises(ValueError):
-        TransversalFamily(ctx, identity(tower5), ctx.base_family(W_S), random_K0(tower5, STABILIZER, random.Random(3)))
+    for g in (upper_u(tower5, 1), random_K0(tower5, STABILIZER, random.Random(3))):
+        assert monomial_terms(g) is None
+        with pytest.raises(ValueError):
+            ctx.convolve_at(W_S, W_S, g)
 
 
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
@@ -798,17 +803,21 @@ def _mu_by_matrices(ctx, u, v):
 @pytest.mark.parametrize("q", [5, 9, 13])
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
 def test_monomial_lifts_and_canonical_mu_match_the_matrix_path(q, variant, request):
-    # every pair of the default window: monomial products and inverses against
+    # every pair of the default window: term products and inverses against
     # 2x2 Laurent matrix arithmetic, and mu against the discrepancy's matrix product
     ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
-    table = CocycleTable(ctx)
+    tw, table = ctx.tower, CocycleTable(ctx)
+    fld = tw.field
     window = ctx.window()
     for w in window + sorted({u * v for u in window for v in window}, key=WeylElem.sort_key):
-        assert ctx.lift(w) == _lift_by_matrices(ctx.tower, w)
-        assert ctx.lift_monomial_inverse(w).as_group() == ctx.lift(w).inverse() == ctx.lift_inverse(w)
+        assert ctx.lift(w) == monomial_matrix(tw, ctx.lift_terms(w)) == _lift_by_matrices(tw, w)
+        inverse = ctx.lift_terms(w, inverse=True)
+        assert inverse == term_inverse(fld, ctx.lift_terms(w))
+        assert monomial_matrix(tw, inverse) == ctx.lift(w).inverse() == ctx.lift_inverse(w)
     for u in window:
         for v in window:
-            assert (ctx.lift_monomial(u) * ctx.lift_monomial(v)).as_group() == ctx.lift(u) * ctx.lift(v)
+            product = term_product(fld, ctx.lift_terms(u), ctx.lift_terms(v))
+            assert monomial_matrix(tw, product) == ctx.lift(u) * ctx.lift(v)
             assert _outcome(lambda: table.mu(u, v)) == _outcome(lambda: _mu_by_matrices(ctx, u, v))
 
 
@@ -964,12 +973,6 @@ def test_certificate(ctx_stab, ctx_par):
         assert cert.pair == (W_S, W_Z)
         assert cert.value == UNIT_MINUS_ONE
         assert cert.extension_obstructed
-
-
-def test_no_multiplicative_family(ctx_stab, ctx_par):
-    for ctx in (ctx_stab, ctx_par):
-        rng = random.Random(161803)
-        assert multiplicative_family_search(ctx, rng, trials=40) == 0
 
 
 def test_full_stack_over_quadratic_extension_field():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from sl8hecke.residue import (
     COEFF_ZERO,
+    NEWTON_CUTOVER,
     DomainError,
     HeckeCoeff,
     UNIT_I,
@@ -296,18 +297,21 @@ def test_graeffe_matches_the_conjugate_product(q):
             assert f.graeffe(a, n) == full[::2][:n], (size, n)
 
 
-@pytest.mark.parametrize("q", [5, 13, 53])
+@pytest.mark.parametrize("q", ADMISSIBLE_Q + [37, 41, 49, 53])
 def test_packed_newton_matches_the_recurrence_past_one_window(q):
-    # n past 40 makes Newton steps whose correction d is shorter than the
-    # step, for supports just past the cut-over; all-(p - 1) operands too
+    # one Newton loop for every f, the F_{p^2} fields included; n past 40
+    # makes Newton steps whose correction d is shorter than the step, for
+    # supports just past the cut-over; all-(q - 1) operands too, the largest
+    # packed slot values
     f = make_field(q)
     rng = random.Random(q)
-    for n in (64, 97):
-        for supp in (17, 18, 33, n):
+    for n in (64, 97, 40):
+        for supp in (NEWTON_CUTOVER + 1, NEWTON_CUTOVER + 2, 33, n):
             b = [rng.randrange(q) for _ in range(supp)]
             b[0] = rng.randrange(1, q)
             for divisor in (b, [q - 1] * supp):
-                assert f.series_inverse(divisor, n) == recurrence_inverse(f, divisor, n)
+                got = f.series_inverse(divisor, n)
+                assert got == recurrence_inverse(f, divisor, n) == f._recurrence((1,), divisor, n)
 
 
 @pytest.mark.parametrize("q", ADMISSIBLE_Q + [37, 41, 49, 53])

@@ -20,6 +20,7 @@ from sl8hecke.groupmodel import (
     STABILIZER,
     in_KM0,
     letters,
+    monomial_matrix,
     random_K0,
     random_KM0,
     rho0,
@@ -36,7 +37,7 @@ def _in_compact_torus(g, variant) -> bool:
 
 
 def _letter_lifts(ctx):
-    return [m.as_group() for m in letters(ctx.tower).values()]
+    return [monomial_matrix(ctx.tower, m) for m in letters(ctx.tower).values()]
 
 
 def rho0_homomorphism(ctx, rng) -> bool:
