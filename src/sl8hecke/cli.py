@@ -478,7 +478,7 @@ CHECKS = (
         "beta(s, eps)", lambda s, v: (UNIT_ONE, s.tables[v].beta(W_S, W_EPS)), (PARAHORIC,)),
     Row("convolution.transversal_sizes", "hecke", "both reflection transversals have exactly q cosets",
         "coset enumeration", lambda s, v: (f"({s.field.q}, {s.field.q})", str((
-            len(s.contexts[v].coset_reps(W_S)), len(s.contexts[v].coset_reps(W_SP))))), BOTH),
+            len(s.contexts[v].base_family(W_S)), len(s.contexts[v].base_family(W_SP))))), BOTH),
     Row("convolution.vanishing_finite", "hecke",
         "the self-convolution of the reflection basis function vanishes at its lift",
         "{q}-term sum", lambda s, v: ("0", _self_convolution(s, v, W_S, W_S)), BOTH),

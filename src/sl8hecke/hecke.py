@@ -9,13 +9,13 @@ length and central exponent).  The main computations:
     factors (Iwahori-Matsumoto), factor i the letter unipotent, u(x) for
     the finite reflection and l(pi2*x) for the affine one, x over residue
     representatives, conjugated by the lift of a_1 ... a_{i-1}: an
-    elementary unipotent whose coefficient is one exact term.  The members
-    and their inverses are read off the product's multilinear forms over
-    F_q, with no matrix product.  Every transversal is validated
-    exhaustively: each representative r gets ``coset_key(r * lift(w))``, a
-    right-K-invariant key (Hermite data of two Iwahori-stable lattices and
-    ord of the E4 part), and only representatives sharing a key get the
-    exact pair test.
+    elementary unipotent whose coefficient is one exact term.  It is held
+    as the product's multilinear forms over F_q (``base_family``), and is
+    validated exhaustively from them: entry valuations show each member r
+    in K, and r gets ``coset_key(r * lift(w))``, read from r's own entries,
+    a right-K-invariant key (Hermite data of two Iwahori-stable lattices
+    and ord of the E4 part).  Only members sharing a key get the exact pair
+    test on their matrices, which are read off the forms on request.
 
   * ``classify(g)``: the double-coset label of g, obtained by the pivot
     step of the Iwahori factorisation on g's invariants (entry valuations
@@ -31,8 +31,8 @@ length and central exponent).  The main computations:
     in p, composed from the factors (the inverses' from the factors in
     reverse order at -p), and each entry's digits are evaluated over F_q at
     every point; the members are grouped by the valuation pattern of their
-    four entries (a handful per family).  The context builds both with the
-    transversal and memoises them per word and direction (``base_family``).
+    four entries (a handful per family).  The context builds, validates and
+    memoises both per word and direction (``base_family``).
 
   * :class:`TransversalFamily`: left * r(p) * right over a base family, for
     exact monomial frames left and right given as terms (canonical lifts,
@@ -87,6 +87,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groupmodel import (
     PARAHORIC,
@@ -156,24 +157,24 @@ def coset_key(h: GroupElem) -> tuple:
     ord(det) - e1, and y the quotient bottom / top of a column attaining e1,
     determined modulo pi^(beta - e1).
     """
-    det_ord = h.det2().lead
-    return (
-        h.g4.lead,
-        _hermite_data((h.a, h.c), (h.b, h.d), 0, det_ord),
-        _hermite_data((h.a, h.c), (h.b, h.d), 1, det_ord),
-    )
+    return _coset_key(((h.a, h.c), (h.b, h.d)), (0, 0), h.det2().lead, h.g4.lead)
 
 
-def _hermite_data(col1, col2, shift: int, det_ord: int) -> tuple:
-    # (e1, beta, y mod pi^(beta - e1)) of the span of col1 and pi^shift * col2;
-    # scaling a column leaves its quotient as it is
-    (top1, bottom1), (top2, bottom2) = col1, col2
-    if top2.is_zero or (not top1.is_zero and top1.lead <= top2.lead + shift):
-        top, bottom, e1 = top1, bottom1, top1.lead
-    else:
-        top, bottom, e1 = top2, bottom2, top2.lead + shift
-    beta = det_ord + shift - e1
-    return e1, beta, _quotient_digits(bottom, top, beta - e1)
+def _coset_key(cols, shifts, det_ord: int, g4_ord: int) -> tuple:
+    """`coset_key` of the matrix whose column j is cols[j], (top, bottom),
+    times a term of exponent shifts[j], given ord of its det and E4 part."""
+    ((top1, bottom1), (top2, bottom2)), (s1, s2) = cols, shifts
+    key = [g4_ord]
+    for shift in (0, 1):
+        # (e1, beta, y mod pi^(beta - e1)) of the span of column 1 and pi^shift *
+        # column 2; scaling a column leaves its quotient as it is
+        if top2.is_zero or (not top1.is_zero and top1.lead + s1 <= top2.lead + s2 + shift):
+            top, bottom, e1 = top1, bottom1, top1.lead + s1
+        else:
+            top, bottom, e1 = top2, bottom2, top2.lead + s2 + shift
+        beta = det_ord + shift - e1
+        key.append((e1, beta, _quotient_digits(bottom, top, beta - e1)))
+    return tuple(key)
 
 
 def _quotient_digits(num: LaurentElem, den: LaurentElem, bound: int) -> tuple:
@@ -222,7 +223,6 @@ class HeckeContext:
         self.variant = variant
         self.window_words = window_words
         self.window_z = window_z
-        self._reps: dict[tuple[str, ...], list[tuple[GroupElem, GroupElem]]] = {}
         self._bases: dict[tuple[tuple[str, ...], bool], BaseFamily] = {}
         self._conv_patterns: dict[tuple[str, ...], list[tuple[int, dict[int, HeckeCoeff]]]] = {}
         self._labels: dict[tuple, tuple | str] = {}
@@ -252,33 +252,28 @@ class HeckeContext:
     # -- transversals ----------------------------------------------------------
 
     def coset_reps(self, w: WeylElem) -> list[GroupElem]:
-        return [r for r, _ in self.coset_reps_with_inverses(w)]
+        return list(self.base_family(w).members)
 
     def coset_reps_with_inverses(self, w: WeylElem) -> list[tuple[GroupElem, GroupElem]]:
-        """Transversal of K/(K cap wKw^-1), each member with its inverse;
-        depends only on the word part.
+        return list(zip(self.base_family(w).members, self.base_family(w, True).members))
+
+    def base_family(self, w: WeylElem, inverse: bool = False) -> "BaseFamily":
+        """The transversal of K/(K cap wKw^-1) (its members, or their inverses
+        when `inverse`); it depends only on the word part.
 
         For the reduced word a_1 ... a_L, member i is r(p) = X_1(p_1) ... X_L(p_L)
         with p the base-q digits of i, p_1 the most significant, and its
-        inverse is X_L(-p_L) ... X_1(-p_1) (`_factors`).  Both families are
-        built from their forms and memoised beside the members (`base_family`)."""
+        inverse is X_L(-p_L) ... X_1(-p_1) (`_factors`).  Both directions are
+        built from their forms, validated, and memoised on the word."""
         self.require_window(w)
         key = w.word
-        got = self._reps.get(key)
-        if got is not None:
-            return got
-        tw = self.tower
-        fld, factors = tw.field, self._factors(key)
-        inverse = [(i, lower, fld.neg(c), e) for i, lower, c, e in reversed(factors)]
-        bases = [BaseFamily(tw, len(key), _product_forms(fld, len(key), f)) for f in (factors, inverse)]
-        # phi_w(r * lift(w)) = rho0(r) = eta(N(d)) for r in K: 1 when d = 1 mod pi2
-        if any(ords[3] != 0 or res[3] != 1 for ords, res in zip(bases[0].ords, bases[0].residues)):
-            raise TransversalError(f"a member of the transversal of {w} has d-entry residue other than 1")
-        got = list(zip(bases[0].members, bases[1].members))
-        self._validate_transversal(w, got)
-        self._bases[(key, False)], self._bases[(key, True)] = bases
-        self._reps[key] = got
-        return got
+        if (key, inverse) not in self._bases:
+            tw, factors = self.tower, self._factors(key)
+            directions = (factors, [(i, lower, tw.field.neg(c), e) for i, lower, c, e in reversed(factors)])
+            bases = [BaseFamily(tw, len(key), _product_forms(tw.field, len(key), f)) for f in directions]
+            self._validate_transversal(w, *bases)
+            self._bases[(key, False)], self._bases[(key, True)] = bases
+        return self._bases[(key, inverse)]
 
     def _factors(self, word: tuple[str, ...]) -> list[tuple[int, bool, int, int]]:
         """The root-subgroup factors X_i(p_i) = P Y_{a_i}(p_i) P^-1 of the
@@ -297,34 +292,39 @@ class HeckeContext:
             out.append((i, lower, fld.mul(rn, fld.inv(rd)), en - ed + (letter != S)))
         return out
 
-    def base_family(self, w: WeylElem, inverse: bool = False) -> "BaseFamily":
-        """The family of the transversal of w (its members, or their inverses
-        when `inverse`), memoised on the word and the direction."""
-        self.coset_reps_with_inverses(w)
-        return self._bases[(w.word, inverse)]
+    def _validate_transversal(self, w: WeylElem, base: "BaseFamily", inverse: "BaseFamily") -> None:
+        """Every member r of `base` (`inverse` holds their inverses) must lie
+        in K with d-entry residue 1, and distinct members in distinct cosets
+        of K cap wKw^-1, checked exhaustively.
 
-    def _validate_transversal(self, w: WeylElem, reps) -> None:
-        """Every representative (r, r^-1) must lie in K and distinct ones in
-        distinct cosets of K cap wKw^-1, checked exhaustively.
+        Every member is a product of elementary unipotents, so its det and E4
+        part are 1, and it lies in K (either variant) iff a and d are units,
+        b is integral and c lies in the maximal ideal, read from `base.ords`.
+        With d = 1 mod pi2, phi_w(r * lift(w)) = rho0(r) = eta(N(d)) = 1.
 
         r * k with k in K cap wKw^-1 gives (r * k) * lift(w) =
         (r * lift(w)) * (lift(w)^-1 k lift(w)), a right K-multiple, so the
         right-K-invariant `coset_key` of r * lift(w) is constant on a coset:
-        distinct keys prove distinct cosets, and only representatives sharing
-        a key get the exact pair test."""
+        distinct keys prove distinct cosets, and only members sharing a key
+        get the exact pair test.  Column j of r * lift(w) is a column of r,
+        swapped when lift(w) is antidiagonal, times one term of lift(w): the
+        key is read from r's entries."""
         word = WeylElem(w.word)
-        w_lift, w_lift_inv = self.lift(word), self.lift_inverse(word)
-        for r, _ in reps:
-            if not in_K0(r, self.variant):
-                raise TransversalError(f"non-member representative for {w}")
-        hs = [r * w_lift for r, _ in reps]
+        kind, ((_, e1), (_, e2), (_, e4)) = self.lift_terms(word)
+        cols, shifts = (((0, 2), (1, 3)), (e1, e2)) if kind == "diag" else (((1, 3), (0, 2)), (e2, e1))
         buckets: dict[tuple, list[int]] = {}
-        for j, h in enumerate(hs):
-            buckets.setdefault(coset_key(h), []).append(j)
+        for i, ((na, nb, nc, nd), res) in enumerate(zip(base.ords, base.residues)):
+            if na != 0 or nd != 0 or nb < 0 or nc < 1:
+                raise TransversalError(f"non-member representative for {w}")
+            if res[3] != 1:
+                raise TransversalError(f"a member of the transversal of {w} has d-entry residue other than 1")
+            key = _coset_key([(base.entry(i, t), base.entry(i, b)) for t, b in cols], shifts, e1 + e2, e4)
+            buckets.setdefault(key, []).append(i)
         for bucket in buckets.values():
             for k, i in enumerate(bucket):
                 for j in bucket[k + 1 :]:
-                    if self._same_coset(w_lift_inv, reps[i][1], reps[j][0], hs[j]):
+                    r_j = base.members[j]
+                    if self._same_coset(self.lift_inverse(word), inverse.members[i], r_j, r_j * self.lift(word)):
                         raise TransversalError(f"duplicate coset in transversal of {w}")
 
     def _same_coset(self, w_lift_inv: GroupElem, r_i_inv: GroupElem, r_j: GroupElem, h_j: GroupElem) -> bool:
@@ -450,7 +450,7 @@ class HeckeContext:
         """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer, at an exact
         monomial g (one exact term per entry, as at every canonical lift); any
         other g raises ValueError.  The left value phi_{w1}(r * lift(w1)) is 1
-        at every member r (`coset_reps_with_inverses` checks its d-residue),
+        at every member r (`base_family` checks its d-residue),
         so each valuation pattern of the family lift(w1)^-1 * r^-1 * g adds
         its value at its scale times S(source)."""
         self.require_window(w1)
@@ -582,10 +582,10 @@ class BaseFamily:
     det and the E4 part are 1.  `forms` gives them as `_product_forms` does,
     and each level is evaluated over F_q at every point.  Each entry's
     valuation (math.inf for zero) and leading residue is its lowest nonzero
-    level, and `members` holds the matrices, each entry built from its digits
-    with no Laurent arithmetic.  `patterns` lists the member indices of each
-    distinct valuation pattern of the four entries, the patterns in order of
-    first occurrence.
+    level, and `members` holds the matrices, built on first read, each entry
+    from its digits (`entry`) with no Laurent arithmetic.  `patterns` lists
+    the member indices of each distinct valuation pattern of the four
+    entries, the patterns in order of first occurrence.
     """
 
     def __init__(self, tower: Tower, length: int, forms):
@@ -599,7 +599,10 @@ class BaseFamily:
         for i, ords in enumerate(self.ords):
             patterns.setdefault(ords, []).append(i)
         self.patterns = list(patterns.values())
-        self.members = self._matrices(tower, levels, n)
+        self.tower = tower
+        # per entry: its lowest exponent and one row of digits per exponent from there up
+        spans = [range(min(e), max(e) + 1) if e else range(0) for e in levels]
+        self._rows = [(span.start, [e.get(k, [0] * n) for k in span]) for e, span in zip(levels, spans)]
 
     def __len__(self) -> int:
         return len(self.ords)
@@ -618,18 +621,15 @@ class BaseFamily:
                 break
         return ords, residues
 
-    @staticmethod
-    def _matrices(tower: Tower, levels, n: int) -> list[GroupElem]:
-        entries = []
-        for entry in levels:
-            if not entry:
-                entries.append([tower.zero(E2)] * n)
-                continue
-            lo, hi = min(entry), max(entry)
-            rows = [entry.get(k) or [0] * n for k in range(lo, hi + 1)]
-            entries.append([tower.from_coeffs(E2, lo, digits) for digits in zip(*rows)])
-        one4 = tower.one(E4)
-        return [GroupElem(a, b, c, d, one4) for a, b, c, d in zip(*entries)]
+    def entry(self, i: int, k: int) -> LaurentElem:
+        """Entry k (of a, b, c, d) of member i, with `Tower.from_coeffs`'s window."""
+        lo, rows = self._rows[k]
+        return self.tower.from_coeffs(E2, lo, [row[i] for row in rows])
+
+    @cached_property
+    def members(self) -> list[GroupElem]:
+        one4 = self.tower.one(E4)
+        return [GroupElem(*(self.entry(i, k) for k in range(4)), one4) for i in range(len(self))]
 
 
 class TransversalFamily:

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import math
 import random
 from functools import partial
 
@@ -85,14 +87,33 @@ def test_coset_reps_longer_word(ctx_stab):
     assert len(reps) == ctx_stab.tower.q ** 3
 
 
+def _planted(ctx, w, j, r, r_inv):
+    """Copies of the families of w's transversal, its members and their
+    inverses, with r and r_inv planted as member j: its valuations, leading
+    residues, entries and matrix."""
+    out = []
+    for inverse, g in ((False, r), (True, r_inv)):
+        base = copy.copy(ctx.base_family(w, inverse))
+        entries = (g.a, g.b, g.c, g.d)
+        base.ords, base.residues, base.members = list(base.ords), list(base.residues), list(base.members)
+        base.ords[j] = tuple(math.inf if x.is_zero else x.lead for x in entries)
+        base.residues[j] = tuple(0 if x.is_zero else x.unit_residue() for x in entries)
+        base.members[j] = g
+        base.entry = lambda i, k, entry=base.entry, entries=entries: entries[k] if i == j else entry(i, k)
+        out.append(base)
+    return out
+
+
 def test_duplicate_transversal_is_rejected(ctx_stab):
+    # member 2 of the transversal of s is u(2); planted again as member 3
     from sl8hecke.hecke import TransversalError
 
     tw = ctx_stab.tower
     u2 = upper_u(tw, 2)
-    doctored = [(u2, upper_u(tw, tw.field.neg(2)))] * 2
-    with pytest.raises(TransversalError):
-        ctx_stab._validate_transversal(W_S, doctored)
+    assert ctx_stab.coset_reps(W_S)[2] == u2
+    doctored = _planted(ctx_stab, W_S, 3, u2, upper_u(tw, tw.field.neg(2)))
+    with pytest.raises(TransversalError, match="duplicate"):
+        ctx_stab._validate_transversal(W_S, *doctored)
 
 
 def test_non_member_representative_is_rejected(ctx_stab):
@@ -100,8 +121,8 @@ def test_non_member_representative_is_rejected(ctx_stab):
     from sl8hecke.hecke import TransversalError
 
     z = elem_z(ctx_stab.tower)
-    with pytest.raises(TransversalError):
-        ctx_stab._validate_transversal(W_S, [(z, z.inverse())])
+    with pytest.raises(TransversalError, match="non-member"):
+        ctx_stab._validate_transversal(W_S, *_planted(ctx_stab, W_S, 0, z, z.inverse()))
 
 
 def _shared_coset_pairs(ctx, w, reps):
@@ -119,19 +140,17 @@ def _shared_coset_pairs(ctx, w, reps):
     ]
 
 
-def _stabilised(ctx, w, reps, i, j):
-    """reps with member j replaced by r_i * k, k = diag(c, 1/c) * u(pi2^4)
-    a non-identity element of K cap wKw^-1 (checked)."""
+def _stabilised(ctx, w, i, j):
+    """The families of w's transversal with member j replaced by r_i * k,
+    k = u(pi2^4) a non-identity element of K cap wKw^-1 (checked); k keeps
+    the d-entry residue, so only the pair test can reject the copy."""
     tw = ctx.tower
-    c = tw.constant(E2, tw.field.zeta)
-    k = torus(tw, c, c.inverse(), tw.one(E4)).to_group() * upper_u(tw, tw.uniformizer(E2) ** 4)
+    k = upper_u(tw, tw.uniformizer(E2) ** 4)
     word = WeylElem(w.word)
     assert in_K0(k, ctx.variant)
     assert in_K0(ctx.lift_inverse(word) * k * ctx.lift(word), ctx.variant)
-    r_i, r_i_inv = reps[i]
-    doctored = list(reps)
-    doctored[j] = (r_i * k, k.inverse() * r_i_inv)
-    return doctored
+    r_i, r_i_inv = ctx.coset_reps_with_inverses(w)[i]
+    return _planted(ctx, w, j, r_i * k, k.inverse() * r_i_inv)
 
 
 @pytest.mark.parametrize(
@@ -159,10 +178,11 @@ def test_keyed_validation_agrees_with_the_all_pairs_oracle(q, max_word, variant,
         assert len(set(keys)) == len(reps)
         assert _shared_coset_pairs(ctx, w, reps) == []
         if len(reps) > 1:
-            doctored = _stabilised(ctx, w, reps, 0, len(reps) - 1)
-            assert _shared_coset_pairs(ctx, w, doctored) == [(0, len(reps) - 1)]
-            with pytest.raises(TransversalError):
-                ctx._validate_transversal(w, doctored)
+            doctored = _stabilised(ctx, w, 0, len(reps) - 1)
+            pairs = list(zip(doctored[0].members, doctored[1].members))
+            assert _shared_coset_pairs(ctx, w, pairs) == [(0, len(reps) - 1)]
+            with pytest.raises(TransversalError, match="duplicate"):
+                ctx._validate_transversal(w, *doctored)
 
 
 @pytest.mark.parametrize("q", [5, 13])
@@ -189,9 +209,8 @@ def test_duplicate_coset_is_found_at_q17():
 
     ctx = HeckeContext(Tower(make_field(17), 40), STABILIZER)
     w = W_S * W_SP
-    doctored = _stabilised(ctx, w, ctx.coset_reps_with_inverses(w), 3, 250)
-    with pytest.raises(TransversalError):
-        ctx._validate_transversal(w, doctored)
+    with pytest.raises(TransversalError, match="duplicate"):
+        ctx._validate_transversal(w, *_stabilised(ctx, w, 3, 250))
 
 
 def test_quotient_digits_raise_beyond_an_inexact_window(tower5):
@@ -608,17 +627,31 @@ def test_left_values_match_the_point_values(q, max_word, variant, request):
         assert got == [COEFF_ONE] * len(fam)
 
 
-def test_transversals_multiply_only_for_validation(monkeypatch):
-    # members and inverses are read off the factor forms; the only matrix
-    # products are validation's r * lift(w), one per member: 1 + 13 + 13 +
-    # 169 + 169 over the words (), s, s', s s' and s' s
+def test_transversals_make_no_matrix_product(monkeypatch):
+    # members and inverses are read off the factor forms, and validation
+    # reads each member's key from its own entries, with no r * lift(w)
     from sl8hecke.groupmodel import GroupElem
 
     ctx = HeckeContext(Tower(make_field(13), 40), STABILIZER)
     products = _count_calls(monkeypatch, GroupElem, "__mul__")
     for w in ctx.window(2, 1):
         ctx.coset_reps(w)
-    assert len(products) == 365
+    assert len(products) == 0
+
+
+def test_omega_and_convolution_sections_make_no_matrix_product_or_membership_test(monkeypatch):
+    # the report's transversals are validated from their forms: no member is
+    # multiplied or tested for membership as a matrix
+    import sl8hecke.groupmodel as groupmodel
+    import sl8hecke.hecke as hecke
+    from sl8hecke.cli import Config, run_all
+
+    products = _count_calls(monkeypatch, groupmodel.GroupElem, "__mul__")
+    # hecke binds its own name for in_K0
+    memberships = [_count_calls(monkeypatch, module, "in_K0") for module in (groupmodel, hecke)]
+    report = run_all(Config(q=13), sections=("omega", "convolution"))
+    assert report.checks and all(check.status == "pass" for check in report.checks)
+    assert (len(products), sum(map(len, memberships))) == (0, 0)
 
 
 def _reps_by_letter_products(ctx, word):
@@ -652,14 +685,18 @@ def _reps_by_letter_products(ctx, word):
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
 def test_transversals_match_the_letter_products(q, max_word, variant, request):
     # every member and every inverse of the factor-form build equals the
-    # recursive letter product's, in the same order
+    # recursive letter product's, in the same order; and every member has
+    # det 1 and E4 part 1 and lies in K on the matrix path, which validation
+    # takes from the construction and the entry valuations
     ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    tw = ctx.tower
     for word in sorted({w.word for w in ctx.window(max_word, 1)}):
         got = ctx.coset_reps_with_inverses(WeylElem(word))
         expected = _reps_by_letter_products(ctx, word)
         assert len(got) == len(expected) == q ** len(word)
         for (r, r_inv), (e, e_inv) in zip(got, expected):
             assert r == e and r_inv == e_inv
+            assert r.det2() == tw.one(E2) and r.g4 == tw.one(E4) and in_K0(r, variant)
 
 
 def test_a_member_with_d_residue_other_than_one_is_rejected(tower5, monkeypatch):
