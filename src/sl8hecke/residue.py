@@ -11,16 +11,19 @@ floating point anywhere.
 
 Field elements are encoded as plain integers 0..q-1.  For q = p the
 encoding is the residue itself; for q = p**2 the integer a + p*b encodes
-a + b*x where x**2 equals a fixed non-square of F_p.  The Laurent-series
-layer keeps coefficients as tuples of encodings; the field supplies its
-sequence kernels: the truncated product ``mul_trunc`` (a schoolbook
-loop for short operands over F_p; long operands, and every product over
-F_{p^2}, are packed into Python integers and multiplied once, Kronecker
-substitution), ``series_inverse`` (a recurrence, or Newton iteration on
-packed products for long operands over F_p), the quotient recurrence
-``series_quotient`` and the root-squaring step ``graeffe`` that norms are
-built from.  None of them uses numpy; ``convolve`` is numpy's convolution,
-kept as the reference that the tests compare these kernels against.
+a + b*x where x**2 equals a fixed non-square of F_p.  Every scalar
+operation reads addition, multiplication, negation or inverse tables that
+the field builds once from the coordinate formula of that encoding, on one
+path for every q.  The Laurent-series layer keeps coefficients as tuples of
+encodings; the field supplies its sequence kernels: the truncated product
+``mul_trunc`` (a schoolbook loop for short operands over F_p; long
+operands, and every product over F_{p^2}, are packed into Python integers
+and multiplied once, Kronecker substitution), ``series_inverse`` (a
+recurrence, or Newton iteration on packed products for long operands), the
+quotient recurrence ``series_quotient`` and the root-squaring step
+``graeffe`` that norms are built from.  None of them uses numpy;
+``convolve`` is numpy's convolution, kept as the reference that the tests
+compare these kernels against.
 """
 
 from __future__ import annotations
@@ -42,9 +45,11 @@ if TYPE_CHECKING:
 # 3.11: the loop is 15% faster at 8 pairs, the packed product 10-30%
 # faster from 20 pairs and about 2x at 48).
 CONVOLVE_CUTOVER = 16
-# Above this many terms a series inverse is cheaper by Newton iteration on
-# packed products than by the term-by-term recurrence (the two cross near 20
-# terms at N = 40 over F_p, near 12 over F_{p^2}).
+# Above this many terms a series inverse runs Newton iteration on packed
+# products rather than the recurrence.  To N = 40 terms (timeit, best of 5,
+# 2-core host) Newton overtakes near 24-32 terms over F_p (q = 13: 60 against
+# 69 us at 32) but trails the table-driven recurrence to 32 over F_{p^2} (q = 25:
+# 189 against 70 us); no benchmark workload inverts a series, so one value serves.
 NEWTON_CUTOVER = 16
 
 
@@ -173,7 +178,8 @@ class ResidueField:
     """F_q with a canonical primitive root and full discrete-log table.
 
     Immutable after construction; all methods are pure and safe for
-    concurrent use.  Scalar elements are integer encodings; ``convolve``,
+    concurrent use.  Scalar elements are integer encodings in [0, q), and
+    the scalar operations read tables built at construction; ``convolve``,
     ``mul_trunc``, ``graeffe``, ``series_inverse`` and ``series_quotient``
     act on sequences of encodings.
     """
@@ -191,11 +197,24 @@ class ResidueField:
         self.q = q
         self.p = p
         self.f = f
-        # Modulus x**2 - n for F_{p^2}: the smallest non-square n of F_p.
+        # Modulus x**2 - n for F_{p^2}: the smallest non-square n of F_p; 0 over F_p.
         self.nonsquare = 0
         if f == 2:
             squares = {(a * a) % p for a in range(1, p)}
             self.nonsquare = min(a for a in range(2, p) if a not in squares)
+
+        # (a0 + x a1)(b0 + x b1) = a0 b0 + n a1 b1 + x (a0 b1 + a1 b0) with
+        # x**2 = n; over F_p every a1 and n are 0, so one formula serves both.
+        n = self.nonsquare
+        digits = [divmod(a, p) for a in range(q)]
+        self.add_table = [[(a0 + b0) % p + p * ((a1 + b1) % p) for b1, b0 in digits] for a1, a0 in digits]
+        self.mul_table = [
+            [(a0 * b0 + n * a1 * b1) % p + p * ((a0 * b1 + a1 * b0) % p) for b1, b0 in digits]
+            for a1, a0 in digits
+        ]
+        self.neg_table = [-a0 % p + p * (-a1 % p) for a1, a0 in digits]
+        # entry 0 is a placeholder: `inv` refuses 0 before reading it
+        self.inv_table = [0] + [row.index(1) for row in self.mul_table[1:]]
 
         if zeta is None:
             zeta = self._smallest_generator()
@@ -216,42 +235,25 @@ class ResidueField:
     # -- scalar arithmetic on encodings ------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return (a + b) % self.p
-        p = self.p
-        return (a % p + b % p) % p + p * ((a // p + b // p) % p)
+        return self.add_table[a][b]
 
     def sub(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return (a - b) % self.p
-        return self.add(a, self.neg(b))
+        return self.add_table[a][self.neg_table[b]]
 
     def neg(self, a: int) -> int:
-        if self.f == 1:
-            return (-a) % self.p
-        p = self.p
-        return (-a % p) % p + p * ((-(a // p)) % p)
+        return self.neg_table[a]
 
     def mul(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return (a * b) % self.p
-        p, n = self.p, self.nonsquare
-        a0, a1 = a % p, a // p
-        b0, b1 = b % p, b // p
-        return (a0 * b0 + n * a1 * b1) % p + p * ((a0 * b1 + a1 * b0) % p)
+        return self.mul_table[a][b]
 
     def affine_values(self, a: int, b: int) -> list[int]:
         """a + x * b for every x of F_q, in encoding order."""
-        if self.f == 1:
-            p = self.p
-            return [(a + x * b) % p for x in range(p)]
-        add, mul = self.add, self.mul
-        return [add(a, mul(x, b)) for x in range(self.q)]
+        return list(map(self.add_table[a].__getitem__, self.mul_table[b]))
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise DomainError("0 is not invertible")
-        return self.exp_table[(self.q - 1 - self.log_table[a]) % (self.q - 1)]
+        return self.inv_table[a]
 
     def pow(self, a: int, n: int) -> int:
         if a == 0:
@@ -415,12 +417,12 @@ class ResidueField:
                 window.append(v)
                 out.append(v)
             return out
-        add, mul = self.add, self.mul
-        taps = [mul(self.neg(c), v) for v in b[:0:-1]]
-        heads = [mul(c, v) for v in a[:n]]
+        add, mul = self.add_table, self.mul_table
+        taps = [mul[self.neg(c)][v] for v in b[:0:-1]]
+        heads = [mul[c][v] for v in a[:n]]
         for v in heads + [0] * (n - len(heads)):
             for u, w in zip(taps, window):
-                v = add(v, mul(u, w))
+                v = add[v][mul[u][w]]
             window.append(v)
             out.append(v)
         return out

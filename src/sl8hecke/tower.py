@@ -276,12 +276,8 @@ class LaurentElem:
             a, b = b, a
         if len(a) == 1:
             # a product of nonzero field elements is nonzero: no trimming
-            c = a[0]
-            if fld.f == 1:
-                p = fld.p
-                return LaurentElem(tw, self.tag, lead, tuple([c * y % p for y in b]), exact)
-            mul = fld.mul
-            return LaurentElem(tw, self.tag, lead, tuple([mul(c, y) for y in b]), exact)
+            row = fld.mul_table[a[0]]
+            return LaurentElem(tw, self.tag, lead, tuple([row[y] for y in b]), exact)
         exact = exact and len(a) + len(b) - 1 <= tw.N
         # c0 is a product of units; truncation may leave trailing zeros
         return LaurentElem(tw, self.tag, lead, _trim(fld.mul_trunc(a, b, tw.N))[1], exact)

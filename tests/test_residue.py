@@ -18,6 +18,7 @@ from sl8hecke.residue import (
     make_field,
     sgn,
 )
+from sl8hecke.tower import E2, Tower
 
 ADMISSIBLE_Q = [5, 9, 13, 17, 25, 29]
 
@@ -49,6 +50,65 @@ def test_make_field_q9_extension():
     assert (f.p, f.f) == (3, 2)
     expected = next(a for a in range(2, 9) if brute_force_order(f, a) == 8)
     assert f.zeta == expected == 4  # encodes 1 + x with x**2 = 2
+
+
+def test_make_field_q25_extension():
+    f = make_field(25)
+    assert (f.p, f.f, f.nonsquare) == (5, 2, 2)
+    expected = next(a for a in range(2, 25) if brute_force_order(f, a) == 24)
+    assert f.zeta == expected == 7  # encodes 2 + x with x**2 = 2
+
+
+# every admissible q < 128 with f <= 2
+TABLE_Q = [5, 9, 13, 17, 25, 29, 37, 41, 49, 53, 61, 73, 89, 97, 101, 109, 113, 121]
+
+
+def coordinate_ops(p, f, n):
+    """The scalar operations from the coordinate formulas of the a0 + p*a1
+    encoding, one branch per degree: the oracle for the tables."""
+    if f == 1:
+        return (lambda a, b: (a + b) % p), (lambda a: -a % p), (lambda a, b: a * b % p)
+
+    def add(a, b):
+        return (a % p + b % p) % p + p * ((a // p + b // p) % p)
+
+    def neg(a):
+        return (-a % p) % p + p * ((-(a // p)) % p)
+
+    def mul(a, b):
+        a0, a1, b0, b1 = a % p, a // p, b % p, b // p
+        return (a0 * b0 + n * a1 * b1) % p + p * ((a0 * b1 + a1 * b0) % p)
+
+    return add, neg, mul
+
+
+@pytest.mark.parametrize("q", TABLE_Q)
+def test_tables_match_the_coordinate_formulas_exhaustively(q):
+    f = make_field(q)
+    add, neg, mul = coordinate_ops(f.p, f.f, f.nonsquare)
+    elems = range(q)
+    add_rows = [[add(a, b) for b in elems] for a in elems]
+    mul_rows = [[mul(a, b) for b in elems] for a in elems]
+    for a in elems:
+        assert f.neg(a) == neg(a)
+        assert [f.add(a, b) for b in elems] == add_rows[a]
+        assert [f.sub(a, b) for b in elems] == [add(a, neg(b)) for b in elems]
+        assert [f.mul(a, b) for b in elems] == mul_rows[a]
+        if a:
+            assert mul(a, f.inv(a)) == 1
+        # a + x * b for every x, against the oracle's rows
+        row = add_rows[a]
+        assert [f.affine_values(a, b) for b in elems] == [[row[m[b]] for m in mul_rows] for b in elems]
+    with pytest.raises(DomainError):
+        f.inv(0)
+    # a monomial times a series, on either side, is the truncated product
+    tw = Tower(f, precision=max(16, q))
+    series = tw.from_coeffs(E2, 3, [1, 0] + list(range(2, q)))
+    for c in f.units():
+        mono = tw.from_coeffs(E2, -1, [c])
+        want = f.mul_trunc([c], series.coeffs, tw.N)
+        assert (mono * series).coeffs == (series * mono).coeffs == tuple(want)
+        assert (mono * series).lead == 2
 
 
 @pytest.mark.parametrize("bad", [4, 7, 6, 8, 11, 3, 27, 2])

@@ -3,7 +3,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from sl8hecke.groupmodel import PARAHORIC, STABILIZER, in_KM0
+from sl8hecke.groupmodel import PARAHORIC, STABILIZER, elem_eps, elem_z, in_KM0, letters
+from sl8hecke.residue import make_field
+from sl8hecke.tower import Tower
 from sl8hecke.weyl import (
     S,
     SP,
@@ -230,6 +232,28 @@ def test_lattice_check(tower5, tower13):
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
 def test_group_structure(tower5, variant):
     assert group_structure_check(tower5, variant)
+
+
+def tower_with_letter(name, terms):
+    """A fresh tower whose memoised canonical letter `name` is replaced by `terms`."""
+    tower = Tower(make_field(5), precision=40)
+    tower.cache["letters"] = {**letters(tower), name: terms}
+    return tower
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_group_structure_rejects_a_z_of_the_wrong_valuation(variant):
+    # z with E4 exponent -1 is still central modulo the compact torus, so only
+    # the valuation triples of z**n, here n * (1, 1, -1), can catch it
+    tower = tower_with_letter("z", ("diag", ((make_field(5).zeta, 1), (1, 1), (1, -1))))
+    assert h_M0(elem_z(tower).to_torus()) == (1, 1, -1)
+    assert group_structure_check(tower, variant) is False
+
+
+def test_group_structure_rejects_an_eps_inside_the_compact_torus():
+    tower = tower_with_letter("eps", ("diag", ((1, 0), (1, 0), (1, 0))))
+    assert in_KM0(elem_eps(tower).to_torus(), PARAHORIC)
+    assert group_structure_check(tower, PARAHORIC) is False
 
 
 def test_translations_have_expected_valuations(tower5):
