@@ -181,7 +181,13 @@ def _quotient_digits(num: LaurentElem, den: LaurentElem, bound: int) -> tuple:
     """num / den modulo pi^bound, by truncated division: (exponent of the
     leading digit, the digits up to exponent bound - 1), or () when the
     quotient lies in pi^bound O.  Raises TransversalError when a digit it
-    needs lies beyond an inexact operand's window."""
+    needs lies beyond an inexact operand's window.
+
+    It keeps its own loop rather than `series_inverse` and `mul_trunc`: a
+    call needs one to four digits, and through those kernels a call cost
+    about twice as much (3.8-4.9 against 7.2-11.0 us, best of 5 on every
+    12th of the 247,524 calls that `omega_check(4, 2)` makes at q = 13 over
+    both variants, on a 2-core host)."""
     if num.is_zero:
         return ()
     lead = num.lead - den.lead

@@ -18,17 +18,15 @@ path for every q.  The Laurent-series layer keeps coefficients as tuples of
 encodings; the field supplies its sequence kernels: the truncated product
 ``mul_trunc`` (a schoolbook loop for short operands over F_p; long
 operands, and every product over F_{p^2}, are packed into Python integers
-and multiplied once, Kronecker substitution), ``series_inverse`` (a
-recurrence, or Newton iteration on packed products for long operands), the
-quotient recurrence ``series_quotient`` and the root-squaring step
-``graeffe`` that norms are built from.  None of them uses numpy;
-``convolve`` is numpy's convolution, kept as the reference that the tests
-compare these kernels against.
+and multiplied once, Kronecker substitution), ``series_inverse`` (one
+recurrence on the field's tables, the only series division) and the
+root-squaring step ``graeffe`` that norms are built from.  None of them
+uses numpy; ``convolve`` is numpy's convolution, kept as the reference that
+the tests compare these kernels against.
 """
 
 from __future__ import annotations
 
-import operator
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -45,12 +43,6 @@ if TYPE_CHECKING:
 # 3.11: the loop is 15% faster at 8 pairs, the packed product 10-30%
 # faster from 20 pairs and about 2x at 48).
 CONVOLVE_CUTOVER = 16
-# Above this many terms a series inverse runs Newton iteration on packed
-# products rather than the recurrence.  To N = 40 terms (timeit, best of 5,
-# 2-core host) Newton overtakes near 24-32 terms over F_p (q = 13: 60 against
-# 69 us at 32) but trails the table-driven recurrence to 32 over F_{p^2} (q = 25:
-# 189 against 70 us); no benchmark workload inverts a series, so one value serves.
-NEWTON_CUTOVER = 16
 
 
 class DomainError(ValueError):
@@ -180,8 +172,8 @@ class ResidueField:
     Immutable after construction; all methods are pure and safe for
     concurrent use.  Scalar elements are integer encodings in [0, q), and
     the scalar operations read tables built at construction; ``convolve``,
-    ``mul_trunc``, ``graeffe``, ``series_inverse`` and ``series_quotient``
-    act on sequences of encodings.
+    ``mul_trunc``, ``graeffe`` and ``series_inverse`` act on sequences of
+    encodings.
     """
 
     def __init__(self, q: int, zeta: int | None = None):
@@ -363,64 +355,23 @@ class ResidueField:
                 out[k] = sub(out[k], y)
         return out
 
-    def _unit_series(self, b, n: int) -> list[int]:
-        """The first n coefficients of b without trailing zeros; b[0] must be a unit."""
+    def series_inverse(self, b, n: int) -> list[int]:
+        """First n coefficients of 1 / (b0 + b1*T + ...); requires b[0] != 0.
+
+        x_0 = 1 / b_0 and x_k = -(b_1 x_{k-1} + b_2 x_{k-2} + ...) / b_0, in
+        O(n * len(b)) table reads: the taps -b_j / b_0 are scaled once, and a
+        window of the last len(b) - 1 terms, oldest first, slides along."""
         coeffs = [int(v) for v in b[:n]]
         if coeffs[0] == 0:
             raise DomainError("series division needs an invertible constant term")
         while not coeffs[-1]:
             coeffs.pop()
-        return coeffs
-
-    def series_inverse(self, b, n: int) -> list[int]:
-        """First n coefficients of 1 / (b0 + b1*T + ...); requires b[0] != 0.
-
-        The recurrence of `series_quotient` costs O(n * len(b)) field
-        operations; an operand of more than NEWTON_CUTOVER terms instead
-        doubles the number of correct terms per step by Newton iteration on
-        `mul_trunc` (Brent and Zimmermann, Modern Computer Arithmetic, 4.2).
-        """
-        coeffs = self._unit_series(b, n)
-        if len(coeffs) <= NEWTON_CUTOVER:
-            return self._recurrence((1,), coeffs, n)
-        x = [self.inv(coeffs[0])]
-        k = 1
-        while k < n:
-            k2 = min(2 * k, n)
-            # b * x = 1 + T**k * d mod T**k2, so x - T**k * x * d inverts b mod T**k2
-            d = self.mul_trunc(coeffs[:k2], x, k2)[k:]
-            x += map(self.neg, self.mul_trunc(x, d, k2 - k))
-            k = k2
-        return x
-
-    def series_quotient(self, a, b, n: int) -> list[int]:
-        """First n coefficients of (a0 + a1*T + ...) / (b0 + b1*T + ...);
-        requires b[0] != 0.  The same digits as `mul_trunc(a,
-        series_inverse(b, n), n)` from one recurrence, O(n * len(b)) field
-        operations."""
-        return self._recurrence(a, self._unit_series(b, n), n)
-
-    def _recurrence(self, a, b: list[int], n: int) -> list[int]:
-        """x_k = (a_k - sum_{j>=1} b_j x_{k-j}) / b_0 for k < n, b as `_unit_series` leaves it.
-
-        The taps -b_j / b_0 are scaled once, and a window of the last
-        len(b) - 1 terms, oldest first, slides along."""
-        c = self.inv(b[0])
-        window = deque([0] * (len(b) - 1), maxlen=len(b) - 1)
-        out = []
-        if self.f == 1:
-            p = self.p
-            taps = [-c * v % p for v in b[:0:-1]]
-            heads = [c * v for v in a[:n]]
-            for h in heads + [0] * (n - len(heads)):
-                v = (h + sum(map(operator.mul, taps, window))) % p
-                window.append(v)
-                out.append(v)
-            return out
         add, mul = self.add_table, self.mul_table
-        taps = [mul[self.neg(c)][v] for v in b[:0:-1]]
-        heads = [mul[c][v] for v in a[:n]]
-        for v in heads + [0] * (n - len(heads)):
+        c = self.inv(coeffs[0])
+        taps = [mul[self.neg(c)][v] for v in coeffs[:0:-1]]
+        window = deque([0] * len(taps), maxlen=len(taps))
+        out = []
+        for v in [c] + [0] * (n - 1):
             for u, w in zip(taps, window):
                 v = add[v][mul[u][w]]
             window.append(v)

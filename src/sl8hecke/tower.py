@@ -29,16 +29,16 @@ i4 = zeta**((q-1)/4) a fixed fourth root of unity in F_q.  Traces to F
 sum the conjugates and re-read the result in t.  Norms to F never form the
 conjugates: for U = A(pi**2) + pi*B(pi**2), U(pi) * U(-pi) = A**2 - pi**2 * B**2
 (Graeffe's root-squaring step), applied once over E2 and twice over E4,
-where U(i4*pi) * U(-i4*pi) is the same step with pi**2 -> -pi**2.  A norm of
-a window longer than one term is memoised on its Tower by value and `exact`
-flag.
+where U(i4*pi) * U(-i4*pi) is the same step with pi**2 -> -pi**2.  Division
+is the product with the inverse, and `LaurentElem.inverse` is the one caller
+of the field's series inverse.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .residue import NEWTON_CUTOVER, DomainError, ResidueField, UnitI, eta_residue
+from .residue import DomainError, ResidueField, UnitI, eta_residue
 
 F = "F"
 E2 = "E2"
@@ -59,7 +59,8 @@ class Tower:
     """A session: the residue field plus the three Laurent-series fields.
 
     Immutable after construction.  ``cache`` is a scratch dict used by
-    higher layers to memoise lifts and transversals per session.
+    higher layers to memoise the canonical lifts, their letters and the
+    identity element per session.
     """
 
     def __init__(self, field: ResidueField, precision: int = 40):
@@ -81,7 +82,6 @@ class Tower:
         self._galois_patterns: dict = {}
         self._base_patterns: dict = {}
         self._constants: dict = {}
-        self._norms: dict = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -293,12 +293,7 @@ class LaurentElem:
 
     def __truediv__(self, other: "LaurentElem") -> "LaurentElem":
         self._check(other)
-        if self.is_zero or not 2 <= other.supp <= NEWTON_CUTOVER:
-            return self * other.inverse()
-        # one recurrence gives the window of self * other.inverse()
-        tw = self.tower
-        digits = tw.field.series_quotient(self.coeffs, other.coeffs, tw.N)
-        return LaurentElem(tw, self.tag, self.lead - other.lead, _trim(digits)[1], False)
+        return self * other.inverse()
 
     def __pow__(self, n: int) -> "LaurentElem":
         base = self if n >= 0 else self.inverse()
@@ -388,22 +383,18 @@ class LaurentElem:
             else:
                 value = fld.mul(fld.pow(c, 4), fld.pow(fld.zeta, self.lead))
             return LaurentElem(tw, F, self.lead, (value,), self.exact)
-        key = (self.tag, self.lead, self.coeffs, self.exact)
-        got = tw._norms.get(key)
-        if got is None:
-            # the conjugates of pi**lead * U(pi) are r**lead * pi**lead * U(r*pi) over
-            # the e-th roots of unity r, whose product is (-1)**lead; the first N
-            # coefficients of the product need only the first N of U
-            e = RAMIFICATION[self.tag]
-            digits, n = self.coeffs, tw.N
-            for _ in range(e.bit_length() - 1):
-                n = -(-n // 2)
-                digits = fld.graeffe(digits, n)
-            # the product of e windows of supp s is exact while its e * (s - 1) + 1 terms fit
-            exact = self.exact and e * (self.supp - 1) < tw.N
-            sign = fld.neg(1) if self.lead % 2 else 1
-            got = tw._norms[key] = self._to_base(self.lead, _trim(digits)[1], exact, sign)
-        return got
+        # the conjugates of pi**lead * U(pi) are r**lead * pi**lead * U(r*pi) over
+        # the e-th roots of unity r, whose product is (-1)**lead; the first N
+        # coefficients of the product need only the first N of U
+        e = RAMIFICATION[self.tag]
+        digits, n = self.coeffs, tw.N
+        for _ in range(e.bit_length() - 1):
+            n = -(-n // 2)
+            digits = fld.graeffe(digits, n)
+        # the product of e windows of supp s is exact while its e * (s - 1) + 1 terms fit
+        exact = self.exact and e * (self.supp - 1) < tw.N
+        sign = fld.neg(1) if self.lead % 2 else 1
+        return self._to_base(self.lead, _trim(digits)[1], exact, sign)
 
     def trace_to_F(self) -> "LaurentElem":
         """Sum of all Galois conjugates, read in F."""

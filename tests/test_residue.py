@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from sl8hecke.residue import (
     COEFF_ZERO,
-    NEWTON_CUTOVER,
     DomainError,
     HeckeCoeff,
     UNIT_I,
@@ -309,20 +308,69 @@ def recurrence_inverse(f, b, n):
     return x
 
 
-@pytest.mark.parametrize("q", ADMISSIBLE_Q + [37, 41, 49, 53])
+def newton_inverse(f, b, n):
+    """1 / b mod T**n by Newton iteration on numpy convolutions: if
+    b * x = 1 + T**k * d mod T**2k, then x - T**k * x * d inverts b mod T**2k
+    (Brent and Zimmermann, Modern Computer Arithmetic, 4.2)."""
+    x = [f.inv(b[0])]
+    k = 1
+    while k < n:
+        k2 = min(2 * k, n)
+        d = [int(v) for v in f.convolve(b[:k2], x)[k:k2]]
+        x += [f.neg(int(v)) for v in f.convolve(x, d)[: k2 - k]]
+        k = k2
+    return x
+
+
+@pytest.mark.parametrize("q", TABLE_Q)
 def test_newton_inverse_matches_the_recurrence(q):
-    # operands of 17 to N + 3 terms: Newton iteration over F_p, the
-    # recurrence over F_{p^2}; trailing zeros shorten some below the cut-over
+    # operands of 17 to N + 3 terms, trailing zeros shortening some: the
+    # series inverse, Newton iteration and the scalar recurrence agree
     f = make_field(q)
     rng = random.Random(q)
     for n in (17, 40):
         for supp in range(17, n + 4):
             b = [rng.randrange(q) for _ in range(supp)]
             b[0] = rng.randrange(1, q)
-            assert f.series_inverse(b, n) == recurrence_inverse(f, b, n)
+            got = f.series_inverse(b, n)
+            assert got == recurrence_inverse(f, b, n) == newton_inverse(f, b, n), (n, supp)
 
 
-# -- packed kernels against numpy and the scalar recurrence ------------------------
+@pytest.mark.parametrize("q", TABLE_Q)
+def test_series_quotient_is_the_product_with_the_inverse(q):
+    # divisors of 1 to n terms: a times the inverse of b, times b, gives a
+    # back mod T**n; a zero constant term is refused
+    f = make_field(q)
+    rng = random.Random(q)
+    for n in (17, 40):
+        for supp in (1, 2, 3, 4, 5, 8, 16, 17, n):
+            b = [rng.randrange(q) for _ in range(supp)]
+            b[0] = rng.randrange(1, q)
+            inverse = f.series_inverse(b, n)
+            assert inverse == recurrence_inverse(f, b, n), (n, supp)
+            for size in (1, 2, 4, 13, n, n + 3):
+                a = [rng.randrange(q) for _ in range(size)]
+                quotient = f.mul_trunc(a, inverse, n)
+                assert f.mul_trunc(quotient, b, n) == (a + [0] * n)[:n], (n, supp, size)
+    with pytest.raises(DomainError):
+        f.series_inverse([0, 1], 17)
+
+
+@pytest.mark.parametrize("q", TABLE_Q)
+def test_series_inverse_matches_the_scalar_recurrence_past_one_window(q):
+    # n = 64 and 97 run past the tower's window of 40, with divisors as long
+    # as n; all-(q - 1) operands too, the largest encodings at every tap
+    f = make_field(q)
+    rng = random.Random(q)
+    for n in (64, 97, 40):
+        for supp in (17, 18, 33, n):
+            b = [rng.randrange(q) for _ in range(supp)]
+            b[0] = rng.randrange(1, q)
+            for divisor in (b, [q - 1] * supp):
+                assert f.series_inverse(divisor, n) == recurrence_inverse(f, divisor, n), (n, supp)
+
+
+# -- packed kernels against numpy ------------------------------------------------
 
 PACKED_Q = [5, 9, 13, 25, 49, 53]
 
@@ -355,38 +403,6 @@ def test_graeffe_matches_the_conjugate_product(q):
         assert not any(full[1::2])
         for n in (1, 7, 17, 20, 40):
             assert f.graeffe(a, n) == full[::2][:n], (size, n)
-
-
-@pytest.mark.parametrize("q", ADMISSIBLE_Q + [37, 41, 49, 53])
-def test_packed_newton_matches_the_recurrence_past_one_window(q):
-    # one Newton loop for every f, the F_{p^2} fields included; n past 40
-    # makes Newton steps whose correction d is shorter than the step, for
-    # supports just past the cut-over; all-(q - 1) operands too, the largest
-    # packed slot values
-    f = make_field(q)
-    rng = random.Random(q)
-    for n in (64, 97, 40):
-        for supp in (NEWTON_CUTOVER + 1, NEWTON_CUTOVER + 2, 33, n):
-            b = [rng.randrange(q) for _ in range(supp)]
-            b[0] = rng.randrange(1, q)
-            for divisor in (b, [q - 1] * supp):
-                got = f.series_inverse(divisor, n)
-                assert got == recurrence_inverse(f, divisor, n) == f._recurrence((1,), divisor, n)
-
-
-@pytest.mark.parametrize("q", ADMISSIBLE_Q + [37, 41, 49, 53])
-def test_series_quotient_is_the_product_with_the_inverse(q):
-    f = make_field(q)
-    rng = random.Random(q)
-    for n in (17, 40):
-        for supp in (1, 2, 3, 4, 5, 8, 16, 17, n):
-            b = [rng.randrange(q) for _ in range(supp)]
-            b[0] = rng.randrange(1, q)
-            for size in (1, 2, 4, 13, n, n + 3):
-                a = [rng.randrange(q) for _ in range(size)]
-                assert f.series_quotient(a, b, n) == f.mul_trunc(a, recurrence_inverse(f, b, n), n)
-    with pytest.raises(DomainError):
-        f.series_quotient([1, 2], [0, 1], 17)
 
 
 def test_packed_product_widens_slots_past_32_bits():

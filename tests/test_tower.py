@@ -548,7 +548,7 @@ def test_equal_windows_with_different_exact_flags_get_their_own_norms(inexact_fi
             inexact = tw.from_coeffs(tag, 1, vals + [0] * (tw.N - len(vals)) + [1])
             assert exact == inexact and exact.exact and not inexact.exact
             order = (inexact, exact) if inexact_first else (exact, inexact)
-            for _ in range(2):  # computed, then memoised
+            for _ in range(2):  # each pass computes both norms afresh
                 for x in order:
                     got = x.norm_to_F()
                     assert_matches(got, conjugate_norm(x)[0])
@@ -602,9 +602,8 @@ def test_zero_is_the_empty_window():
 
 
 def test_division_is_the_product_with_the_inverse():
-    # divisors of 2..NEWTON_CUTOVER terms take the quotient recurrence, the
-    # rest the inverse: either way the value, lead and exact flag of
-    # x * y.inverse(), and a zero divisor raises
+    # divisors of 1 to N retained terms: the value, lead and exact
+    # flag of x * y.inverse(), and a zero divisor raises
     rng = random.Random(7)
     for tw in DIFF_TOWERS:
         q = tw.q
