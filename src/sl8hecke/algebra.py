@@ -179,9 +179,6 @@ class TwistedGroupAlgebra:
         self.cocycle = cocycle
         self.identity_key = identity_key
 
-    def element(self, terms: dict) -> "TwistedElem":
-        return TwistedElem(self, dict(terms))
-
     def basis(self, g) -> "TwistedElem":
         return TwistedElem(self, {g: COEFF_ONE})
 

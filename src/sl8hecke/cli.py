@@ -3,10 +3,12 @@
 ``report`` runs every check for the configured q, precision and variant(s)
 and emits a machine-readable JSON or human-readable text report; the exit
 code is 0 when everything passes, 1 when any check fails, 2 on a bad
-configuration.  ``verify <section>`` runs a single section.  The checks, in
-report order, are the rows of ``CHECKS``; the section names are the id
-prefixes of those rows.  ``dump-constants`` prints the structure constants
-of the example twisted group algebra as CSV.
+configuration.  A check that raises one of the verifier's own errors fails
+its row, with the error in ``got``, and the later rows still run; any other
+exception propagates.  ``verify <section>`` runs a single section.  The
+checks, in report order, are the rows of ``CHECKS``; the section names are
+the id prefixes of those rows.  ``dump-constants`` prints the structure
+constants of the example twisted group algebra as CSV.
 
 Runs are deterministic: all sampled checks draw from a seeded generator,
 and two runs with the same configuration and seed produce byte-identical
@@ -30,6 +32,7 @@ from . import generic
 from .groupmodel import (
     PARAHORIC,
     STABILIZER,
+    MembershipError,
     commutator,
     elem_s,
     elem_z,
@@ -38,8 +41,11 @@ from .groupmodel import (
     torus,
 )
 from .hecke import (
+    ClassificationError,
     CocycleTable,
     HeckeContext,
+    TransversalError,
+    WindowExceeded,
     cocycle_certificate,
     nontriviality_certificate,
     rho0_certificate,
@@ -55,7 +61,7 @@ from .residue import (
     make_field,
     sgn,
 )
-from .tower import E2, E4, F, Tower, norm_unit_image_check, random_element
+from .tower import E2, E4, F, PrecisionExhausted, Tower, norm_unit_image_check, random_element
 from .weyl import (
     W_EPS,
     W_ID,
@@ -524,8 +530,12 @@ def run_all(config: Config, sections=SECTIONS) -> Report:
             if row.check is None:
                 report.checks.append(Check(id_, row.module, row.claim, "", "", "", SKIP))
                 continue
-            expected, got, *ok = row.check(s, variant)
-            passed = ok[0] if ok else str(expected) == str(got)
+            try:
+                expected, got, *ok = row.check(s, variant)
+                passed = ok[0] if ok else str(expected) == str(got)
+            except (ClassificationError, MembershipError, PrecisionExhausted, TransversalError, WindowExceeded) as exc:
+                # a verifier error fails its row, and the later rows still run
+                expected, got, passed = "", f"{type(exc).__name__}: {exc}", False
             inputs = row.inputs.format(
                 q=fld.q, units=fld.q - 1, pairs=(fld.q - 1) ** 2, zeta=fld.zeta, variant=variant
             )

@@ -185,9 +185,9 @@ def _quotient_digits(num: LaurentElem, den: LaurentElem, bound: int) -> tuple:
 
     It keeps its own loop rather than `series_inverse` and `mul_trunc`: a
     call needs one to four digits, and through those kernels a call cost
-    about twice as much (3.8-4.9 against 7.2-11.0 us, best of 5 on every
-    12th of the 247,524 calls that `omega_check(4, 2)` makes at q = 13 over
-    both variants, on a 2-core host)."""
+    about twice as much (2.7-3.1 against 5.6-6.4 us, the best of 5 in each
+    of two runs on every 12th of the 247,524 calls that `omega_check(4, 2)`
+    makes at q = 13 over both variants, on a 2-core host)."""
     if num.is_zero:
         return ()
     lead = num.lead - den.lead

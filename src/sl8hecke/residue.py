@@ -15,11 +15,9 @@ a + b*x where x**2 equals a fixed non-square of F_p.  Every scalar
 operation reads addition, multiplication, negation or inverse tables that
 the field builds once from the coordinate formula of that encoding, on one
 path for every q.  The Laurent-series layer keeps coefficients as tuples of
-encodings; the field supplies its sequence kernels: the truncated product
-``mul_trunc`` (a schoolbook loop for short operands over F_p; long
-operands, and every product over F_{p^2}, are packed into Python integers
-and multiplied once, Kronecker substitution), ``series_inverse`` (one
-recurrence on the field's tables, the only series division) and the
+encodings; the field supplies its sequence kernels, each a loop on the same
+tables: the truncated product ``mul_trunc`` (the schoolbook loop),
+``series_inverse`` (the one series division, a recurrence) and the
 root-squaring step ``graeffe`` that norms are built from.  None of them
 uses numpy; ``convolve`` is numpy's convolution, kept as the reference that
 the tests compare these kernels against.
@@ -27,49 +25,17 @@ the tests compare these kernels against.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from sys import byteorder
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     import numpy as np
 
-# Above this many coefficient pairs a series product over F_p is cheaper
-# as one packed integer product than by the pure-Python schoolbook loop
-# (parity near 16 pairs, at 2x8 and 4x4, at q = 5, 13 and 53 on Python
-# 3.11: the loop is 15% faster at 8 pairs, the packed product 10-30%
-# faster from 20 pairs and about 2x at 48).
-CONVOLVE_CUTOVER = 16
-
 
 class DomainError(ValueError):
     """An operation was evaluated outside its mathematical domain."""
-
-
-def _packed_product(a, b, top: int) -> array:
-    """The integer convolution of two non-empty sequences of ints in [0, top].
-
-    Kronecker substitution: each sequence is packed into one Python int, a
-    coefficient per fixed-width slot, the two ints are multiplied once and
-    the product is read back slot by slot.  A slot is 32 bits wide unless a
-    coefficient, at most min(len(a), len(b)) * top**2, could reach 2**32;
-    then it is 64 bits wide, and past 2**64 the product is refused.  Native
-    byte order on both sides keeps the slots in coefficient order on either
-    endianness.
-    """
-    bound = min(len(a), len(b)) * top * top
-    if bound < 1 << 32:
-        code, width = "I", 4
-    elif bound < 1 << 64:
-        code, width = "Q", 8
-    else:
-        raise OverflowError(f"a coefficient could reach {bound}, past a 64-bit slot")
-    x = int.from_bytes(array(code, a).tobytes(), byteorder)
-    y = int.from_bytes(array(code, b).tobytes(), byteorder)
-    return array(code, (x * y).to_bytes(width * (len(a) + len(b) - 1), byteorder))
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +136,11 @@ class ResidueField:
     """F_q with a canonical primitive root and full discrete-log table.
 
     Immutable after construction; all methods are pure and safe for
-    concurrent use.  Scalar elements are integer encodings in [0, q), and
-    the scalar operations read tables built at construction; ``convolve``,
-    ``mul_trunc``, ``graeffe`` and ``series_inverse`` act on sequences of
-    encodings.
+    concurrent use.  Scalar elements are integer encodings in [0, q).  The
+    scalar operations and the series kernels ``mul_trunc``, ``graeffe`` and
+    ``series_inverse`` read tables built at construction, on one path for
+    every q; ``convolve``, the numpy reference for the kernels, is the one
+    method that reads the encoding's coordinates.
     """
 
     def __init__(self, q: int, zeta: int | None = None):
@@ -292,9 +259,9 @@ class ResidueField:
     def convolve(self, a, b) -> np.ndarray:
         """Full linear convolution of two coefficient sequences (series product).
 
-        numpy's convolution, the reference that the tests compare the packed
-        kernels against; nothing in the package calls it, so no run of the
-        package loads numpy."""
+        numpy's convolution, the reference that the tests compare the
+        table-driven kernels against; nothing in the package calls it, so no
+        run of the package loads numpy."""
         import numpy as np
 
         a = np.asarray(a, dtype=np.int64)
@@ -311,35 +278,16 @@ class ResidueField:
     def mul_trunc(self, a, b, n: int) -> list[int]:
         """First n coefficients of the product of two coefficient sequences.
 
-        A schoolbook loop for at most CONVOLVE_CUTOVER coefficient pairs over
-        F_p; a longer product over F_p is one packed integer product.  Over
-        F_{p^2} the four products of the F_p coordinates are packed, combined
-        over the integers and reduced once.
-        """
-        p = self.p
-        if self.f == 1:
-            if len(a) * len(b) > CONVOLVE_CUTOVER:
-                return [v % p for v in _packed_product(a, b, p - 1)[:n]]
-            # accumulate over the integers, reduce once per coefficient
-            out = [0] * min(len(a) + len(b) - 1, n)
-            for i, x in enumerate(a[:n]):
-                for k, y in enumerate(b[: n - i], i):
-                    out[k] += x * y
-            return [v % p for v in out]
-        # (a0 + x a1)(b0 + x b1) = a0 b0 + r a1 b1 + x (a0 b1 + a1 b0) with x**2 = r
-        r = self.nonsquare
-        a0, a1 = [v % p for v in a], [v // p for v in a]
-        b0, b1 = [v % p for v in b], [v // p for v in b]
-        top = p - 1
-        return [
-            (u + r * v) % p + p * ((s + t) % p)
-            for u, v, s, t in zip(
-                _packed_product(a0, b0, top)[:n],
-                _packed_product(a1, b1, top),
-                _packed_product(a0, b1, top),
-                _packed_product(a1, b0, top),
-            )
-        ]
+        The schoolbook loop on the field's tables, one path for every q and
+        every operand size: each a_i picks one row of the multiplication
+        table, and its products with b are added into their slots."""
+        add, mul = self.add_table, self.mul_table
+        out = [0] * min(len(a) + len(b) - 1, n)
+        for i, x in enumerate(a[:n]):
+            row = mul[x]
+            for k, y in enumerate(b[: n - i], i):
+                out[k] = add[out[k]][row[y]]
+        return out
 
     def graeffe(self, a, n: int) -> list[int]:
         """First n coefficients of a(x) * a(-x) read in x**2, Graeffe's

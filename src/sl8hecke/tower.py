@@ -270,14 +270,8 @@ class LaurentElem:
         fld = tw.field
         lead = self.lead + other.lead
         exact = self.exact and other.exact
-        if len(b) == 1:
-            if len(a) == 1:
-                return LaurentElem(tw, self.tag, lead, (fld.mul(a[0], b[0]),), exact)
-            a, b = b, a
-        if len(a) == 1:
-            # a product of nonzero field elements is nonzero: no trimming
-            row = fld.mul_table[a[0]]
-            return LaurentElem(tw, self.tag, lead, tuple([row[y] for y in b]), exact)
+        if len(a) == len(b) == 1:
+            return LaurentElem(tw, self.tag, lead, (fld.mul(a[0], b[0]),), exact)
         exact = exact and len(a) + len(b) - 1 <= tw.N
         # c0 is a product of units; truncation may leave trailing zeros
         return LaurentElem(tw, self.tag, lead, _trim(fld.mul_trunc(a, b, tw.N))[1], exact)

@@ -127,6 +127,42 @@ def test_verify_runs_exactly_the_report_checks_of_its_section(capsysbinary):
     assert [c["id"] for c in ran] == golden
 
 
+def test_a_row_that_raises_a_verifier_error_fails_and_later_rows_still_run(monkeypatch, capsysbinary):
+    # a planted row raises for one variant only: that run fails with the
+    # error in `got`, every other row reads as in the golden, the exit code
+    # is 1; an exception that is not the verifier's own still propagates
+    from sl8hecke import cli
+    from sl8hecke.hecke import TransversalError
+
+    def plant(error):
+        row = next(r for r in cli.CHECKS if r.id == "convolution.transversal_sizes")
+
+        def check(session, variant):
+            if variant == "stabilizer":
+                raise error
+            return row.check(session, variant)
+
+        monkeypatch.setattr(cli, "CHECKS", tuple(r._replace(check=check) if r is row else r for r in cli.CHECKS))
+
+    golden = json.loads((DATA / "report-q5-seed0.json").read_bytes())
+    args = ["--q", "5", "--variant", "both", "--seed", "0", "--format", "json"]
+    plant(TransversalError("planted"))
+    assert main(args + ["report"]) == 1
+    payload = json.loads(capsysbinary.readouterr().out)
+    assert [c["id"] for c in payload["checks"]] == [c["id"] for c in golden["checks"]]
+    for got, want in zip(payload["checks"], golden["checks"]):
+        if got["id"] == "convolution.transversal_sizes.stabilizer":
+            assert (got["status"], got["got"]) == ("fail", "TransversalError: planted")
+        else:
+            assert got == want
+    assert payload["summary"]["fail"] == 1
+
+    monkeypatch.undo()
+    plant(KeyError("planted"))
+    with pytest.raises(KeyError):
+        main(args + ["verify", "convolution"])
+
+
 def test_sampled_draws_every_sample_even_after_a_failure():
     drawn = []
 
@@ -151,7 +187,7 @@ def test_cocycle_json_matches_golden_output(capsysbinary):
 
 def test_report_goldens_reproduce_with_numpy_blocked():
     # with `import numpy` made to fail, the report runs every series kernel
-    # on packed integers and still prints each golden byte for byte
+    # on the field's tables and still prints each golden byte for byte
     code = "import sys\nsys.modules['numpy'] = None\nfrom sl8hecke.cli import main\nsys.exit(main(sys.argv[1:]))\n"
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     for name, q, variant, seed in (

@@ -11,7 +11,6 @@ from sl8hecke.residue import (
     UNIT_MINUS_ONE,
     UNIT_ONE,
     UnitI,
-    _packed_product,
     char_sum_eta_squares,
     eta_residue,
     make_field,
@@ -273,7 +272,7 @@ def test_convolve_matches_schoolbook(q):
 
 @pytest.mark.parametrize("q", [5, 9, 13])
 def test_mul_trunc_matches_truncated_convolution(q):
-    # every shape on both sides of the packed-product cut-over, truncated at n = 17
+    # every shape up to 20 x 20, truncated at n = 17
     f = make_field(q)
     n = 17
     for sa in range(1, 21):
@@ -370,16 +369,13 @@ def test_series_inverse_matches_the_scalar_recurrence_past_one_window(q):
                 assert f.series_inverse(divisor, n) == recurrence_inverse(f, divisor, n), (n, supp)
 
 
-# -- packed kernels against numpy ------------------------------------------------
-
-PACKED_Q = [5, 9, 13, 25, 49, 53]
+# -- table-driven kernels against numpy ------------------------------------------
 
 
-@pytest.mark.parametrize("q", PACKED_Q)
+@pytest.mark.parametrize("q", TABLE_Q)
 def test_mul_trunc_matches_numpy_at_every_shape_up_to_the_window(q):
-    # every shape 1..40 x 1..40, truncated at N = 40: the schoolbook loop and
-    # the packed product over F_p, the packed coordinate products over F_{p^2};
-    # one operand pair per shape is all q - 1, the largest slot values
+    # every shape 1..40 x 1..40, truncated at N = 40, at every admissible
+    # q < 128; one operand pair per shape is all q - 1, the largest encodings
     f = make_field(q)
     rng = random.Random(q)
     n = 40
@@ -391,7 +387,7 @@ def test_mul_trunc_matches_numpy_at_every_shape_up_to_the_window(q):
                 assert f.mul_trunc(x, y, n) == f.convolve(x, y)[:n].tolist(), (sa, sb)
 
 
-@pytest.mark.parametrize("q", PACKED_Q)
+@pytest.mark.parametrize("q", TABLE_Q)
 def test_graeffe_matches_the_conjugate_product(q):
     # a(x) * a(-x) by numpy's convolution, read in x**2
     f = make_field(q)
@@ -403,25 +399,3 @@ def test_graeffe_matches_the_conjugate_product(q):
         assert not any(full[1::2])
         for n in (1, 7, 17, 20, 40):
             assert f.graeffe(a, n) == full[::2][:n], (size, n)
-
-
-def test_packed_product_widens_slots_past_32_bits():
-    def exact(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    # min(len) * top**2 reaches 2**32 exactly: a 32-bit slot would read 0
-    assert list(_packed_product([1 << 16], [1 << 16], 1 << 16)) == [1 << 32]
-    assert list(_packed_product([(1 << 16) - 1], [(1 << 16) - 1], (1 << 16) - 1)) == [((1 << 16) - 1) ** 2]
-    a = [(1 << 20) - 1, 3, 1 << 19, (1 << 20) - 7]
-    b = [(1 << 20) - 3, 1 << 20, 5]
-    assert list(_packed_product(a, b, 1 << 20)) == exact(a, b)
-    # products of p - 1 sums within 32 bits: the same digits from both widths
-    top = 52
-    a, b = [top] * 40, [top, 0, top] * 13
-    assert list(_packed_product(a, b, top)) == list(_packed_product(a, b, 1 << 20)) == exact(a, b)
-    with pytest.raises(OverflowError):
-        _packed_product([1], [1], 1 << 32)

@@ -289,8 +289,8 @@ def test_debug_serialisation_mentions_tag_and_lead(tw):
 #
 # The reference reads every element as its lead plus all N window
 # coefficients and recomputes each operation with scalar field arithmetic.
-# Supports are drawn on both sides of the packed-product cut-over, and
-# divisors include supports 2, 4 and N.  The N = 17 tower makes short
+# Supports run from monomials to the full window, and divisors include
+# supports 2, 4 and N.  The N = 17 tower makes short
 # products overflow the window and has a window length not divisible by e.
 
 DIFF_TOWERS = [Tower(make_field(q), precision=40) for q in (5, 9, 13)] + [
@@ -518,8 +518,8 @@ def test_long_window_norms_match_dense_reference(tw, tag, data):
 
 @pytest.mark.parametrize("q", [5, 9, 13, 17, 25, 29, 37, 41, 49, 53])
 def test_split_norm_matches_the_conjugate_product(q):
-    # supports on both sides of the packed-product cut-over of the half-length squares
-    # and of the exact boundary e * (supp - 1) < N, odd and even leads
+    # supports from 2 to past the window, on both sides of the exact boundary
+    # e * (supp - 1) < N, odd and even leads
     rng = random.Random(q)
     for n in (17, 40):
         tw = Tower(make_field(q), precision=n)
@@ -548,11 +548,10 @@ def test_equal_windows_with_different_exact_flags_get_their_own_norms(inexact_fi
             inexact = tw.from_coeffs(tag, 1, vals + [0] * (tw.N - len(vals)) + [1])
             assert exact == inexact and exact.exact and not inexact.exact
             order = (inexact, exact) if inexact_first else (exact, inexact)
-            for _ in range(2):  # each pass computes both norms afresh
-                for x in order:
-                    got = x.norm_to_F()
-                    assert_matches(got, conjugate_norm(x)[0])
-                    assert got.exact == x.exact
+            for x in order:
+                got = x.norm_to_F()
+                assert_matches(got, conjugate_norm(x)[0])
+                assert got.exact == x.exact
 
 
 @KERNEL_EXAMPLES
