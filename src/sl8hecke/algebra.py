@@ -21,7 +21,7 @@ group with the lift cocycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Callable, Hashable
 
 from .hecke import CocycleTable
@@ -33,24 +33,25 @@ class CoxeterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CoxeterSystem:
-    """Generators plus the order m(s, t) of each product st (None = infinity).
+class CoxeterSystem(namedtuple("CoxeterSystem", "generators braid_order", defaults=(None,))):
+    """Generators plus the order m(s, t) of each product st (None = infinity;
+    rank 2 only).
 
     Only ranks 0, 1, 2 are supported; the reduction rules of higher ranks
     are out of scope for this kernel.
     """
 
-    generators: tuple[str, ...]
-    braid_order: int | None = None  # rank-2 only
+    # a namedtuple base rather than NamedTuple, whose class body may not define __new__
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.generators) > 2:
+    def __new__(cls, generators: tuple[str, ...], braid_order: int | None = None):
+        if len(generators) > 2:
             raise CoxeterError("only Coxeter systems of rank <= 2 are supported")
-        if len(set(self.generators)) != len(self.generators):
+        if len(set(generators)) != len(generators):
             raise CoxeterError("duplicate generators")
-        if self.braid_order is not None and self.braid_order < 2:
+        if braid_order is not None and braid_order < 2:
             raise CoxeterError("braid order must be >= 2 or None for infinity")
+        return super().__new__(cls, generators, braid_order)
 
     def reduce(self, word) -> tuple[str, ...]:
         """Canonical reduced form of a word in the generators."""
@@ -78,17 +79,21 @@ class CoxeterSystem:
         return self.reduce((s,) + word)
 
 
-@dataclass
 class GenericHeckeElem:
     """Finite linear combination of basis elements T_w, keys reduced words."""
 
-    system: CoxeterSystem
-    terms: dict[tuple[str, ...], HeckeCoeff] = field(default_factory=dict)
+    __slots__ = ("system", "terms")
 
-    def __post_init__(self):
-        for w in self.terms:
-            if self.system.reduce(w) != w:
+    def __init__(self, system: CoxeterSystem, terms: dict[tuple[str, ...], HeckeCoeff] | None = None):
+        terms = {} if terms is None else terms
+        for w in terms:
+            if system.reduce(w) != w:
                 raise CoxeterError(f"non-reduced key {w!r}")
+        self.system = system
+        self.terms = terms
+
+    def __repr__(self) -> str:
+        return f"GenericHeckeElem(system={self.system!r}, terms={self.terms!r})"
 
     @staticmethod
     def basis(system: CoxeterSystem, word=()) -> "GenericHeckeElem":
@@ -183,10 +188,15 @@ class TwistedGroupAlgebra:
         return TwistedElem(self, {g: COEFF_ONE})
 
 
-@dataclass
 class TwistedElem:
-    algebra: TwistedGroupAlgebra
-    terms: dict
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: TwistedGroupAlgebra, terms: dict):
+        self.algebra = algebra
+        self.terms = terms
+
+    def __repr__(self) -> str:
+        return f"TwistedElem(algebra={self.algebra!r}, terms={self.terms!r})"
 
     def __add__(self, other: "TwistedElem") -> "TwistedElem":
         self._check(other)
@@ -253,10 +263,15 @@ class CrossedProductAlgebra:
         return self.system.reduce(tuple(self.action(g, letter) for letter in word))
 
 
-@dataclass
 class CrossedElem:
-    algebra: CrossedProductAlgebra
-    terms: dict
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra: CrossedProductAlgebra, terms: dict):
+        self.algebra = algebra
+        self.terms = terms
+
+    def __repr__(self) -> str:
+        return f"CrossedElem(algebra={self.algebra!r}, terms={self.terms!r})"
 
     def __add__(self, other: "CrossedElem") -> "CrossedElem":
         if self.algebra is not other.algebra:

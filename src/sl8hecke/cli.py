@@ -8,7 +8,9 @@ its row, with the error in ``got``, and the later rows still run; any other
 exception propagates.  ``verify <section>`` runs a single section.  The
 checks, in report order, are the rows of ``CHECKS``; the section names are
 the id prefixes of those rows.  ``dump-constants`` prints the structure
-constants of the example twisted group algebra as CSV.
+constants of the example twisted group algebra as CSV.  The rows that call
+``generic`` or ``algebra``, and ``dump_constants``, import them where they
+call them, so a run loads those modules only when its command needs them.
 
 Runs are deterministic: all sampled checks draw from a seeded generator,
 and two runs with the same configuration and seed produce byte-identical
@@ -18,17 +20,13 @@ JSON.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import itertools
 import json
 import random
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from . import algebra as alg
-from . import generic
 from .groupmodel import (
     PARAHORIC,
     STABILIZER,
@@ -81,8 +79,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(NamedTuple):
     q: int = 5
     precision: int = 40
     variant: str = "both"
@@ -111,8 +108,7 @@ class Config:
         return (self.variant,)
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     id: str
     module: str
     claim: str
@@ -122,10 +118,9 @@ class Check:
     status: str
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     config: Config
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]
 
     def summary(self) -> dict:
         out = {PASS: 0, FAIL: 0, SKIP: 0}
@@ -149,7 +144,7 @@ def emit(report: Report, fmt: str) -> bytes:
                 "window_z": report.config.window_z,
                 "seed": report.config.seed,
             },
-            "checks": [dataclasses.asdict(c) for c in report.checks],
+            "checks": [c._asdict() for c in report.checks],
             "summary": report.summary(),
         }
         return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
@@ -201,8 +196,12 @@ class Session:
             self._once[key] = make()
         return self._once[key]
 
-    def ge1(self, level):
-        return self.once(("ge1", level), lambda: generic.check_ge1(self.tower, level))
+    def ge1(self):
+        """The genericity reports at the quarter and at the half level."""
+        from . import generic
+
+        levels = (generic.LEVEL_QUARTER, generic.LEVEL_HALF)
+        return self.once("ge1", lambda: tuple(generic.check_ge1(self.tower, level) for level in levels))
 
     def cocycle_certificate(self, v: str):
         return self.once(("cocycle", v), lambda: cocycle_certificate(self.contexts[v]))
@@ -246,7 +245,9 @@ def _field_axioms(s: Session, v: str):
 
 
 def _witnesses(s: Session, v: str):
-    tw, quarter, half = s.tower, s.ge1(generic.LEVEL_QUARTER), s.ge1(generic.LEVEL_HALF)
+    from . import generic
+
+    tw, (quarter, half) = s.tower, s.ge1()
     ok = (
         quarter.ge0_pass
         and half.ge0_pass
@@ -257,6 +258,8 @@ def _witnesses(s: Session, v: str):
 
 
 def _antisymmetric(s: Session, v: str):
+    from . import generic
+
     return True, all(
         generic.pairing_on_coroot(s.tower, generic.RootPair(p.j, p.i, p.level))
         == -generic.pairing_on_coroot(s.tower, p)
@@ -266,6 +269,8 @@ def _antisymmetric(s: Session, v: str):
 
 
 def _galois_stable(s: Session, v: str):
+    from . import generic
+
     values = [generic.pairing_on_coroot(s.tower, p) for p in generic.root_pairs(generic.LEVEL_QUARTER)]
     remaining = list(values)
     for u in [x.galois(1) for x in values]:
@@ -320,6 +325,8 @@ def _unit_element(s: Session, v: str):
 
 
 def _hecke_associativity(s: Session, v: str):
+    from . import algebra as alg
+
     system = alg.CoxeterSystem(("s", "t"))
     params = {"s": COEFF_ONE + COEFF_ONE + COEFF_ONE, "t": COEFF_ONE + COEFF_ONE}
     words = [(), ("s",), ("t",), ("s", "t"), ("t", "s")]
@@ -331,24 +338,32 @@ def _hecke_associativity(s: Session, v: str):
 
 
 def _twisted_associativity(s: Session, v: str):
+    from . import algebra as alg
+
     twisted, window = alg.build_example_algebra(s.tables[v]).twisted, s.contexts[v].window(2, 1)
     draw = _triple(lambda: twisted.basis(s.rng.choice(window)))
     return True, sampled(100, draw, _associative(alg.twisted_mul))
 
 
 def _crossed_associativity(s: Session, v: str):
+    from . import algebra as alg
+
     example, window = alg.build_example_algebra(s.tables[v]), s.contexts[v].window(2, 1)
     pool = [example.basis(s.rng.choice(window)) for _ in range(8)]
     return True, sampled(100, _triple(lambda: s.rng.choice(pool)), _associative(alg.crossed_mul))
 
 
 def _example_commutation(s: Session, v: str):
+    from . import algebra as alg
+
     e, mul = alg.build_example_algebra(s.tables[v]).basis, alg.crossed_mul
     prod = mul(mul(mul(e(W_S), e(W_Z)), e(W_S.inverse())), e(W_Z.inverse()))
     return True, prod.terms == {(W_ID, ()): HeckeCoeff(-1, 0)}
 
 
 def _broken_cocycle_control(s: Session, v: str):
+    from . import algebra as alg
+
     table = s.tables[v]
 
     def broken(u, w):
@@ -420,12 +435,11 @@ CHECKS = (
         "associativity and distributivity hold exactly at window precision",
         "20 seeded triples per run", _field_axioms),
     Row("genericity.pair_counts", "generic", "12 coroots at the quarter level and 40 at the half level",
-        "root pair enumeration", lambda s, v: ("(12, 40)", str((len(s.ge1(generic.LEVEL_QUARTER).valuations),
-                                                                len(s.ge1(generic.LEVEL_HALF).valuations))))),
+        "root pair enumeration", lambda s, v: ("(12, 40)", str(tuple(len(r.valuations) for r in s.ge1())))),
     Row("genericity.quarter_valuations", "generic", "every quarter-level pairing has valuation exactly -1/4",
-        "12 pairings", lambda s, v: (True, s.ge1(generic.LEVEL_QUARTER).ge1_pass)),
+        "12 pairings", lambda s, v: (True, s.ge1()[0].ge1_pass)),
     Row("genericity.half_valuations", "generic", "every half-level pairing has valuation exactly -1/2",
-        "40 pairings", lambda s, v: (True, s.ge1(generic.LEVEL_HALF).ge1_pass)),
+        "40 pairings", lambda s, v: (True, s.ge1()[1].ge1_pass)),
     Row("genericity.witnesses", "generic", "the diagonal witnesses pair to valuation 0 (values 4 and 2)",
         "Tr(pi^-1 * pi)", _witnesses),
     Row("genericity.antisymmetry", "generic", "swapping a coroot's indices negates the pairing",
@@ -521,7 +535,7 @@ def run_all(config: Config, sections=SECTIONS) -> Report:
     config.validate()
     s = Session(config)
     fld, variants = s.field, config.variants()
-    report = Report(config)
+    report = Report(config, [])
     for section in sections:
         rows = [row for row in CHECKS if row.section == section]
         runs = [(row, v, f"{row.id}.{v}") for v in variants for row in rows if v in row.variants]
@@ -546,6 +560,8 @@ def run_all(config: Config, sections=SECTIONS) -> Report:
 
 
 def dump_constants(config: Config) -> bytes:
+    from . import algebra as alg
+
     config.validate()
     session = Session(config)
     variant = config.variants()[0]

@@ -22,8 +22,9 @@ materialised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .tower import E2, E4, LaurentElem, Tower
 
@@ -41,19 +42,18 @@ _TARGET = {LEVEL_QUARTER: Fraction(-1, 4), LEVEL_HALF: Fraction(-1, 2)}
 _FUNCTIONAL = {LEVEL_QUARTER: X0, LEVEL_HALF: X1}
 
 
-@dataclass(frozen=True)
-class EigenCoordinate:
-    block: str
-    galois_index: int
+class EigenCoordinate(namedtuple("EigenCoordinate", "block galois_index")):
+    # a namedtuple base rather than NamedTuple, whose class body may not define __new__
+    __slots__ = ()
 
-    def __post_init__(self):
-        bound = 4 if self.block == E4_BLOCK else 2
-        if not 0 <= self.galois_index < bound:
-            raise ValueError(f"galois index {self.galois_index} out of range for {self.block}")
+    def __new__(cls, block: str, galois_index: int):
+        bound = 4 if block == E4_BLOCK else 2
+        if not 0 <= galois_index < bound:
+            raise ValueError(f"galois index {galois_index} out of range for {block}")
+        return super().__new__(cls, block, galois_index)
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(NamedTuple):
     i: EigenCoordinate
     j: EigenCoordinate
     level: str
@@ -116,8 +116,7 @@ def pairing_on_coroot(tower: Tower, pair: RootPair) -> LaurentElem:
     return weight(tower, pair.i, fn) - weight(tower, pair.j, fn)
 
 
-@dataclass
-class GenericityReport:
+class GenericityReport(NamedTuple):
     level: str
     target: Fraction
     valuations: list[tuple[RootPair, Fraction]]

@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
-from typing import Callable
 
-from .residue import UnitI, eta_residue, sgn
+from .residue import Frozen, UnitI, eta_residue, sgn
 from .tower import E2, E4, F, LaurentElem, Tower
 
 STABILIZER = "stabilizer"
@@ -60,15 +59,20 @@ class MembershipError(ValueError):
     """An element was used where a subgroup membership precondition fails."""
 
 
-@dataclass(frozen=True)
-class GroupElem:
+_set = object.__setattr__
+
+
+class GroupElem(Frozen):
     """(2x2 matrix over E2, unit-scale element of E4)."""
 
-    a: LaurentElem
-    b: LaurentElem
-    c: LaurentElem
-    d: LaurentElem
-    g4: LaurentElem
+    __slots__ = ("a", "b", "c", "d", "g4")
+
+    def __init__(self, a: LaurentElem, b: LaurentElem, c: LaurentElem, d: LaurentElem, g4: LaurentElem):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        _set(self, "g4", g4)
 
     def __mul__(self, other: "GroupElem") -> "GroupElem":
         return GroupElem(
@@ -124,13 +128,15 @@ class GroupElem:
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]] x {self.g4!r}"
 
 
-@dataclass(frozen=True)
-class TorusElem:
+class TorusElem(Frozen):
     """Diagonal element (x, y, z) of the maximal torus."""
 
-    x: LaurentElem
-    y: LaurentElem
-    z: LaurentElem
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: LaurentElem, y: LaurentElem, z: LaurentElem):
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
     def to_group(self) -> GroupElem:
         tw = self.x.tower
@@ -148,6 +154,9 @@ class TorusElem:
         return self.x == other.x and self.y == other.y and self.z == other.z
 
     __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TorusElem(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
 
 def commutator(g: GroupElem, h: GroupElem) -> GroupElem:
@@ -312,7 +321,6 @@ def rho0(g: GroupElem, variant: str = STABILIZER) -> UnitI:
 # -- Iwahori factorisation ------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class Monomial:
     """The middle factor of an Iwahori decomposition: diag(first, second) or
     antidiag(first; second), with the E4 part g4.  Row i holds entry i of
@@ -321,10 +329,21 @@ class Monomial:
     `as_group`.  An exact monomial, one term c * pi**e per entry, is held as
     terms instead (`term_product`)."""
 
-    kind: str  # "diag" | "anti"
-    first: LaurentElem
-    second: LaurentElem
-    g4: LaurentElem
+    __slots__ = ("kind", "first", "second", "g4")
+
+    def __init__(self, kind: str, first: LaurentElem, second: LaurentElem, g4: LaurentElem):
+        self.kind = kind  # "diag" | "anti"
+        self.first = first
+        self.second = second
+        self.g4 = g4
+
+    def __eq__(self, other):
+        if other.__class__ is not Monomial:
+            return NotImplemented
+        return (self.kind, self.first, self.second, self.g4) == (other.kind, other.first, other.second, other.g4)
+
+    def __repr__(self) -> str:
+        return f"Monomial(kind={self.kind!r}, first={self.first!r}, second={self.second!r}, g4={self.g4!r})"
 
     def as_group(self) -> GroupElem:
         tw = self.first.tower
@@ -430,22 +449,18 @@ def quotients_in_iwahori(quotient_ords, make_k1, make_k2) -> bool:
     return quotient_ords[0] >= (make_k1 is lower_l) and quotient_ords[1] >= (make_k2 is lower_l)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(
+    namedtuple("Decomposition", "g case kind ords residues quotient_ords product make_k1 make_k2")
+):
     """g = make_k1(x) * m * make_k2(y / pivot) in the pivot case `case` of
-    PIVOT_CASES.  kind, ords, residues and the quotient valuations come from
-    `pivot_step`; `pivot_inv`, `monomial` (with the series entry), k1 and k2
-    are built on first read."""
-
-    g: GroupElem
-    case: int
-    kind: str  # "diag" | "anti"
-    ords: tuple[int, int]  # ord_norm of (first, second)
-    residues: tuple[int, int]  # leading residues of (first, second)
-    quotient_ords: tuple  # ord(num) - ord(pivot), ord(y) - ord(pivot)
-    product: LaurentElem  # first * second: det(g) for "diag", -det(g) for "anti"
-    make_k1: Callable[[Tower, LaurentElem], GroupElem]
-    make_k2: Callable[[Tower, LaurentElem], GroupElem]
+    PIVOT_CASES.  kind ("diag" or "anti"), ords (ord_norm of m's first and
+    second entries), residues (their leading residues) and quotient_ords
+    (ord(num) - ord(pivot), ord(y) - ord(pivot)) come from `pivot_step`;
+    product is first * second, det(g) for "diag" and -det(g) for "anti";
+    make_k1 and make_k2 build k1 and k2 from the tower and a quotient.
+    `pivot_inv`, `monomial` (with the series entry), k1 and k2 are built on
+    first read and kept in the instance dict, which this subclass has for
+    them (it declares no ``__slots__``)."""
 
     @property
     def g4(self) -> LaurentElem:

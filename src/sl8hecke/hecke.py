@@ -86,8 +86,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .groupmodel import (
     PARAHORIC,
@@ -810,8 +810,7 @@ class CocycleTable:
         return self.mu(u, v) * self.mu(u * v, w) == self.mu(v, w) * self.mu(u, v * w)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of the non-triviality search."""
 
     nontrivial: bool
@@ -844,8 +843,7 @@ def nontriviality_certificate(table: CocycleTable) -> Certificate:
 # residue certificates: the sampled group facts, exhausted over residues
 
 
-@dataclass(frozen=True)
-class CocycleCertificate:
+class CocycleCertificate(NamedTuple):
     """The letter facts that make mu a 2-cocycle on all of W, with L the
     canonical lift and T0 the compact torus of the variant.
 
@@ -916,8 +914,7 @@ def cocycle_certificate(ctx: HeckeContext) -> CocycleCertificate:
     return CocycleCertificate(relations, normalizes, invariant)
 
 
-@dataclass(frozen=True)
-class Rho0Certificate:
+class Rho0Certificate(NamedTuple):
     """The reduction of rho0(g) = eta(N(d)) on the compact subgroup K0 to the
     residue of g's d-entry, on an exact witness for every unit residue r.
 

@@ -26,7 +26,6 @@ the tests compare these kernels against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -42,12 +41,44 @@ class DomainError(ValueError):
 # exact Gaussian-integer scalars and fourth roots of unity
 
 
-@dataclass(frozen=True)
-class HeckeCoeff:
+class Frozen:
+    """Base of the package's immutable values.  A subclass names its fields in
+    ``__slots__`` and sets each once, in ``__init__``, through
+    ``object.__setattr__``; any later assignment or deletion raises.  Copies
+    and pickles rebuild the value through its constructor, so
+    ``__init__`` must take the fields in ``__slots__`` order."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+_set = object.__setattr__
+
+
+class HeckeCoeff(Frozen):
     """A Gaussian integer re + im*i, the exact carrier for all scalar values."""
 
-    re: int
-    im: int
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        _set(self, "re", re)
+        _set(self, "im", im)
+
+    def __eq__(self, other):
+        if other.__class__ is not HeckeCoeff:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __add__(self, other: "HeckeCoeff") -> "HeckeCoeff":
         return HeckeCoeff(self.re + other.re, self.im + other.im)
@@ -79,14 +110,21 @@ COEFF_ZERO = HeckeCoeff(0, 0)
 COEFF_ONE = HeckeCoeff(1, 0)
 
 
-@dataclass(frozen=True)
-class UnitI:
+class UnitI(Frozen):
     """i**exp for a fixed square root i of -1; exp is reduced mod 4."""
 
-    exp: int
+    __slots__ = ("exp",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exp", self.exp % 4)
+    def __init__(self, exp: int):
+        _set(self, "exp", exp % 4)
+
+    def __eq__(self, other):
+        if other.__class__ is not UnitI:
+            return NotImplemented
+        return self.exp == other.exp
+
+    def __hash__(self):
+        return hash((self.exp,))
 
     def __mul__(self, other: "UnitI") -> "UnitI":
         return UnitI(self.exp + other.exp)

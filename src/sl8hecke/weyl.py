@@ -22,8 +22,6 @@ forms and against the norm-condition criterion by exact evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .groupmodel import (
     PARAHORIC,
     IDENTITY_TERMS,
@@ -41,7 +39,7 @@ from .groupmodel import (
     term_inverse,
     term_product,
 )
-from .residue import sgn
+from .residue import Frozen, sgn
 from .tower import E2, E4, Tower
 
 S = "s"
@@ -58,19 +56,33 @@ def _reduce(word) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WeylElem:
-    word: tuple[str, ...] = ()
-    zexp: int = 0
-    ebit: int = 0
+_set = object.__setattr__
 
-    def __post_init__(self):
-        if any(l not in (S, SP) for l in self.word):
-            raise ValueError(f"bad letters in {self.word!r}")
-        if _reduce(self.word) != self.word:
-            raise ValueError(f"word {self.word!r} is not reduced")
-        if self.ebit not in (0, 1):
+
+class WeylElem(Frozen):
+    __slots__ = ("word", "zexp", "ebit")
+
+    def __init__(self, word: tuple[str, ...] = (), zexp: int = 0, ebit: int = 0):
+        if any(l not in (S, SP) for l in word):
+            raise ValueError(f"bad letters in {word!r}")
+        if _reduce(word) != word:
+            raise ValueError(f"word {word!r} is not reduced")
+        if ebit not in (0, 1):
             raise ValueError("ebit must be 0 or 1")
+        _set(self, "word", word)
+        _set(self, "zexp", zexp)
+        _set(self, "ebit", ebit)
+
+    def __eq__(self, other):
+        if other.__class__ is not WeylElem:
+            return NotImplemented
+        return self.word == other.word and self.zexp == other.zexp and self.ebit == other.ebit
+
+    def __hash__(self):
+        return hash((self.word, self.zexp, self.ebit))
+
+    def __repr__(self) -> str:
+        return f"WeylElem(word={self.word!r}, zexp={self.zexp!r}, ebit={self.ebit!r})"
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         return WeylElem(

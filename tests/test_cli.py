@@ -221,6 +221,41 @@ def test_cli_and_omega_at_q13_do_not_import_numpy():
     assert run.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "command, algebra, generic",
+    [("", False, False)]
+    + [(f"verify {s}", False, False) for s in ("norms", "epsilon", "weyl", "lattice", "cocycle", "convolution", "omega")]
+    + [
+        ("verify genericity", False, True),
+        ("verify algebra", True, False),
+        ("dump-constants", True, False),
+        ("report", True, True),
+    ],
+)
+def test_a_run_loads_only_the_modules_its_rows_call(command, algebra, generic):
+    # algebra and generic are imported by the rows that call them, so a command
+    # loads them only when it runs those rows ("" only imports the CLI), and
+    # no module of the package imports dataclasses
+    code = (
+        "import sys\n"
+        "import sl8hecke.cli\n"
+        "code = sl8hecke.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "names = ('dataclasses', 'sl8hecke.algebra', 'sl8hecke.generic')\n"
+        "print(code, *(name in sys.modules for name in names), file=sys.stderr)\n"
+    )
+    argv = ["--q", "5", "--variant", "stabilizer", "--format", "json", *command.split()] if command else []
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == f"0 False {algebra} {generic}"
+
+
 SAMPLERS = ("random_K0", "random_KM0", "perturbed_table", "sz_perturbed_table", "multiplicative_family_search")
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -310,7 +309,7 @@ def test_decompose_quotient_valuations_follow_the_unipotent_kind(tower5):
     # integral but not in the maximal ideal
     dec = iwahori_decompose(upper_u(tower5, 2))
     assert dec.factors_in_iwahori()
-    swapped = dataclasses.replace(dec, make_k2=lower_l)
+    swapped = dec._replace(make_k2=lower_l)
     assert not swapped.factors_in_iwahori()
     assert not in_iwahori(swapped.k2)
 
