@@ -361,9 +361,11 @@ def term_product(field, left, right) -> tuple[str, tuple]:
     (r2, e2), (r4, e4))), the (residue, exponent) pairs of first, second and
     the E4 part: one F_q product and one exponent sum per entry.  Row i of
     left meets row i of right (diag) or row 1 - i (anti)."""
-    (kind1, (a1, a2, a4)), (kind2, (b1, b2, b4)) = left, right
-    pairs = ((a1, b1), (a2, b2)) if kind1 == "diag" else ((a1, b2), (a2, b1))
-    terms = tuple((field.mul(r, s), e + f) for (r, e), (s, f) in pairs + ((a4, b4),))
+    (kind1, ((r1, e1), (r2, e2), (r4, e4))), (kind2, ((s1, f1), (s2, f2), (s4, f4))) = left, right
+    if kind1 != "diag":
+        s1, f1, s2, f2 = s2, f2, s1, f1
+    mul = field.mul_table
+    terms = ((mul[r1][s1], e1 + f1), (mul[r2][s2], e2 + f2), (mul[r4][s4], e4 + f4))
     return ("diag" if kind1 == kind2 else "anti"), terms
 
 

@@ -126,6 +126,7 @@ from .weyl import (
     WeylElem,
     lift,
     lift_inverse,
+    lift_memos,
     lift_terms,
     plength,
     translation_power,
@@ -236,7 +237,7 @@ class HeckeContext:
     # -- window -------------------------------------------------------------
 
     def require_window(self, w: WeylElem) -> None:
-        if plength(w) > self.window_words or abs(w.zexp) > self.window_z:
+        if len(w.word) > self.window_words or abs(w.zexp) > self.window_z:
             raise WindowExceeded(f"{w} outside window (words<={self.window_words}, |z|<={self.window_z})")
 
     def window(self, max_word: int | None = None, max_z: int | None = None) -> list[WeylElem]:
@@ -748,6 +749,7 @@ class CocycleTable:
         self.perturbation = dict(perturbation or {})
         self.perturbation.pop(W_ID, None)
         self._mu: dict[tuple[WeylElem, WeylElem], UnitI] = {}
+        self._lift_memos = lift_memos(ctx.tower)
 
     def family_lift(self, w: WeylElem) -> GroupElem:
         base = self.ctx.lift(w)
@@ -779,16 +781,16 @@ class CocycleTable:
 
     def _canonical_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
         # the canonical lifts are exact monomials: the discrepancy is the
-        # product of their (residue, exponent) terms over F_q
-        ctx = self.ctx
-        fld = ctx.tower.field
-        disc = ctx.lift_terms(w1 * w2, inverse=True)
-        for w in (w1, w2):
-            disc = term_product(fld, disc, ctx.lift_terms(w))
+        # product of their (residue, exponent) terms over F_q, read from the
+        # memos of `lift_terms` (terms are non-empty, so `or` marks a miss)
+        tower, (fwd, inv) = self.ctx.tower, self._lift_memos
+        fld, w = tower.field, w1 * w2
+        disc = term_product(fld, inv.get(w) or lift_terms(tower, w, True), fwd.get(w1) or lift_terms(tower, w1))
+        disc = term_product(fld, disc, fwd.get(w2) or lift_terms(tower, w2))
         kind, ((rx, nx), (ry, ny), (rz, nz)) = disc
         if kind != "diag":
             raise ClassificationError("lift discrepancy is not diagonal")
-        if not compact_torus_conditions(fld, ctx.variant, (nx, ny, nz), (rx, ry, rz)):
+        if not compact_torus_conditions(fld, self.ctx.variant, (nx, ny, nz), (rx, ry, rz)):
             raise ClassificationError("lift discrepancy left the compact torus")
         return rho_residues(fld, rx, ry, rz)
 

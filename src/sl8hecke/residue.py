@@ -43,10 +43,12 @@ class DomainError(ValueError):
 
 class Frozen:
     """Base of the package's immutable values.  A subclass names its fields in
-    ``__slots__`` and sets each once, in ``__init__``, through
+    ``__slots__`` and sets each once, when the value is built, through
     ``object.__setattr__``; any later assignment or deletion raises.  Copies
-    and pickles rebuild the value through its constructor, so
-    ``__init__`` must take the fields in ``__slots__`` order."""
+    and pickles rebuild the value through its constructor, so the
+    constructor must take the fields in ``__slots__`` order; a subclass with
+    a slot that is not a constructor argument, such as a cached hash,
+    defines its own ``__reduce__``."""
 
     __slots__ = ()
 
@@ -111,12 +113,16 @@ COEFF_ONE = HeckeCoeff(1, 0)
 
 
 class UnitI(Frozen):
-    """i**exp for a fixed square root i of -1; exp is reduced mod 4."""
+    """i**exp for a fixed square root i of -1; exp is reduced mod 4.
+
+    Interned: ``UnitI(k)``, products, powers, inverses and the characters
+    ``eta_residue`` and ``sgn`` return one of four shared instances, so
+    copies and pickles, which rebuild through the constructor, do too."""
 
     __slots__ = ("exp",)
 
-    def __init__(self, exp: int):
-        _set(self, "exp", exp % 4)
+    def __new__(cls, exp: int):
+        return _UNITS[exp % 4]
 
     def __eq__(self, other):
         if other.__class__ is not UnitI:
@@ -127,13 +133,13 @@ class UnitI(Frozen):
         return hash((self.exp,))
 
     def __mul__(self, other: "UnitI") -> "UnitI":
-        return UnitI(self.exp + other.exp)
+        return _UNITS[(self.exp + other.exp) % 4]
 
     def __pow__(self, n: int) -> "UnitI":
-        return UnitI(self.exp * n)
+        return _UNITS[self.exp * n % 4]
 
     def inverse(self) -> "UnitI":
-        return UnitI(-self.exp)
+        return _UNITS[-self.exp % 4]
 
     def as_coeff(self) -> HeckeCoeff:
         return (COEFF_ONE, HeckeCoeff(0, 1), HeckeCoeff(-1, 0), HeckeCoeff(0, -1))[self.exp]
@@ -142,9 +148,14 @@ class UnitI(Frozen):
         return ("1", "i", "-1", "-i")[self.exp]
 
 
-UNIT_ONE = UnitI(0)
-UNIT_I = UnitI(1)
-UNIT_MINUS_ONE = UnitI(2)
+def _unit(exp: int) -> UnitI:
+    u = object.__new__(UnitI)
+    _set(u, "exp", exp)
+    return u
+
+
+_UNITS = tuple(map(_unit, range(4)))
+UNIT_ONE, UNIT_I, UNIT_MINUS_ONE = _UNITS[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -382,14 +393,14 @@ def eta_residue(field: ResidueField, x: int) -> UnitI:
     """The order-four character with eta(zeta) = i; multiplicative on F_q^x."""
     if x == 0:
         raise DomainError("eta is undefined at 0")
-    return UnitI(field.dlog(x) % 4)
+    return _UNITS[field.dlog(x) % 4]
 
 
 def sgn(field: ResidueField, x: int) -> UnitI:
     """The quadratic character: +1 on squares, -1 on non-squares; equals eta**2."""
     if x == 0:
         raise DomainError("sgn is undefined at 0")
-    return UnitI(2 * (field.dlog(x) % 2))
+    return _UNITS[2 * (field.dlog(x) % 2)]
 
 
 def char_sum_eta_squares(field: ResidueField) -> HeckeCoeff:

@@ -36,9 +36,12 @@ of the field's series inverse.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .residue import DomainError, ResidueField, UnitI, eta_residue
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 F = "F"
 E2 = "E2"
@@ -193,6 +196,9 @@ class LaurentElem:
 
     def ord(self) -> Fraction:
         """Valuation normalised so that ord(t) = 1."""
+        # fractions is imported here: only the genericity rows read ord
+        from fractions import Fraction
+
         if self.is_zero:
             raise DomainError("ord of zero")
         return Fraction(self.lead, RAMIFICATION[self.tag])

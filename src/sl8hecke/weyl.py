@@ -7,13 +7,19 @@ sign bit for the order-two element eps.  The sign bit is meaningful only
 for the parahoric variant; in the stabiliser variant eps lifts into the
 compact torus and its class is trivial.
 
+`WeylElem` is hashed once, at construction.  Its public constructor
+validates the word; products and inverses build their result through a
+trusted internal constructor, since the product of two reduced alternating
+words cancels only at the junction and is reduced without a scan.
+
 `lift_terms` sends a normal form to the canonical representative, or to
 its inverse, as the terms of an exact monomial (see `groupmodel`): the
 letter lifts in word order, times the z-lift to the zexp, times the
 eps-lift to the ebit, every product one F_q operation and one exponent sum
 per entry.  `lift` and `lift_inverse` are the matrices of those terms.
-Each is memoised per tower, the terms once per direction.  `h_M0` reads
-the valuation triple (ord x, ord y, ord z) of a torus element; on the
+Each is memoised per tower, the terms once per direction in the two dicts
+of `lift_memos`, which hot callers may read directly.  `h_M0` reads the
+valuation triple (ord x, ord y, ord z) of a torus element; on the
 compact-quotient level it identifies the torus part of the group with the
 integer lattice {n1 + n2 + n3 = 0, n3 even}, which `lattice_check`
 verifies against the span of (1, 1, -2) and (1, -1, 0) via Hermite normal
@@ -60,7 +66,13 @@ _set = object.__setattr__
 
 
 class WeylElem(Frozen):
-    __slots__ = ("word", "zexp", "ebit")
+    """A normal form (word, zexp, ebit).  The constructor checks that the word
+    is a reduced word in s and s' and that ebit is 0 or 1; the hash is
+    computed once, there.  Products and inverses of valid forms are built by
+    `_trusted`, which skips the checks; copies and pickles rebuild through
+    the validating constructor."""
+
+    __slots__ = ("word", "zexp", "ebit", "_hash")
 
     def __init__(self, word: tuple[str, ...] = (), zexp: int = 0, ebit: int = 0):
         if any(l not in (S, SP) for l in word):
@@ -69,9 +81,10 @@ class WeylElem(Frozen):
             raise ValueError(f"word {word!r} is not reduced")
         if ebit not in (0, 1):
             raise ValueError("ebit must be 0 or 1")
-        _set(self, "word", word)
-        _set(self, "zexp", zexp)
-        _set(self, "ebit", ebit)
+        _fill(self, word, zexp, ebit)
+
+    def __reduce__(self):
+        return WeylElem, (self.word, self.zexp, self.ebit)
 
     def __eq__(self, other):
         if other.__class__ is not WeylElem:
@@ -79,20 +92,23 @@ class WeylElem(Frozen):
         return self.word == other.word and self.zexp == other.zexp and self.ebit == other.ebit
 
     def __hash__(self):
-        return hash((self.word, self.zexp, self.ebit))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"WeylElem(word={self.word!r}, zexp={self.zexp!r}, ebit={self.ebit!r})"
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
-        return WeylElem(
-            _reduce(self.word + other.word),
-            self.zexp + other.zexp,
-            (self.ebit + other.ebit) % 2,
-        )
+        # both words are reduced and alternate, so cancellation at the junction
+        # runs until the shorter word is used up, and what is left is reduced
+        a, b = self.word, other.word
+        if a and b and a[-1] == b[0]:
+            word = a[: len(a) - len(b)] if len(a) > len(b) else b[len(a) :]
+        else:
+            word = a + b
+        return _trusted(word, self.zexp + other.zexp, self.ebit ^ other.ebit)
 
     def inverse(self) -> "WeylElem":
-        return WeylElem(tuple(reversed(self.word)), -self.zexp, self.ebit)
+        return _trusted(self.word[::-1], -self.zexp, self.ebit)
 
     def __pow__(self, n: int) -> "WeylElem":
         base = self if n >= 0 else self.inverse()
@@ -118,6 +134,20 @@ class WeylElem(Frozen):
         return (len(self.word), self.word, self.zexp, self.ebit)
 
 
+def _fill(w: WeylElem, word: tuple[str, ...], zexp: int, ebit: int) -> None:
+    _set(w, "word", word)
+    _set(w, "zexp", zexp)
+    _set(w, "ebit", ebit)
+    _set(w, "_hash", hash((word, zexp, ebit)))
+
+
+def _trusted(word: tuple[str, ...], zexp: int, ebit: int) -> WeylElem:
+    """A WeylElem from a reduced word and an ebit of 0 or 1, unchecked."""
+    w = object.__new__(WeylElem)
+    _fill(w, word, zexp, ebit)
+    return w
+
+
 W_ID = WeylElem()
 W_S = WeylElem((S,))
 W_SP = WeylElem((SP,))
@@ -137,13 +167,26 @@ def translation_power(n: int) -> WeylElem:
     return WeylElem((SP, S) * (-n))
 
 
+def lift_memos(tower: Tower) -> tuple[dict, dict]:
+    """The memos of `lift_terms` on this tower, forward and inverse: dicts
+    from normal form to terms, made once per tower."""
+    got = tower.cache.get("weyl_lift_terms")
+    if got is None:
+        got = tower.cache["weyl_lift_terms"] = ({}, {})
+    return got
+
+
 def lift_terms(tower: Tower, w: WeylElem, inverse: bool = False) -> tuple[str, tuple]:
     """The canonical representative, or its inverse, as the terms of an exact
     monomial: the letter lifts in word order, times z to the zexp, times eps
     to the ebit; memoised per tower and direction."""
-    if inverse:
-        return _memo(tower, "weyl_lift_terms_inv", w, lambda: term_inverse(tower.field, lift_terms(tower, w)))
-    return _memo(tower, "weyl_lift_terms", w, lambda: _letter_product(tower, w))
+    try:
+        return tower.cache["weyl_lift_terms"][inverse][w]
+    except KeyError:
+        pass
+    got = term_inverse(tower.field, lift_terms(tower, w)) if inverse else _letter_product(tower, w)
+    lift_memos(tower)[inverse][w] = got
+    return got
 
 
 def lift(tower: Tower, w: WeylElem) -> GroupElem:

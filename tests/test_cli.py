@@ -234,13 +234,14 @@ def test_cli_and_omega_at_q13_do_not_import_numpy():
 )
 def test_a_run_loads_only_the_modules_its_rows_call(command, algebra, generic):
     # algebra and generic are imported by the rows that call them, so a command
-    # loads them only when it runs those rows ("" only imports the CLI), and
-    # no module of the package imports dataclasses
+    # loads them only when it runs those rows ("" only imports the CLI); no
+    # module of the package imports dataclasses, and fractions is loaded only
+    # for generic, whose valuations are the one reader of LaurentElem.ord
     code = (
         "import sys\n"
         "import sl8hecke.cli\n"
         "code = sl8hecke.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "names = ('dataclasses', 'sl8hecke.algebra', 'sl8hecke.generic')\n"
+        "names = ('dataclasses', 'sl8hecke.algebra', 'sl8hecke.generic', 'fractions')\n"
         "print(code, *(name in sys.modules for name in names), file=sys.stderr)\n"
     )
     argv = ["--q", "5", "--variant", "stabilizer", "--format", "json", *command.split()] if command else []
@@ -253,7 +254,7 @@ def test_a_run_loads_only_the_modules_its_rows_call(command, algebra, generic):
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stderr.splitlines()[-1] == f"0 False {algebra} {generic}"
+    assert run.stderr.splitlines()[-1] == f"0 False {algebra} {generic} {generic}"
 
 
 SAMPLERS = ("random_K0", "random_KM0", "perturbed_table", "sz_perturbed_table", "multiplicative_family_search")

@@ -1,10 +1,12 @@
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sl8hecke.groupmodel import PARAHORIC, STABILIZER, elem_eps, elem_z, in_KM0, letters
-from sl8hecke.residue import make_field
+from sl8hecke.residue import UNIT_I, UNIT_MINUS_ONE, UNIT_ONE, UnitI, eta_residue, make_field, sgn
 from sl8hecke.tower import Tower
 from sl8hecke.weyl import (
     S,
@@ -14,6 +16,7 @@ from sl8hecke.weyl import (
     W_SP,
     W_Z,
     WeylElem,
+    _reduce,
     congruence_lattice_members,
     group_structure_check,
     h_M0,
@@ -90,6 +93,48 @@ def test_serialisation():
     assert str(W_ID) == "1"
     assert str(WeylElem((S, SP), 3, 1)) == "s.s'.z^3.e"
     assert str(WeylElem((SP,), -1)) == "s'.z^-1"
+
+
+reduced_words = st.builds(
+    lambda first, n: tuple((S, SP)[(first + i) % 2] for i in range(n)), st.integers(0, 1), st.integers(0, 6)
+)
+normal_forms = st.builds(WeylElem, reduced_words, st.integers(-3, 3), st.integers(0, 1))
+
+
+@given(normal_forms, normal_forms, st.booleans())
+def test_products_and_inverses_equal_the_validated_forms(u, v, mirror):
+    # products and inverses skip the constructor's checks: each must equal, and
+    # hash like, the form validated from the reduced concatenation.  With
+    # `mirror`, v's word is u's reversed, so the junction cancels everything
+    if mirror:
+        v = WeylElem(u.word[::-1], v.zexp, v.ebit)
+    got = u * v
+    want = WeylElem(_reduce(u.word + v.word), u.zexp + v.zexp, (u.ebit + v.ebit) % 2)
+    assert got == want and hash(got) == hash(want)
+    inv = u.inverse()
+    want = WeylElem(tuple(reversed(u.word)), -u.zexp, u.ebit)
+    assert inv == want and hash(inv) == hash(want)
+
+
+@pytest.mark.parametrize(
+    "value", [W_ID, WeylElem((S, SP, S), -2, 1), W_SP * W_S * W_SP, UNIT_ONE, UNIT_I, UnitI(3)], ids=repr
+)
+def test_copies_and_pickles_rebuild_equal_values(value):
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert other == value and hash(other) == hash(value)
+
+
+@pytest.mark.parametrize("q", [13, 9])
+def test_characters_and_unit_arithmetic_return_the_four_shared_units(q):
+    field = make_field(q)
+    shared = [UNIT_ONE, UNIT_I, UNIT_MINUS_ONE, UNIT_I.inverse()]
+    assert [UnitI(k) for k in range(-4, 8)] == shared * 3
+    got = [eta_residue(field, x) for x in field.units()] + [sgn(field, x) for x in field.units()]
+    got += [a * b for a in shared for b in shared] + [a**n for a in shared for n in range(-5, 6)]
+    got += [a.inverse() for a in shared] + [UnitI(k) for k in range(-4, 8)]
+    got += [copy.copy(a) for a in shared] + [pickle.loads(pickle.dumps(a)) for a in shared]
+    assert all(any(u is a for a in shared) for u in got)
+    assert len({id(a) for a in shared}) == 4
 
 
 # independent oracle: the infinite dihedral group acts faithfully on the
