@@ -15,6 +15,20 @@ call them, so a run loads those modules only when its command needs them.
 Runs are deterministic: all sampled checks draw from a seeded generator,
 and two runs with the same configuration and seed produce byte-identical
 JSON.
+
+A run whose sections span both groups below uses both cores: right after
+the ``Session`` is built it forks one worker for the sections in
+``WORKER_SECTIONS`` (epsilon, lattice, convolution and omega), which draw
+nothing from ``Session.rng`` and read no ``Session.once`` certificate, and
+runs the rest (norms, genericity, weyl, cocycle and algebra) itself in
+report order; weyl and cocycle stay together so their certificates are built
+once.  The worker sends its rows back as JSON over a pipe and the rows are
+merged in report order, so the output bytes and the exit codes are those of
+a serial run.  In the worker ``rng`` and ``once`` raise on use.  A worker
+row that raises an error not the verifier's own, or a worker that dies,
+makes ``run_all`` raise with the worker's traceback, and the worker is
+reaped whatever happens.  ``verify`` runs one section, and a host without
+``os.fork`` every section, in one process through the same loop.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ import argparse
 import io
 import itertools
 import json
+import os
 import random
 import sys
 from typing import Callable, NamedTuple
@@ -531,18 +546,36 @@ CHECKS = (
 SECTIONS = tuple(dict.fromkeys(row.section for row in CHECKS))
 
 
+# the sections that draw nothing from Session.rng and read no Session.once
+# certificate: a run that also asks for other sections runs these in a
+# forked worker, so the parent's seeded stream is the serial one
+WORKER_SECTIONS = ("epsilon", "lattice", "convolution", "omega")
+
+
 def run_all(config: Config, sections=SECTIONS) -> Report:
     config.validate()
     s = Session(config)
-    fld, variants = s.field, config.variants()
-    report = Report(config, [])
+    worker = [section for section in sections if section in WORKER_SECTIONS]
+    parent = [section for section in sections if section not in WORKER_SECTIONS]
+    if not (worker and parent and hasattr(os, "fork")):
+        return Report(config, _run_sections(s, sections))
+    order = {section: i for i, section in enumerate(sections)}
+    checks = _run_forked(s, parent, worker)
+    # stable, so each section keeps its rows' order
+    checks.sort(key=lambda c: order[c.id.split(".")[0]])
+    return Report(config, checks)
+
+
+def _run_sections(s: Session, sections) -> list[Check]:
+    fld, variants = s.field, s.config.variants()
+    checks = []
     for section in sections:
         rows = [row for row in CHECKS if row.section == section]
         runs = [(row, v, f"{row.id}.{v}") for v in variants for row in rows if v in row.variants]
         runs += [(row, variants[0], row.id) for row in rows if not row.variants]
         for row, variant, id_ in runs:
             if row.check is None:
-                report.checks.append(Check(id_, row.module, row.claim, "", "", "", SKIP))
+                checks.append(Check(id_, row.module, row.claim, "", "", "", SKIP))
                 continue
             try:
                 expected, got, *ok = row.check(s, variant)
@@ -553,10 +586,69 @@ def run_all(config: Config, sections=SECTIONS) -> Report:
             inputs = row.inputs.format(
                 q=fld.q, units=fld.q - 1, pairs=(fld.q - 1) ** 2, zeta=fld.zeta, variant=variant
             )
-            report.checks.append(
-                Check(id_, row.module, row.claim, inputs, str(expected), str(got), PASS if passed else FAIL)
-            )
-    return report
+            checks.append(Check(id_, row.module, row.claim, inputs, str(expected), str(got), PASS if passed else FAIL))
+    return checks
+
+
+class _Unavailable:
+    """Session.rng and Session.once in the worker: any use raises, so a row
+    that breaks the partition fails the run instead of shifting the stream."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def _refuse(self, *args, **kwargs):
+        raise RuntimeError(f"a worker section read Session.{self.name}")
+
+    __getattr__ = __call__ = _refuse
+
+
+def _run_forked(s: Session, parent: list[str], worker: list[str]) -> list[Check]:
+    """The parent sections' rows, then the worker sections' rows, the worker
+    sections run in a forked child while this process runs the parent's.
+
+    The child sends ``["rows", checks]`` or, when a row raises an error that is
+    not the verifier's own, ``["error", traceback]`` as JSON over a pipe, and
+    exits 0 only once the message is written.  An error message, or a child
+    that dies, raises RuntimeError here, so no partial report is printed; the
+    child is reaped whatever happens, and killed first if its rows are unread.
+    """
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            s.rng, s.once = _Unavailable("rng"), _Unavailable("once")
+            try:
+                message = ["rows", _run_sections(s, worker)]
+            except Exception:
+                import traceback
+
+                message = ["error", traceback.format_exc()]
+            with open(write_fd, "w", encoding="utf-8") as pipe:
+                pipe.write(json.dumps(message))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    data = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            checks = _run_sections(s, parent)
+            data = pipe.read()
+    finally:
+        if data is None:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(f"the report worker died (wait status {status})")
+    kind, body = json.loads(data)
+    if kind == "error":
+        raise RuntimeError(f"a worker section raised:\n{body}")
+    return checks + [Check(*fields) for fields in body]
 
 
 def dump_constants(config: Config) -> bytes:

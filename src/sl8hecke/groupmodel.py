@@ -279,12 +279,13 @@ def compact_torus_conditions(field, variant: str, ords, residues, xy=None, z: La
     if any(ords):
         return False
     rx, ry, rz = residues
-    rxy = field.mul(rx, ry)
+    mul = field.mul_table
+    rxy, rzz = mul[rx][ry], mul[rz][rz]
     # cheap residue condition first
-    if variant == PARAHORIC and field.mul(rxy, field.mul(rz, rz)) != 1:
+    if variant == PARAHORIC and mul[rxy][rzz] != 1:
         return False
     if z is None:
-        return field.mul(field.mul(rxy, rxy), field.pow(rz, 4)) == 1
+        return mul[mul[rxy][rxy]][mul[rzz][rzz]] == 1
     return (xy[0] * xy[1]).norm_to_F() * z.norm_to_F() == z.tower.one(F)
 
 

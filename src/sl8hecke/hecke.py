@@ -497,40 +497,34 @@ class HeckeContext:
         ok = True
         for w1 in window:
             for w2 in window:
-                entry = self._omega_pair(w1, w2)
+                entry = None if details is None else {}
+                passed = self._omega_pair(w1, w2, entry)
                 if details is not None:
                     details.append(entry)
-                ok = ok and entry["pass"]
+                ok = ok and passed
         return ok
 
-    def _omega_pair(self, w1: WeylElem, w2: WeylElem) -> dict:
+    def _omega_pair(self, w1: WeylElem, w2: WeylElem, entry: dict | None) -> bool:
+        """Whether the pair passes; a given entry receives the pair's details
+        (the names, the cosets and the extraneous convolution values)."""
         product = w1 * w2
         cosets = self.double_coset_product(w1, w2)
         additive = plength(product) == plength(w1) + plength(w2)
-        entry = {
-            "w1": str(w1),
-            "w2": str(w2),
-            "additive": additive,
-            "cosets": sorted(str(c) for c in cosets),
-        }
-        if additive:
-            entry["pass"] = cosets == {product}
-            return entry
-        if product not in cosets:
-            entry["pass"] = False
-            return entry
-        extraneous = [v for v in cosets if v != product]
+        passed = cosets == {product} if additive else product in cosets
         vanishing = {}
-        for v in extraneous:
-            value = self.convolve_at(w1, w2, self.lift(v))
-            vanishing[str(v)] = repr(value)
-            if not value.is_zero():
-                entry["pass"] = False
-                entry["vanishing"] = vanishing
-                return entry
-        entry["pass"] = True
-        entry["vanishing"] = vanishing
-        return entry
+        if passed and not additive:
+            for v in cosets:
+                if v != product:
+                    vanishing[v] = value = self.convolve_at(w1, w2, self.lift(v))
+                    if not value.is_zero():
+                        passed = False
+                        break
+        if entry is not None:
+            entry.update(w1=str(w1), w2=str(w2), additive=additive, cosets=sorted(str(c) for c in cosets))
+            entry["pass"] = passed
+            if not additive and product in cosets:
+                entry["vanishing"] = {str(v): repr(value) for v, value in vanishing.items()}
+        return passed
 
 
 def _sgn_sum(fld, residues) -> HeckeCoeff:
@@ -663,6 +657,7 @@ class TransversalFamily:
         a, b = left_kind == "anti", right_kind == "anti"
         tw = ctx.tower
         fld = tw.field
+        mul = fld.mul_table
         # entry k = 2i + j reads base entry 2 (i ^ a) + (j ^ b)
         self.source, self.shift, self.scale = [], [], []
         for i in (0, 1):
@@ -670,11 +665,11 @@ class TransversalFamily:
                 (c1, e1), (c2, e2) = lt[i], rt[j ^ b]
                 self.source.append(2 * (i ^ a) + (j ^ b))
                 self.shift.append(e1 + e2)
-                self.scale.append(fld.mul(c1, c2))
+                self.scale.append(mul[c1][c2])
         # det and the E4 part are the frames' (the base's are 1), each one term:
         # those of the monomial left * right, whose det is first * second, negated if anti
         kind, ((r1, e1), (r2, e2), (r4, e4)) = term_product(fld, left, right)
-        det_res = fld.mul(r1, r2)
+        det_res = mul[r1][r2]
         self.det_ord, self.det_res = e1 + e2, det_res if kind == "diag" else fld.neg(det_res)
         self.g4 = LaurentElem(tw, E4, e4, (r4,))
         self.products = {
@@ -713,8 +708,9 @@ class TransversalFamily:
         residue; or the ClassificationError message.  The label reads no
         residue (see `HeckeContext._choose_label`)."""
         fld = self.ctx.tower.field
+        mul = fld.mul_table
         ords = [base_ords[s] + e for s, e in zip(self.source, self.shift)]
-        residues = [fld.mul(base_residues[s], c) for s, c in zip(self.source, self.scale)]
+        residues = [mul[base_residues[s]][c] for s, c in zip(self.source, self.scale)]
         case, m_ords, m_residues, quotient_ords = pivot_step(fld, ords, residues, self.det_ord, self.det_res)
         piv, _, _, _, kind, make_k1, make_k2 = PIVOT_CASES[case]
         product = self.products[kind]
@@ -724,10 +720,10 @@ class TransversalFamily:
         label, ly_res, pos = got
         # the pivot is m's first entry iff it sits in g's first row
         at_pivot = (pos == 0) == (piv < 2)
-        scale = ly_res if at_pivot else fld.mul(ly_res, product.unit_residue())
+        scale = ly_res if at_pivot else mul[ly_res][product.unit_residue()]
         # the pivot's residue is the base residue times the frame's scale
         c = self.scale[piv]
-        scale = fld.mul(scale, c) if at_pivot else fld.mul(scale, fld.inv(c))
+        scale = mul[scale][c] if at_pivot else mul[scale][fld.inv(c)]
         return label, quotients_in_iwahori(quotient_ords, make_k1, make_k2), self.source[piv], scale, at_pivot
 
     def phi(self, w: WeylElem, i: int) -> HeckeCoeff:

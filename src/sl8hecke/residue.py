@@ -142,7 +142,7 @@ class UnitI(Frozen):
         return _UNITS[-self.exp % 4]
 
     def as_coeff(self) -> HeckeCoeff:
-        return (COEFF_ONE, HeckeCoeff(0, 1), HeckeCoeff(-1, 0), HeckeCoeff(0, -1))[self.exp]
+        return _UNIT_COEFFS[self.exp]
 
     def __repr__(self) -> str:
         return ("1", "i", "-1", "-i")[self.exp]
@@ -155,6 +155,7 @@ def _unit(exp: int) -> UnitI:
 
 
 _UNITS = tuple(map(_unit, range(4)))
+_UNIT_COEFFS = (COEFF_ONE, HeckeCoeff(0, 1), HeckeCoeff(-1, 0), HeckeCoeff(0, -1))
 UNIT_ONE, UNIT_I, UNIT_MINUS_ONE = _UNITS[:3]
 
 

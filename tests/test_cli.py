@@ -10,6 +10,7 @@ from sl8hecke.cli import (
     Config,
     ConfigError,
     SECTIONS,
+    WORKER_SECTIONS,
     dump_constants,
     emit,
     main,
@@ -296,3 +297,144 @@ def test_report_runs_without_samplers_or_series_inversion(monkeypatch, capsysbin
         assert main(["--q", q, "--variant", variant, "--seed", seed, "--format", "json", "report"]) == 0
         out = capsysbinary.readouterr().out
         assert verdicts(out) == (both if name is None else verdicts((DATA / name).read_bytes()))
+
+
+def plant(monkeypatch, row_id, check):
+    """Replace the check of one report row for the rest of the test."""
+    from sl8hecke import cli
+
+    monkeypatch.setattr(cli, "CHECKS", tuple(r._replace(check=check) if r.id == row_id else r for r in cli.CHECKS))
+
+
+def serial(monkeypatch, run):
+    """run() on a host without os.fork: every section runs in this process."""
+    with monkeypatch.context() as m:
+        m.delattr(os, "fork")
+        return run()
+
+
+def assert_no_child():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_sections_are_report_sections():
+    assert set(WORKER_SECTIONS) < set(SECTIONS)
+
+
+@pytest.mark.parametrize("q", [5, 9, 13])
+def test_the_forked_report_matches_the_serial_one(q, monkeypatch):
+    # the report forks one worker for epsilon, lattice, convolution and omega;
+    # its JSON and text are the bytes of the run without os.fork
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    for variant in ("stabilizer", "parahoric", "both"):
+        for seed in (0, 1):
+            cfg = Config(q=q, variant=variant, seed=seed)
+            forked = run_all(cfg)
+            alone = serial(monkeypatch, lambda: run_all(cfg))
+            for fmt in ("json", "text"):
+                assert emit(forked, fmt) == emit(alone, fmt), (variant, seed, fmt)
+    assert len(forks) == 6
+    assert_no_child()
+
+
+def test_a_worker_row_that_raises_fails_the_run_and_leaves_no_child(monkeypatch, capsysbinary):
+    def check(session, variant):
+        raise RuntimeError("planted")
+
+    plant(monkeypatch, "omega.window", check)
+    with pytest.raises(RuntimeError, match="planted"):
+        run_all(Config())
+    assert_no_child()
+    with pytest.raises(RuntimeError, match="planted"):
+        main(["--q", "5", "--format", "json", "report"])
+    assert capsysbinary.readouterr().out == b""
+    assert_no_child()
+
+
+def test_a_worker_that_dies_fails_the_run(monkeypatch):
+    parent = os.getpid()
+
+    def check(session, variant):
+        if os.getpid() != parent:
+            os._exit(3)
+        return True, True
+
+    plant(monkeypatch, "omega.window", check)
+    with pytest.raises(RuntimeError, match="worker died"):
+        run_all(Config())
+    assert_no_child()
+
+
+def test_a_parent_row_that_raises_reaps_the_worker(monkeypatch):
+    def check(session, variant):
+        raise RuntimeError("planted")
+
+    plant(monkeypatch, "norms.canonical_generator", check)
+    with pytest.raises(RuntimeError, match="planted"):
+        run_all(Config())
+    assert_no_child()
+
+
+def test_a_raising_worker_row_exits_1_with_its_traceback_and_no_report():
+    code = (
+        "import sys\n"
+        "from sl8hecke import cli\n"
+        "def check(session, variant):\n"
+        "    raise RuntimeError('planted')\n"
+        "cli.CHECKS = tuple(r._replace(check=check) if r.id == 'omega.window' else r for r in cli.CHECKS)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, "--q", "5", "--format", "json", "report"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=120,
+    )
+    assert run.returncode == 1
+    assert run.stdout == b""
+    assert b"RuntimeError: planted" in run.stderr
+
+
+def test_a_verifier_error_in_a_worker_row_is_the_serial_failing_row(monkeypatch):
+    from sl8hecke.hecke import ClassificationError
+
+    def check(session, variant):
+        raise ClassificationError("planted")
+
+    plant(monkeypatch, "omega.window", check)
+    forked = run_all(Config())
+    assert emit(forked, "json") == emit(serial(monkeypatch, lambda: run_all(Config())), "json")
+    failed = [(c.id, c.got) for c in forked.checks if c.status == "fail"]
+    assert failed == [(f"omega.window.{v}", "ClassificationError: planted") for v in ("stabilizer", "parahoric")]
+
+
+@pytest.mark.parametrize(
+    "read", [lambda s: s.rng.random(), lambda s: s.once("planted", lambda: 0)], ids=["rng", "once"]
+)
+def test_a_worker_row_that_reads_the_seeded_state_fails_the_run(read, monkeypatch):
+    # a worker section that drew from the seeded stream would shift the
+    # parent's samples, so a row that breaks the partition ends the run
+    def check(session, variant):
+        read(session)
+        return True, True
+
+    plant(monkeypatch, "lattice.image_identity", check)
+    with pytest.raises(RuntimeError, match="a worker section read Session"):
+        run_all(Config())
+    assert_no_child()
+
+
+def test_a_single_section_and_dump_constants_start_no_process(monkeypatch, capsysbinary):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert main(["--q", "5", "--variant", "both", "verify", "omega"]) == 0
+    assert main(["--q", "5", "--variant", "both", "verify", "cocycle"]) == 0
+    assert main(["--q", "5", "dump-constants"]) == 0
+    capsysbinary.readouterr()
