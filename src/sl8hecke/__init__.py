@@ -7,6 +7,11 @@ standard Iwahori, and the extended affine Weyl group acting on it.  All
 arithmetic is exact (truncated Laurent series over F_q, Gaussian-integer
 scalars), and the headline computation is a machine-checked certificate
 that the lift 2-cocycle on the Weyl group is cohomologically non-trivial.
+
+Each section's code is its own module: `residue`, `tower`, `groupmodel`,
+`weyl` and `hecke` are the layers every command loads; `cocycle`,
+`lattice`, `generic` and `algebra` are loaded by the rows that call them,
+and `reference` (matrix oracles and samplers) by no command.
 """
 
 __version__ = "0.1.0"
@@ -23,7 +28,11 @@ from .residue import (
 from .tower import E2, E4, F, LaurentElem, PrecisionExhausted, Tower
 from .groupmodel import PARAHORIC, STABILIZER, GroupElem, TorusElem
 from .weyl import WeylElem, lift, plength
-from .hecke import CocycleTable, HeckeContext, nontriviality_certificate
+from .hecke import HeckeContext
+from .residue import moved_names as _moved_names
+
+# the 2-cocycle lives in `cocycle`, which is loaded on first read of these names
+__getattr__ = _moved_names(globals(), "cocycle", ("CocycleTable", "nontriviality_certificate"))
 
 __all__ = [
     "HeckeCoeff",

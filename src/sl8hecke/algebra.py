@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Callable, Hashable
 
-from .hecke import CocycleTable
+from .cocycle import CocycleTable
 from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff
 from .weyl import WeylElem, _reduce
 

@@ -9,8 +9,11 @@ exception propagates.  ``verify <section>`` runs a single section.  The
 checks, in report order, are the rows of ``CHECKS``; the section names are
 the id prefixes of those rows.  ``dump-constants`` prints the structure
 constants of the example twisted group algebra as CSV.  The rows that call
-``generic`` or ``algebra``, and ``dump_constants``, import them where they
-call them, so a run loads those modules only when its command needs them.
+``generic``, ``algebra``, ``cocycle`` or ``lattice``, and ``dump_constants``,
+import them where they call them, so a run loads those modules only when
+its command needs them; the `Session` builds each variant's cocycle table on
+first read.  ``python -m sl8hecke.cli`` and the console script run `entry`,
+which skips the heap's teardown at exit.
 
 Runs are deterministic: all sampled checks draw from a seeded generator,
 and two runs with the same configuration and seed produce byte-identical
@@ -34,6 +37,7 @@ reaped whatever happens.  ``verify`` runs one section, and a host without
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import itertools
 import json
@@ -53,16 +57,7 @@ from .groupmodel import (
     rho_M0,
     torus,
 )
-from .hecke import (
-    ClassificationError,
-    CocycleTable,
-    HeckeContext,
-    TransversalError,
-    WindowExceeded,
-    cocycle_certificate,
-    nontriviality_certificate,
-    rho0_certificate,
-)
+from .hecke import ClassificationError, HeckeContext, TransversalError, WindowExceeded
 from .residue import (
     COEFF_ONE,
     UNIT_I,
@@ -75,15 +70,7 @@ from .residue import (
     sgn,
 )
 from .tower import E2, E4, F, PrecisionExhausted, Tower, norm_unit_image_check, random_element
-from .weyl import (
-    W_EPS,
-    W_ID,
-    W_S,
-    W_SP,
-    W_Z,
-    group_structure_check,
-    lattice_check,
-)
+from .weyl import W_EPS, W_ID, W_S, W_SP, W_Z, group_structure_check
 
 PASS = "pass"
 FAIL = "fail"
@@ -200,8 +187,6 @@ class Session:
             )
             for v in config.variants()
         }
-        # the canonical lift family of each variant, shared by every check that reads mu
-        self.tables = {v: CocycleTable(ctx) for v, ctx in self.contexts.items()}
         self.rng = random.Random(config.seed)
         self._once: dict = {}
 
@@ -218,10 +203,21 @@ class Session:
         levels = (generic.LEVEL_QUARTER, generic.LEVEL_HALF)
         return self.once("ge1", lambda: tuple(generic.check_ge1(self.tower, level) for level in levels))
 
+    def table(self, v: str):
+        """The canonical lift family's `CocycleTable` of variant v, shared by
+        every check that reads mu."""
+        from .cocycle import CocycleTable
+
+        return self.once(("table", v), lambda: CocycleTable(self.contexts[v]))
+
     def cocycle_certificate(self, v: str):
+        from .cocycle import cocycle_certificate
+
         return self.once(("cocycle", v), lambda: cocycle_certificate(self.contexts[v]))
 
     def rho0_certificate(self, v: str):
+        from .cocycle import rho0_certificate
+
         return self.once(("rho0", v), lambda: rho0_certificate(self.contexts[v]))
 
 
@@ -303,7 +299,7 @@ def _commutator(s: Session, v: str):
 
 
 def _normalised(s: Session, v: str):
-    table = s.tables[v]
+    table = s.table(v)
     return True, all(
         table.mu(W_ID, w) == UNIT_ONE and table.mu(w, W_ID) == UNIT_ONE for w in s.contexts[v].window(2, 1)
     )
@@ -311,19 +307,27 @@ def _normalised(s: Session, v: str):
 
 def _cocycle_identity(s: Session, v: str):
     window = s.contexts[v].window()
-    return True, sampled(500, _triple(lambda: s.rng.choice(window)), s.tables[v].cocycle_identity_holds)
+    return True, sampled(500, _triple(lambda: s.rng.choice(window)), s.table(v).cocycle_identity_holds)
 
 
 def _no_multiplicative_family(s: Session, v: str):
     # beta(s, z) is the same in every family, so beta(s, z) != 1 leaves mu(s, z)
     # or mu(z, s) != 1 in each: no family is multiplicative on both pairs
-    proven = s.cocycle_certificate(v).holds and s.tables[v].beta(W_S, W_Z) != UNIT_ONE
+    proven = s.cocycle_certificate(v).holds and s.table(v).beta(W_S, W_Z) != UNIT_ONE
     return "0", "0" if proven else "unproven"
 
 
 def _certificate(s: Session, v: str):
-    cert = nontriviality_certificate(s.tables[v])
+    from .cocycle import nontriviality_certificate
+
+    cert = nontriviality_certificate(s.table(v))
     return "((s, z), -1)", f"(({cert.pair[0]}, {cert.pair[1]}), {cert.value})" if cert.nontrivial else "none"
+
+
+def _lattice(s: Session, v: str):
+    from .lattice import lattice_check
+
+    return True, lattice_check(s.tower)
 
 
 def _self_convolution(s: Session, v: str, w, at) -> str:
@@ -355,7 +359,7 @@ def _hecke_associativity(s: Session, v: str):
 def _twisted_associativity(s: Session, v: str):
     from . import algebra as alg
 
-    twisted, window = alg.build_example_algebra(s.tables[v]).twisted, s.contexts[v].window(2, 1)
+    twisted, window = alg.build_example_algebra(s.table(v)).twisted, s.contexts[v].window(2, 1)
     draw = _triple(lambda: twisted.basis(s.rng.choice(window)))
     return True, sampled(100, draw, _associative(alg.twisted_mul))
 
@@ -363,7 +367,7 @@ def _twisted_associativity(s: Session, v: str):
 def _crossed_associativity(s: Session, v: str):
     from . import algebra as alg
 
-    example, window = alg.build_example_algebra(s.tables[v]), s.contexts[v].window(2, 1)
+    example, window = alg.build_example_algebra(s.table(v)), s.contexts[v].window(2, 1)
     pool = [example.basis(s.rng.choice(window)) for _ in range(8)]
     return True, sampled(100, _triple(lambda: s.rng.choice(pool)), _associative(alg.crossed_mul))
 
@@ -371,7 +375,7 @@ def _crossed_associativity(s: Session, v: str):
 def _example_commutation(s: Session, v: str):
     from . import algebra as alg
 
-    e, mul = alg.build_example_algebra(s.tables[v]).basis, alg.crossed_mul
+    e, mul = alg.build_example_algebra(s.table(v)).basis, alg.crossed_mul
     prod = mul(mul(mul(e(W_S), e(W_Z)), e(W_S.inverse())), e(W_Z.inverse()))
     return True, prod.terms == {(W_ID, ()): HeckeCoeff(-1, 0)}
 
@@ -379,7 +383,7 @@ def _example_commutation(s: Session, v: str):
 def _broken_cocycle_control(s: Session, v: str):
     from . import algebra as alg
 
-    table = s.tables[v]
+    table = s.table(v)
 
     def broken(u, w):
         mu = table.mu(u, w).as_coeff()
@@ -490,13 +494,13 @@ CHECKS = (
     Row("lattice.image_identity", "weyl",
         "the valuation-triple lattice {sum zero, even last entry} equals the span of (1,1,-2) "
         "and (1,-1,0), and membership matches the exact norm condition on the |n|<=4 box",
-        "hnf + 729 exact evaluations", lambda s, v: (True, lattice_check(s.tower))),
+        "hnf + 729 exact evaluations", _lattice),
     Row("cocycle.commutator", "groupmodel", "the commutator of the reflection and translation lifts is the "
         "torus element (zeta^-1, zeta, 1) with character value -1", "[lift(s), lift(z)]", _commutator, BOTH),
     Row("cocycle.normalised", "hecke", "mu is normalised: identity pairs give 1",
         "window elements", _normalised, BOTH),
     Row("cocycle.beta", "hecke", "the commutator pairing of the reflection against the translation is -1",
-        "beta(s, z)", lambda s, v: (UNIT_MINUS_ONE, s.tables[v].beta(W_S, W_Z)), BOTH),
+        "beta(s, z)", lambda s, v: (UNIT_MINUS_ONE, s.table(v).beta(W_S, W_Z)), BOTH),
     Row("cocycle.beta_stability", "hecke",
         "the pairing is the same in every compact-torus lift family: the lifts normalize the compact "
         "torus and fix its character", "exhaustive over {pairs} residue pairs",
@@ -510,7 +514,7 @@ CHECKS = (
         "beta(s, z) and {pairs} residue pairs", _no_multiplicative_family, BOTH),
     Row("cocycle.sign_element_pairing", "hecke",
         "the order-two sign element pairs trivially against the reflection",
-        "beta(s, eps)", lambda s, v: (UNIT_ONE, s.tables[v].beta(W_S, W_EPS)), (PARAHORIC,)),
+        "beta(s, eps)", lambda s, v: (UNIT_ONE, s.table(v).beta(W_S, W_EPS)), (PARAHORIC,)),
     Row("convolution.transversal_sizes", "hecke", "both reflection transversals have exactly q cosets",
         "coset enumeration", lambda s, v: (f"({s.field.q}, {s.field.q})", str((
             len(s.contexts[v].base_family(W_S)), len(s.contexts[v].base_family(W_SP))))), BOTH),
@@ -657,7 +661,7 @@ def dump_constants(config: Config) -> bytes:
     config.validate()
     session = Session(config)
     variant = config.variants()[0]
-    example = alg.build_example_algebra(session.tables[variant])
+    example = alg.build_example_algebra(session.table(variant))
     rows = alg.structure_constant_rows(example, session.contexts[variant].window(2, 1))
     out = io.StringIO()
     out.write("u,v,uv,coefficient-re,coefficient-im\n")
@@ -717,5 +721,21 @@ def main(argv=None) -> int:
     return 1 if report.failed else 0
 
 
+def entry(argv=None) -> int:
+    """`main` for a process that exits when it returns: ``python -m
+    sl8hecke.cli`` and the ``sl8hecke`` console script.
+
+    Once `main` is done nothing in the heap is read again, so it is frozen:
+    the interpreter's finalisation then neither collects it nor frees it
+    object by object, and the operating system takes it back at exit.
+    Standard streams are still flushed and atexit handlers still run, which
+    ``os._exit`` would skip.  `main` itself does not freeze, since tests and
+    the benchmark's probe call it in a process that goes on."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -27,32 +27,32 @@ central-direction torus element z with E4 part pi4**(-2) and the sign
 element eps = (-1, 1, 1); `elem_s`, `elem_s_prime`, `elem_z` and `elem_eps`
 are their matrices.  The unipotents u(x), l(c) are matrices.
 
-`iwahori_decompose` factors any invertible element as k1 * m * k2 with k1,
-k2 Iwahori (unipotent, so they land in both compact subgroups) and m
-monomial; pivots prefer the diagonal, then row order.  It has two parts.
-`pivot_step` works on invariants alone: the four entries' valuations and
+`pivot_step` is the pivot step of the Iwahori factorisation g = k1 * m * k2
+(k1, k2 unipotent Iwahori, m monomial; pivots prefer the diagonal, then row
+order), worked on invariants alone: the four entries' valuations and
 leading residues and the valuation and residue of the exact determinant.
 It gives m's kind, the valuations and residues of m's entries and the
 quotient valuations that decide whether k1 and k2 are Iwahori, so callers
 that hold only invariants (the transversal families of the Hecke layer)
-share it.  The lazy builders of `Decomposition` make m's series entry, k1
-and k2 (each needing the pivot inverse) on first read from the matrix; a
-singular matrix raises ValueError.
+need no matrix.  The factorisation of a matrix (`iwahori_decompose`,
+`Decomposition`) and the random members `random_KM0` and `random_K0` are in
+`reference`; this module still serves those names (`__getattr__`), loading
+`reference` on first read.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from collections import namedtuple
-from functools import cached_property
 
-from .residue import Frozen, UnitI, eta_residue, sgn
+from .residue import Frozen, UnitI, eta_residue, moved_names, sgn
 from .tower import E2, E4, F, LaurentElem, Tower
 
 STABILIZER = "stabilizer"
 PARAHORIC = "parahoric"
 VARIANTS = (STABILIZER, PARAHORIC)
+
+# the matrix factorisation and the random members moved to `reference`
+__getattr__ = moved_names(globals(), "reference", ("Decomposition", "iwahori_decompose", "random_KM0", "random_K0"))
 
 
 class MembershipError(ValueError):
@@ -452,77 +452,8 @@ def quotients_in_iwahori(quotient_ords, make_k1, make_k2) -> bool:
     return quotient_ords[0] >= (make_k1 is lower_l) and quotient_ords[1] >= (make_k2 is lower_l)
 
 
-class Decomposition(
-    namedtuple("Decomposition", "g case kind ords residues quotient_ords product make_k1 make_k2")
-):
-    """g = make_k1(x) * m * make_k2(y / pivot) in the pivot case `case` of
-    PIVOT_CASES.  kind ("diag" or "anti"), ords (ord_norm of m's first and
-    second entries), residues (their leading residues) and quotient_ords
-    (ord(num) - ord(pivot), ord(y) - ord(pivot)) come from `pivot_step`;
-    product is first * second, det(g) for "diag" and -det(g) for "anti";
-    make_k1 and make_k2 build k1 and k2 from the tower and a quotient.
-    `pivot_inv`, `monomial` (with the series entry), k1 and k2 are built on
-    first read and kept in the instance dict, which this subclass has for
-    them (it declares no ``__slots__``)."""
-
-    @property
-    def g4(self) -> LaurentElem:
-        return self.g.g4
-
-    def _entries(self) -> tuple[LaurentElem, ...]:
-        """(pivot, num, rest, y)"""
-        entries = (self.g.a, self.g.b, self.g.c, self.g.d)
-        return tuple(entries[i] for i in PIVOT_CASES[self.case][:4])
-
-    def factors_in_iwahori(self) -> bool:
-        return quotients_in_iwahori(self.quotient_ords, self.make_k1, self.make_k2)
-
-    @cached_property
-    def pivot_inv(self) -> LaurentElem:
-        return self._entries()[0].inverse()
-
-    @cached_property
-    def x(self) -> LaurentElem:
-        return self._entries()[1] * self.pivot_inv
-
-    @cached_property
-    def monomial(self) -> Monomial:
-        pivot, _, rest, y = self._entries()
-        comp = rest - self.x * y
-        first, second = (pivot, comp) if PIVOT_CASES[self.case][0] < 2 else (comp, pivot)
-        return Monomial(self.kind, first, second, self.g.g4)
-
-    @cached_property
-    def k1(self) -> GroupElem:
-        return self.make_k1(self.g.a.tower, self.x)
-
-    @cached_property
-    def k2(self) -> GroupElem:
-        return self.make_k2(self.g.a.tower, self._entries()[3] * self.pivot_inv)
-
-
 def _ordn(x: LaurentElem):
     return math.inf if x.is_zero else x.ord_norm()
-
-
-def iwahori_decompose(g: GroupElem) -> Decomposition:
-    """Factor g = k1 * m * k2 with k1, k2 unipotent Iwahori and m monomial.
-
-    The unipotent factors have determinant 1 and trivial E4 part, so they
-    lie in both compact subgroups.  Inverts nothing; raises ValueError for a
-    singular matrix.
-    """
-    det = g.det2()
-    if det.is_zero:
-        raise ValueError("matrix is singular: the determinant is zero")
-    entries = (g.a, g.b, g.c, g.d)
-    residues = [0 if e.is_zero else e.unit_residue() for e in entries]
-    case, ords, m_residues, quotient_ords = pivot_step(
-        det.tower.field, [_ordn(e) for e in entries], residues, det.lead, det.unit_residue()
-    )
-    _, _, _, _, kind, make_k1, make_k2 = PIVOT_CASES[case]
-    product = det if kind == "diag" else -det
-    return Decomposition(g, case, kind, ords, m_residues, quotient_ords, product, make_k1, make_k2)
 
 
 # -- the sign-character triviality check ------------------------------------------------
@@ -547,83 +478,3 @@ def sign_character_trivial(field, variant: str) -> bool:
     parahoric), so xy = +-z**(-2) is a square as -1 is when 4 | q - 1.
     """
     return all(sgn(field, xy).exp == 0 for xy, _ in admissible_torus_residues(field, variant))
-
-
-# -- random members (exact constructions, used by property checks) ----------------------
-
-
-def random_KM0(tower: Tower, variant: str, rng: random.Random) -> TorusElem:
-    """A random element of the compact torus.
-
-    Built from pieces whose norm condition holds exactly by construction:
-    a unit pair (u, u**-1, 1), Galois-quotient twists w/sigma(w) and
-    v/sigma(v) (norm one on the nose), and a constant triple
-    (zeta^a, zeta^b, zeta^c) solving 2(a+b) + 4c = 0 mod q-1.  The choice
-    of c mod (q-1)/4 steers the parahoric residue condition.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    fld = tower.field
-    from .tower import random_unit
-
-    u = random_unit(tower, E2, rng, depth=4)
-    w = random_unit(tower, E2, rng, depth=3)
-    v = random_unit(tower, E4, rng, depth=3)
-    a = rng.randrange(fld.q - 1)
-    b = rng.randrange(fld.q - 1)
-    if (a + b) % 2:
-        b = (b + 1) % (fld.q - 1)
-    s = a + b
-    quarter = (fld.q - 1) // 4
-    c = (-(s // 2)) % quarter
-    # s + 2c mod (q-1) is 0 or (q-1)/2 depending on the shift below
-    if (s + 2 * c) % (fld.q - 1) != 0:
-        c += quarter
-    if variant == STABILIZER and rng.randrange(2):
-        c += quarter  # flips into the sign coset, stabiliser only
-    x = u * (w / w.galois(1)) * tower.constant(E2, fld.pow(fld.zeta, a))
-    y = u.inverse() * tower.constant(E2, fld.pow(fld.zeta, b))
-    z = (v / v.galois(1)) * tower.constant(E4, fld.pow(fld.zeta, c))
-    tt = TorusElem(x, y, z)
-    if not in_KM0(tt, variant):
-        raise AssertionError("random compact-torus construction failed its membership")
-    return tt
-
-
-def random_K0(tower: Tower, variant: str, rng: random.Random) -> GroupElem:
-    """A random element of the compact subgroup: a product of unipotents and
-    compact-torus members, each an exact member.
-
-    A draw is rejected and retried when a matrix entry cancels below window
-    certainty (a rare genuine zero under inexact factors), so the sampler
-    never manufactures an uncertified value.
-    """
-    from .tower import PrecisionExhausted
-
-    for _ in range(64):
-        try:
-            g = identity(tower)
-            for _ in range(rng.randrange(2, 5)):
-                kind = rng.randrange(3)
-                if kind == 0:
-                    x = tower.from_coeffs(
-                        E2,
-                        rng.randrange(0, 3),
-                        [rng.randrange(1, tower.q)] + [rng.randrange(tower.q) for _ in range(3)],
-                    )
-                    g = g * upper_u(tower, x)
-                elif kind == 1:
-                    c = tower.from_coeffs(
-                        E2,
-                        rng.randrange(1, 4),
-                        [rng.randrange(1, tower.q)] + [rng.randrange(tower.q) for _ in range(3)],
-                    )
-                    g = g * lower_l(tower, c)
-                else:
-                    g = g * random_KM0(tower, variant, rng).to_group()
-        except PrecisionExhausted:
-            continue
-        if not in_K0(g, variant):
-            raise AssertionError("random compact-subgroup construction failed its membership")
-        return g
-    raise AssertionError("compact-subgroup sampling kept cancelling below window certainty")

@@ -1,4 +1,4 @@
-"""Hecke-algebra computations for the depth-zero pair, and the 2-cocycle.
+"""Hecke-algebra computations for the depth-zero pair.
 
 Everything here runs over a :class:`HeckeContext`, which fixes the tower,
 the compact-subgroup variant, and the verification window (maximal word
@@ -60,26 +60,10 @@ length and central exponent).  The main computations:
     lift(w1) * r * lift(w2) over the middle transversal r of
     K/(K cap w2 K w2^-1), one label per pattern.
 
-  * :class:`CocycleTable`: mu(w1, w2) = rho(lift(w1 w2)^-1 lift(w1)
-    lift(w2)), the obstruction to the lift family being multiplicative.
-    For the canonical family the discrepancy is the `term_product` of the
-    lifts' terms, over F_q with no Laurent arithmetic; a family perturbed
-    by compact-torus factors, whose entries are series, multiplies matrices.
-    The commutator pairing beta(u, v) = mu(u,v)/mu(v,u) on commuting pairs
-    is invariant under changing the lift family by compact-torus factors,
-    so beta != 1 certifies that the cohomology class of mu is non-trivial
-    and that the torus character admits no extension to its normaliser.
-    mu(s, z), mu(z, s) and beta(s, z) read only the lifts of s, z and sz, so
-    the checks that vary the family for them perturb those three alone.
-
-  * ``cocycle_certificate`` and ``rho0_certificate``: the facts behind
-    the cocycle and the depth-zero character, checked on the letter lifts'
-    terms (`groupmodel.letters`) and exhausted over residues (every
-    character involved has depth zero).  The letter relations lie in the
-    compact torus, the letter lifts normalise it and fix rho, and rho0 is
-    the quadratic character of the d-entry residue.  The perturbed
-    families and the random members of `groupmodel` are the sampled
-    cross-checks of the same facts.
+The 2-cocycle of the lift family and its certificates are in `cocycle`; the
+matrix oracles (`iwahori_decompose`) and random members are in `reference`,
+which `classify` and `phi` import where they call it.  The moved names of
+`cocycle` are still served from here (`__getattr__`), loaded on first read.
 """
 
 from __future__ import annotations
@@ -87,50 +71,47 @@ from __future__ import annotations
 import math
 import random
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING
 
 from .groupmodel import (
     PARAHORIC,
     STABILIZER,
     PIVOT_CASES,
-    Decomposition,
     GroupElem,
     MembershipError,
-    TorusElem,
-    admissible_torus_residues,
-    commutator,
+    _ordn,
     compact_torus_conditions,
     in_K0,
-    in_KM0,
-    iwahori_decompose,
-    letters,
-    lower_l,
     monomial_terms,
     pivot_step,
     quotients_in_iwahori,
-    random_KM0,
-    rho0,
-    rho_M0,
-    rho_residues,
-    term_inverse,
     term_product,
-    upper_u,
 )
-from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, UNIT_ONE, UnitI, eta_residue, sgn
+from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, eta_residue, moved_names
 from .tower import E2, E4, LaurentElem, Tower
 from .weyl import (
     S,
-    W_ID,
     W_S,
-    W_Z,
     WeylElem,
     lift,
     lift_inverse,
-    lift_memos,
     lift_terms,
     plength,
     translation_power,
     window_elements,
+)
+
+if TYPE_CHECKING:
+    from .reference import Decomposition
+
+# the 2-cocycle moved to `cocycle`; its names are still served from here
+__getattr__ = moved_names(
+    globals(),
+    "cocycle",
+    (
+        "CocycleTable", "Certificate", "nontriviality_certificate", "CocycleCertificate", "cocycle_certificate",
+        "Rho0Certificate", "rho0_certificate", "perturbed_table", "sz_perturbed_table", "multiplicative_family_search",
+    ),
 )
 
 
@@ -158,23 +139,30 @@ def coset_key(h: GroupElem) -> tuple:
     ord(det) - e1, and y the quotient bottom / top of a column attaining e1,
     determined modulo pi^(beta - e1).
     """
-    return _coset_key(((h.a, h.c), (h.b, h.d)), (0, 0), h.det2().lead, h.g4.lead)
+    cols = ((h.a, h.c), (h.b, h.d))
+    return _coset_key(
+        [_ordn(top) for top, _ in cols],
+        (0, 0),
+        h.det2().lead,
+        h.g4.lead,
+        lambda j, bound: _quotient_digits(cols[j][1], cols[j][0], bound),
+    )
 
 
-def _coset_key(cols, shifts, det_ord: int, g4_ord: int) -> tuple:
-    """`coset_key` of the matrix whose column j is cols[j], (top, bottom),
-    times a term of exponent shifts[j], given ord of its det and E4 part."""
-    ((top1, bottom1), (top2, bottom2)), (s1, s2) = cols, shifts
+def _coset_key(tops, shifts, det_ord: int, g4_ord: int, quotient) -> tuple:
+    """`coset_key` of the matrix whose column j has a top entry of valuation
+    tops[j] (math.inf for zero) and is scaled by a term of exponent
+    shifts[j], given ord of its det and E4 part; quotient(j, bound) is
+    `_quotient_digits` of column j's bottom entry over its top to that bound."""
+    (top1, top2), (s1, s2) = tops, shifts
     key = [g4_ord]
     for shift in (0, 1):
         # (e1, beta, y mod pi^(beta - e1)) of the span of column 1 and pi^shift *
-        # column 2; scaling a column leaves its quotient as it is
-        if top2.is_zero or (not top1.is_zero and top1.lead + s1 <= top2.lead + s2 + shift):
-            top, bottom, e1 = top1, bottom1, top1.lead + s1
-        else:
-            top, bottom, e1 = top2, bottom2, top2.lead + s2 + shift
+        # column 2, y read in the first column attaining e1; scaling a column
+        # leaves its quotient as it is
+        e1, j = min((top1 + s1, 0), (top2 + s2 + shift, 1))
         beta = det_ord + shift - e1
-        key.append((e1, beta, _quotient_digits(bottom, top, beta - e1)))
+        key.append((e1, beta, quotient(j, beta - e1)))
     return tuple(key)
 
 
@@ -182,13 +170,7 @@ def _quotient_digits(num: LaurentElem, den: LaurentElem, bound: int) -> tuple:
     """num / den modulo pi^bound, by truncated division: (exponent of the
     leading digit, the digits up to exponent bound - 1), or () when the
     quotient lies in pi^bound O.  Raises TransversalError when a digit it
-    needs lies beyond an inexact operand's window.
-
-    It keeps its own loop rather than `series_inverse` and `mul_trunc`: a
-    call needs one to four digits, and through those kernels a call cost
-    about twice as much (2.7-3.1 against 5.6-6.4 us, the best of 5 in each
-    of two runs on every 12th of the 247,524 calls that `omega_check(4, 2)`
-    makes at q = 13 over both variants, on a 2-core host)."""
+    needs lies beyond an inexact operand's window."""
     if num.is_zero:
         return ()
     lead = num.lead - den.lead
@@ -198,8 +180,18 @@ def _quotient_digits(num: LaurentElem, den: LaurentElem, bound: int) -> tuple:
     tw = num.tower
     if count > tw.N and not (num.exact and den.exact):
         raise TransversalError(f"coset key needs {count} quotient digits; the window certifies {tw.N}")
-    fld = tw.field
-    n, d = num.coeffs, den.coeffs
+    return lead, _series_digits(tw.field, num.coeffs, den.coeffs, count)
+
+
+def _series_digits(fld, n, d, count: int) -> tuple:
+    """The first `count` digits of the quotient of two digit sequences, each
+    read from its leading digit (d[0] != 0) and as zero past its end.
+
+    It keeps its own loop rather than `series_inverse` and `mul_trunc`: a
+    call needs one to four digits, and through those kernels a call cost
+    about twice as much (2.7-3.1 against 5.6-6.4 us, the best of 5 in each
+    of two runs on every 12th of the 247,524 calls that `omega_check(4, 2)`
+    makes at q = 13 over both variants, on a 2-core host)."""
     d0_inv = fld.inv(d[0])
     digits: list[int] = []
     for k in range(count):
@@ -207,7 +199,7 @@ def _quotient_digits(num: LaurentElem, den: LaurentElem, bound: int) -> tuple:
         for j in range(1, min(k, len(d) - 1) + 1):
             acc = fld.sub(acc, fld.mul(d[j], digits[k - j]))
         digits.append(fld.mul(acc, d0_inv))
-    return lead, tuple(digits)
+    return tuple(digits)
 
 
 class HeckeContext:
@@ -315,17 +307,25 @@ class HeckeContext:
         distinct keys prove distinct cosets, and only members sharing a key
         get the exact pair test.  Column j of r * lift(w) is a column of r,
         swapped when lift(w) is antidiagonal, times one term of lift(w): the
-        key is read from r's entries."""
+        key is read from r's entry valuations and, for a quotient that needs
+        them, its digits (`BaseFamily.quotient_digits`)."""
         word = WeylElem(w.word)
         kind, ((_, e1), (_, e2), (_, e4)) = self.lift_terms(word)
         cols, shifts = (((0, 2), (1, 3)), (e1, e2)) if kind == "diag" else (((1, 3), (0, 2)), (e2, e1))
         buckets: dict[tuple, list[int]] = {}
-        for i, ((na, nb, nc, nd), res) in enumerate(zip(base.ords, base.residues)):
+        for i, (ords, res) in enumerate(zip(base.ords, base.residues)):
+            na, nb, nc, nd = ords
             if na != 0 or nd != 0 or nb < 0 or nc < 1:
                 raise TransversalError(f"non-member representative for {w}")
             if res[3] != 1:
                 raise TransversalError(f"a member of the transversal of {w} has d-entry residue other than 1")
-            key = _coset_key([(base.entry(i, t), base.entry(i, b)) for t, b in cols], shifts, e1 + e2, e4)
+            key = _coset_key(
+                (ords[cols[0][0]], ords[cols[1][0]]),
+                shifts,
+                e1 + e2,
+                e4,
+                lambda j, bound: base.quotient_digits(i, cols[j][1], cols[j][0], bound),
+            )
             buckets.setdefault(key, []).append(i)
         for bucket in buckets.values():
             for k, i in enumerate(bucket):
@@ -402,6 +402,8 @@ class HeckeContext:
         return "no sign bit matches the discrepancy"
 
     def _analyze_matrix(self, g: GroupElem) -> tuple[WeylElem, Decomposition, int]:
+        from .reference import iwahori_decompose
+
         dec = iwahori_decompose(g)
         got = self._choose_label(dec.kind, dec.ords, dec.residues, dec.product, dec.g4)
         if isinstance(got, str):
@@ -627,6 +629,22 @@ class BaseFamily:
         lo, rows = self._rows[k]
         return self.tower.from_coeffs(E2, lo, [row[i] for row in rows])
 
+    def quotient_digits(self, i: int, num: int, den: int, bound: int) -> tuple:
+        """`_quotient_digits` of entry num over entry den of member i, read
+        from the valuations and digit rows with no Laurent element.  The rows
+        hold every digit of the entries' exact forms, so no operand is
+        inexact and it never raises."""
+        ords = self.ords[i]
+        lead = ords[num] - ords[den]
+        count = bound - lead
+        # a zero num has valuation math.inf, so its quotient is ()
+        if count <= 0:
+            return ()
+        (lo_n, rows_n), (lo_d, rows_d) = self._rows[num], self._rows[den]
+        n = [row[i] for row in rows_n[ords[num] - lo_n :]]
+        d = [row[i] for row in rows_d[ords[den] - lo_d :]]
+        return lead, _series_digits(self.tower.field, n, d, count)
+
     @cached_property
     def members(self) -> list[GroupElem]:
         one4 = self.tower.one(E4)
@@ -729,281 +747,3 @@ class TransversalFamily:
     def phi(self, w: WeylElem, i: int) -> HeckeCoeff:
         """The basis function of w at member i."""
         return self.ctx._phi_value(w, *self.analyze(i))
-
-
-# ---------------------------------------------------------------------------------
-# the 2-cocycle
-
-
-class CocycleTable:
-    """mu-values of a lift family: the canonical lifts, optionally perturbed
-    by compact-torus factors (the identity keeps its lift, so mu is
-    normalised)."""
-
-    def __init__(self, ctx: HeckeContext, perturbation: dict[WeylElem, TorusElem] | None = None):
-        self.ctx = ctx
-        self.perturbation = dict(perturbation or {})
-        self.perturbation.pop(W_ID, None)
-        self._mu: dict[tuple[WeylElem, WeylElem], UnitI] = {}
-        self._lift_memos = lift_memos(ctx.tower)
-
-    def family_lift(self, w: WeylElem) -> GroupElem:
-        base = self.ctx.lift(w)
-        k = self.perturbation.get(w)
-        return base * k.to_group() if k is not None else base
-
-    def family_lift_inverse(self, w: WeylElem) -> GroupElem:
-        k = self.perturbation.get(w)
-        if k is None:
-            return self.ctx.lift_inverse(w)
-        return k.inverse().to_group() * self.ctx.lift_inverse(w)
-
-    def mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
-        """rho of the discrepancy lift(w1 w2)^-1 lift(w1) lift(w2)."""
-        key = (w1, w2)
-        got = self._mu.get(key)
-        if got is None:
-            got = self._mu[key] = self._matrix_mu(w1, w2) if self.perturbation else self._canonical_mu(w1, w2)
-        return got
-
-    def _matrix_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
-        disc = self.family_lift_inverse(w1 * w2) * self.family_lift(w1) * self.family_lift(w2)
-        if not disc.is_diagonal():
-            raise ClassificationError("lift discrepancy is not diagonal")
-        tt = disc.to_torus()
-        if not in_KM0(tt, self.ctx.variant):
-            raise ClassificationError("lift discrepancy left the compact torus")
-        return rho_M0(tt)
-
-    def _canonical_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
-        # the canonical lifts are exact monomials: the discrepancy is the
-        # product of their (residue, exponent) terms over F_q, read from the
-        # memos of `lift_terms` (terms are non-empty, so `or` marks a miss)
-        tower, (fwd, inv) = self.ctx.tower, self._lift_memos
-        fld, w = tower.field, w1 * w2
-        disc = term_product(fld, inv.get(w) or lift_terms(tower, w, True), fwd.get(w1) or lift_terms(tower, w1))
-        disc = term_product(fld, disc, fwd.get(w2) or lift_terms(tower, w2))
-        kind, ((rx, nx), (ry, ny), (rz, nz)) = disc
-        if kind != "diag":
-            raise ClassificationError("lift discrepancy is not diagonal")
-        if not compact_torus_conditions(fld, self.ctx.variant, (nx, ny, nz), (rx, ry, rz)):
-            raise ClassificationError("lift discrepancy left the compact torus")
-        return rho_residues(fld, rx, ry, rz)
-
-    def beta(self, u: WeylElem, v: WeylElem) -> UnitI:
-        """mu(u,v)/mu(v,u) on commuting pairs; equal to rho of the commutator
-        of the lifts, hence independent of the lift family."""
-        if u * v != v * u:
-            raise ValueError(f"{u} and {v} do not commute")
-        ratio = self.mu(u, v) * self.mu(v, u).inverse()
-        com = commutator(self.family_lift(u), self.family_lift(v))
-        if not com.is_diagonal():
-            raise ClassificationError("commutator of lifts is not diagonal")
-        direct = rho_M0(com.to_torus())
-        if ratio != direct:
-            raise ClassificationError("mu-ratio disagrees with the commutator value")
-        return direct
-
-    def cocycle_identity_holds(self, u: WeylElem, v: WeylElem, w: WeylElem) -> bool:
-        return self.mu(u, v) * self.mu(u * v, w) == self.mu(v, w) * self.mu(u, v * w)
-
-
-class Certificate(NamedTuple):
-    """Outcome of the non-triviality search."""
-
-    nontrivial: bool
-    pair: tuple[WeylElem, WeylElem] | None
-    value: UnitI | None
-
-    @property
-    def extension_obstructed(self) -> bool:
-        # a character extension would kill every commutator of lifts,
-        # forcing beta = 1 on commuting pairs
-        return self.nontrivial
-
-
-def nontriviality_certificate(table: CocycleTable) -> Certificate:
-    """A commuting pair with beta != 1, certifying a non-trivial cohomology
-    class (beta is invariant under coboundaries)."""
-    window = table.ctx.window(2, 1)
-    # (s, z) first, then the window pairs; the dict keeps each pair once, in order
-    candidates = dict.fromkeys([(W_S, W_Z)] + [(u, v) for u in window for v in window])
-    for u, v in candidates:
-        if u * v != v * u:
-            continue
-        value = table.beta(u, v)
-        if value != UNIT_ONE:
-            return Certificate(True, (u, v), value)
-    return Certificate(False, None, None)
-
-
-# ---------------------------------------------------------------------------------
-# residue certificates: the sampled group facts, exhausted over residues
-
-
-class CocycleCertificate(NamedTuple):
-    """The letter facts that make mu a 2-cocycle on all of W, with L the
-    canonical lift and T0 the compact torus of the variant.
-
-    (a) `relations` maps L(a)**2, [L(a), L(z)] and [L(a), L(eps)] for a in
-        {s, s'}, and L(eps)**2, to whether each lands in T0.  `normalizes`:
-        conjugation by each letter lift sends diag(x, y, z) to itself (a
-        diagonal lift) or to diag(y, x, z) (an antidiagonal one), and the T0
-        conditions read x and y only through x * y, so every lift normalises T0.
-    (b) `invariant`: rho is fixed by that swap on every unit triple of T0.
-        rho has depth zero, so this is exhausted over the (q - 1)**2 residue
-        pairs (xy, z) and the fibre of each admissible one.
-
-    Then every L(uv)^-1 L(u) L(v) lies in T0, mu is a 2-cocycle on all of W,
-    and changing the lifts by T0 factors changes mu by a coboundary:
-    beta(u, v) is the same in every compact-torus lift family (K. S. Brown,
-    Cohomology of Groups, ch. IV).
-    """
-
-    relations: dict[str, bool]
-    normalizes: bool
-    invariant: bool
-
-    @property
-    def lift_multiplicative(self) -> bool:
-        """(a): L is a homomorphism modulo T0."""
-        return self.normalizes and all(self.relations.values())
-
-    @property
-    def holds(self) -> bool:
-        return self.lift_multiplicative and self.invariant
-
-
-def cocycle_certificate(ctx: HeckeContext) -> CocycleCertificate:
-    """Check (a) and (b) of `CocycleCertificate` on the (residue, exponent)
-    terms of the letter lifts and on residues, with no Laurent arithmetic."""
-    fld, variant = ctx.tower.field, ctx.variant
-    terms = letters(ctx.tower)
-    inverse = {name: term_inverse(fld, m) for name, m in terms.items()}
-
-    def product(*factors):
-        out = factors[0]
-        for f in factors[1:]:
-            out = term_product(fld, out, f)
-        return out
-
-    def in_torus(m) -> bool:
-        kind, ((rx, nx), (ry, ny), (rz, nz)) = m
-        return kind == "diag" and compact_torus_conditions(fld, variant, (nx, ny, nz), (rx, ry, rz))
-
-    relations = {}
-    for a in ("s", "s'"):
-        relations[f"{a}^2"] = in_torus(product(terms[a], terms[a]))
-        for b in ("z", "eps"):
-            relations[f"[{a}, {b}]"] = in_torus(product(terms[a], terms[b], inverse[a], inverse[b]))
-    relations["eps^2"] = in_torus(product(terms["eps"], terms["eps"]))
-    # a witness with three distinct residues shows each letter's permutation
-    x, y, z = ((fld.pow(fld.zeta, k), 0) for k in (1, 2, 3))
-    normalizes = all(
-        product(m, ("diag", (x, y, z)), inverse[n]) == ("diag", (y, x, z) if m[0] == "anti" else (x, y, z))
-        for n, m in terms.items()
-    )
-    invariant = all(
-        rho_residues(fld, rx, ry, rz) == rho_residues(fld, ry, rx, rz)
-        for xy, rz in admissible_torus_residues(fld, variant)
-        for ry in range(1, fld.q)
-        for rx in (fld.mul(xy, fld.inv(ry)),)
-    )
-    return CocycleCertificate(relations, normalizes, invariant)
-
-
-class Rho0Certificate(NamedTuple):
-    """The reduction of rho0(g) = eta(N(d)) on the compact subgroup K0 to the
-    residue of g's d-entry, on an exact witness for every unit residue r.
-
-    - `reduction`: g_r = l(pi2) * diag(r^-1, r) * u(1) lies in K0 with
-      d-entry r + r^-1 * pi2, and rho0(g_r) = sgn(r): E2/F is ramified, so
-      N(d) = d_res**2 mod t, and eta(d_res**2) = sgn(d_res).
-    - `multiplicative`: K0 lies in the Iwahori, so (gh)_d = c_g b_h + d_g d_h
-      with c_g in the maximal ideal and b_h integral.  Over all (q - 1)**2
-      witness pairs, the residue of (g_r g_r')_d, read from the entries'
-      leading terms, has sgn(r) sgn(r'), so rho0 is multiplicative.
-    - `restriction`: the monomial torus witness (r^-1, r, 1) lies in the
-      compact torus, and rho0 of its matrix, rho_M0 and `rho_residues` agree.
-
-    (Moy-Prasad, Invent. Math. 116, 1994: depth-zero characters factor
-    through the reductive quotient.)
-    """
-
-    reduction: bool
-    multiplicative: bool
-    restriction: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.reduction and self.multiplicative and self.restriction
-
-
-def _leading(x: LaurentElem) -> tuple:
-    """(valuation, leading residue), (math.inf, 0) for zero."""
-    return (math.inf, 0) if x.is_zero else (x.lead, x.unit_residue())
-
-
-def rho0_certificate(ctx: HeckeContext) -> Rho0Certificate:
-    """Check `Rho0Certificate` on the witnesses of the q - 1 unit residues
-    and on every pair of them."""
-    tw, variant = ctx.tower, ctx.variant
-    fld = tw.field
-    lower, upper = lower_l(tw, tw.uniformizer(E2)), upper_u(tw, 1)
-    reduction = restriction = True
-    witnesses = {}
-    for r in range(1, fld.q):
-        t = TorusElem(tw.constant(E2, fld.inv(r)), tw.constant(E2, r), tw.one(E4))
-        g = lower * t.to_group() * upper
-        reduction = reduction and in_K0(g, variant) and rho0(g, variant) == sgn(fld, g.d.unit_residue())
-        restriction = (
-            restriction
-            and in_KM0(t, variant)
-            and rho0(t.to_group(), variant) == rho_M0(t) == rho_residues(fld, fld.inv(r), r, 1)
-        )
-        witnesses[r] = (_leading(g.b), _leading(g.c), _leading(g.d))
-
-    def d_residue_multiplies(g, h) -> bool:
-        (_, (nc, rc), (nd, rd)), ((nb, rb), _, (ne, re)) = g, h
-        if nd or ne or nc + nb < 0:
-            return False
-        res = fld.mul(rd, re)
-        if nc + nb == 0:
-            res = fld.add(res, fld.mul(rc, rb))
-        return res != 0 and sgn(fld, res) == sgn(fld, rd) * sgn(fld, re)
-
-    multiplicative = all(d_residue_multiplies(g, h) for g in witnesses.values() for h in witnesses.values())
-    return Rho0Certificate(reduction, multiplicative, restriction)
-
-
-def perturbed_table(ctx: HeckeContext, rng: random.Random) -> CocycleTable:
-    """A lift family twisted by random compact-torus factors on the whole
-    window, so that mu can be read on any window pair of the family."""
-    perturbation = {}
-    for w in ctx.window():
-        if not w.is_identity():
-            perturbation[w] = random_KM0(ctx.tower, ctx.variant, rng)
-    return CocycleTable(ctx, perturbation)
-
-
-def sz_perturbed_table(ctx: HeckeContext, rng: random.Random) -> CocycleTable:
-    """A lift family twisted by random compact-torus factors on s, z and sz
-    only: all that mu(s, z), mu(z, s) and beta(s, z) read."""
-    return CocycleTable(ctx, {w: random_KM0(ctx.tower, ctx.variant, rng) for w in (W_S, W_Z, W_S * W_Z)})
-
-
-def multiplicative_family_search(ctx: HeckeContext, rng: random.Random, trials: int = 40) -> int:
-    """Count families (out of `trials` random ones) that are multiplicative on
-    the length-additive pairs (s, z) and (z, s).
-
-    beta(s, z) = -1 forces mu(s,z) != 1 or mu(z,s) != 1 in every family, so
-    the count must be 0: no choice of representatives multiplies cleanly on
-    length-additive pairs.  Both values read only the lifts of s, z and sz,
-    so each family perturbs those three alone.
-    """
-    hits = 0
-    for _ in range(trials):
-        table = sz_perturbed_table(ctx, rng)
-        if table.mu(W_S, W_Z) == UNIT_ONE and table.mu(W_Z, W_S) == UNIT_ONE:
-            hits += 1
-    return hits

@@ -62,6 +62,26 @@ class Frozen:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
+def moved_names(namespace: dict, home: str, names: tuple[str, ...]):
+    """A module ``__getattr__`` (PEP 562) that serves `names`, which moved
+    from the module whose globals are `namespace` to the package's module
+    `home`.  The first read of a name imports `home` and keeps the name in
+    `namespace`, so later reads, rebinding and monkeypatching meet one plain
+    global; any other name raises AttributeError, as a plain module does."""
+    served = frozenset(names)
+    module, package = namespace["__name__"], namespace["__package__"]
+
+    def __getattr__(name: str):
+        if name not in served:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        import importlib
+
+        value = namespace[name] = getattr(importlib.import_module(f"{package}.{home}"), name)
+        return value
+
+    return __getattr__
+
+
 _set = object.__setattr__
 
 

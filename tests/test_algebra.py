@@ -17,7 +17,8 @@ from sl8hecke.algebra import (
     twisted_mul,
 )
 from sl8hecke.groupmodel import STABILIZER
-from sl8hecke.hecke import CocycleTable, HeckeContext
+from sl8hecke.cocycle import CocycleTable
+from sl8hecke.hecke import HeckeContext
 from sl8hecke.residue import COEFF_ONE, HeckeCoeff
 from sl8hecke.weyl import W_ID, W_S, W_Z
 

@@ -3,9 +3,10 @@ planted mutants that each certificate must reject."""
 
 import pytest
 
-from sl8hecke import groupmodel, hecke
+from sl8hecke import cocycle, groupmodel
+from sl8hecke.cocycle import cocycle_certificate, rho0_certificate
 from sl8hecke.groupmodel import PARAHORIC, STABILIZER, letters
-from sl8hecke.hecke import HeckeContext, cocycle_certificate, rho0_certificate
+from sl8hecke.hecke import HeckeContext
 from sl8hecke.residue import eta_residue, make_field
 from sl8hecke.tower import E2, Tower
 
@@ -50,7 +51,7 @@ def test_rescaled_affine_letter_breaks_the_letter_relations(q, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("q", (5, 9, 13))
 def test_character_of_the_x_entry_breaks_invariance(q, variant, monkeypatch):
-    monkeypatch.setattr(hecke, "rho_residues", lambda fld, rx, ry, rz: eta_residue(fld, rx))
+    monkeypatch.setattr(cocycle, "rho_residues", lambda fld, rx, ry, rz: eta_residue(fld, rx))
     cert = cocycle_certificate(_context(q, variant))
     assert not cert.invariant and not cert.holds
     assert cert.lift_multiplicative
@@ -60,7 +61,7 @@ def test_character_of_the_x_entry_breaks_invariance(q, variant, monkeypatch):
 @pytest.mark.parametrize("q", (5, 9, 13))
 def test_eta_of_the_d_residue_breaks_the_norm_reduction(q, variant, monkeypatch):
     # eta(d_res) in place of eta(N(d)) = eta(d_res**2): multiplicative, but not rho0
-    monkeypatch.setattr(hecke, "rho0", lambda g, v: eta_residue(g.d.tower.field, g.d.unit_residue()))
+    monkeypatch.setattr(cocycle, "rho0", lambda g, v: eta_residue(g.d.tower.field, g.d.unit_residue()))
     cert = rho0_certificate(_context(q, variant))
     assert not cert.reduction and not cert.restriction and not cert.holds
 
@@ -69,6 +70,6 @@ def test_eta_of_the_d_residue_breaks_the_norm_reduction(q, variant, monkeypatch)
 @pytest.mark.parametrize("q", (5, 9, 13))
 def test_witnesses_outside_the_iwahori_break_multiplicativity(q, variant, monkeypatch):
     # l(1) in place of l(pi2): the c-entry is a unit, so c_g * b_h reaches the d-residue
-    monkeypatch.setattr(hecke, "lower_l", lambda tw, c: groupmodel.lower_l(tw, tw.one(E2)))
+    monkeypatch.setattr(cocycle, "lower_l", lambda tw, c: groupmodel.lower_l(tw, tw.one(E2)))
     cert = rho0_certificate(_context(q, variant))
     assert not cert.multiplicative and not cert.reduction and not cert.holds

@@ -1,3 +1,5 @@
+import ast
+import gc
 import json
 import os
 import subprocess
@@ -258,6 +260,141 @@ def test_a_run_loads_only_the_modules_its_rows_call(command, algebra, generic):
     assert run.stderr.splitlines()[-1] == f"0 False {algebra} {generic} {generic}"
 
 
+@pytest.mark.parametrize(
+    "command, cocycle, lattice",
+    [("", False, False)]
+    + [(f"verify {s}", False, False) for s in ("norms", "genericity", "epsilon", "convolution", "omega")]
+    + [(f"verify {s}", True, False) for s in ("weyl", "cocycle", "algebra")]
+    + [
+        ("verify lattice", False, True),
+        ("dump-constants", True, False),
+        # the lattice row runs in the report's forked worker, not in this process
+        ("report", True, False),
+    ],
+)
+def test_cocycle_lattice_and_reference_load_only_where_called(command, cocycle, lattice):
+    # the rows import cocycle and lattice where they call them; reference holds
+    # matrix oracles and samplers, which no command calls
+    code = (
+        "import sys\n"
+        "import sl8hecke.cli\n"
+        "code = sl8hecke.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "names = ('sl8hecke.cocycle', 'sl8hecke.lattice', 'sl8hecke.reference')\n"
+        "print(code, *(name in sys.modules for name in names), file=sys.stderr)\n"
+    )
+    argv = ["--q", "5", "--variant", "both", "--format", "json", *command.split()] if command else []
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == f"0 {cocycle} {lattice} False"
+
+
+def test_moved_names_still_resolve_from_their_old_modules():
+    # the acceptance tests and the lift-family explorer import these names from
+    # the modules that held them before cocycle, lattice and reference; each
+    # resolves to the object of its new home and is then an ordinary global
+    import importlib
+
+    from sl8hecke import cocycle, lattice, reference
+
+    moved = {
+        "sl8hecke": (cocycle, ("CocycleTable", "nontriviality_certificate")),
+        "sl8hecke.hecke": (cocycle, (
+            "CocycleTable", "Certificate", "nontriviality_certificate", "CocycleCertificate",
+            "cocycle_certificate", "Rho0Certificate", "rho0_certificate", "perturbed_table",
+            "sz_perturbed_table", "multiplicative_family_search",
+        )),
+        "sl8hecke.groupmodel": (reference, ("Decomposition", "iwahori_decompose", "random_KM0", "random_K0")),
+        "sl8hecke.weyl": (lattice, (
+            "hermite_normal_form", "_xgcd", "congruence_lattice_members", "norm_condition_holds", "lattice_check",
+        )),
+    }
+    for old, (home, names) in moved.items():
+        module = importlib.import_module(old)
+        for name in names:
+            assert getattr(module, name) is getattr(home, name), (old, name)
+            assert vars(module)[name] is getattr(home, name), (old, name)
+        with pytest.raises(AttributeError):
+            getattr(module, "monomial_part")
+    for path in (Path(__file__).parent / "test_acceptance.py", Path(__file__).parents[1] / "scripts" / "explore_lift_families.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("sl8hecke"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), (path.name, node.module, alias.name)
+
+
+def test_main_in_process_freezes_nothing(capsysbinary):
+    # the entry point freezes the heap for a process that is about to exit;
+    # main, which tests and the benchmark's probe call in process, does not
+    before = gc.get_freeze_count()
+    assert main(["--q", "5", "--variant", "stabilizer", "verify", "epsilon"]) == 0
+    assert main(["--q", "7", "report"]) == 2
+    assert gc.get_freeze_count() == before
+    capsysbinary.readouterr()
+
+
+def test_the_module_prints_the_report_bytes_through_a_pipe():
+    # python -m sl8hecke.cli exits through the entry point, whose frozen heap
+    # is not torn down; its stdout must still be flushed whole
+    args = ["--q", "5", "--variant", "both", "--seed", "1", "--format", "json", "report"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "sl8hecke.cli", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == emit(run_all(Config(variant="both", seed=1)), "json")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    [
+        (["--q", "7", "report"], 2, False),
+        (["--q", "5", "--format", "json", "verify", "lattice"], 1, True),
+    ],
+    ids=["configuration-error", "failing-row"],
+)
+def test_the_entry_point_exits_with_main_s_code_and_freezes(argv, code, stdout):
+    # a configuration error exits 2; a planted failing row exits 1 with its
+    # report; either way the entry point froze the heap before returning
+    script = (
+        "import gc, sys\n"
+        "from sl8hecke import cli\n"
+        "from sl8hecke.hecke import TransversalError\n"
+        "def check(session, variant):\n"
+        "    raise TransversalError('planted')\n"
+        "cli.CHECKS = tuple(r._replace(check=check) if r.id == 'lattice.image_identity' else r for r in cli.CHECKS)\n"
+        "code = cli.entry(sys.argv[1:])\n"
+        "print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        timeout=120,
+    )
+    assert run.returncode == code
+    assert run.stderr.splitlines()[-1] == b"frozen True"
+    if stdout:
+        checks = json.loads(run.stdout)["checks"]
+        assert [(c["status"], c["got"]) for c in checks] == [("fail", "TransversalError: planted")]
+    else:
+        assert run.stdout == b"" and b"configuration error" in run.stderr
+
+
 SAMPLERS = ("random_K0", "random_KM0", "perturbed_table", "sz_perturbed_table", "multiplicative_family_search")
 
 
@@ -272,17 +409,17 @@ def test_report_runs_without_samplers_or_series_inversion(monkeypatch, capsysbin
     # the matrix mu of perturbed families and the series inverse (every series
     # division goes through it) made to raise, the report still passes with
     # the goldens' ids and statuses
-    from sl8hecke import groupmodel, hecke
+    from sl8hecke import cocycle, groupmodel, hecke, reference
     from sl8hecke.residue import ResidueField
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the report called a sampler or a series inversion")
 
-    for module in (groupmodel, hecke):
+    for module in (groupmodel, hecke, cocycle, reference):
         for name in SAMPLERS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    monkeypatch.setattr(hecke.CocycleTable, "_matrix_mu", forbidden)
+    monkeypatch.setattr(cocycle.CocycleTable, "_matrix_mu", forbidden)
     monkeypatch.setattr(ResidueField, "series_inverse", forbidden)
 
     def verdicts(payload):
@@ -414,11 +551,14 @@ def test_a_verifier_error_in_a_worker_row_is_the_serial_failing_row(monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "read", [lambda s: s.rng.random(), lambda s: s.once("planted", lambda: 0)], ids=["rng", "once"]
+    "read",
+    [lambda s: s.rng.random(), lambda s: s.once("planted", lambda: 0), lambda s: s.table("stabilizer")],
+    ids=["rng", "once", "table"],
 )
 def test_a_worker_row_that_reads_the_seeded_state_fails_the_run(read, monkeypatch):
     # a worker section that drew from the seeded stream would shift the
-    # parent's samples, so a row that breaks the partition ends the run
+    # parent's samples, so a row that breaks the partition ends the run; the
+    # session's cocycle tables are built through once
     def check(session, variant):
         read(session)
         return True, True

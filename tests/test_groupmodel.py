@@ -5,7 +5,6 @@ import pytest
 from sl8hecke.groupmodel import (
     PARAHORIC,
     STABILIZER,
-    Decomposition,
     GroupElem,
     MembershipError,
     commutator,
@@ -19,19 +18,17 @@ from sl8hecke.groupmodel import (
     in_KM0,
     in_g0,
     in_iwahori,
-    iwahori_decompose,
     letters,
     lower_l,
     monomial_matrix,
     monomial_terms,
-    random_K0,
-    random_KM0,
     rho0,
     rho_M0,
     torus,
     upper_u,
 )
 from sl8hecke import groupmodel
+from sl8hecke.reference import Decomposition, iwahori_decompose, random_K0, random_KM0
 from sl8hecke.residue import UNIT_MINUS_ONE, UNIT_ONE, eta_residue, make_field, sgn
 from sl8hecke.tower import E2, E4
 

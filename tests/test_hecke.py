@@ -18,11 +18,9 @@ from sl8hecke.groupmodel import (
     identity,
     in_K0,
     in_KM0,
-    iwahori_decompose,
     lower_l,
     monomial_matrix,
     monomial_terms,
-    random_K0,
     rho0,
     rho_M0,
     term_inverse,
@@ -30,16 +28,9 @@ from sl8hecke.groupmodel import (
     torus,
     upper_u,
 )
-from sl8hecke.hecke import (
-    ClassificationError,
-    CocycleTable,
-    HeckeContext,
-    TransversalFamily,
-    WindowExceeded,
-    nontriviality_certificate,
-    perturbed_table,
-    sz_perturbed_table,
-)
+from sl8hecke.cocycle import CocycleTable, nontriviality_certificate, perturbed_table, sz_perturbed_table
+from sl8hecke.hecke import ClassificationError, HeckeContext, TransversalFamily, WindowExceeded
+from sl8hecke.reference import iwahori_decompose, random_K0
 from sl8hecke.residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, ResidueField, UNIT_MINUS_ONE, UNIT_ONE, make_field
 from sl8hecke.tower import E2, E4, Tower
 from sl8hecke.weyl import W_EPS, W_ID, W_S, W_SP, W_Z, WeylElem
@@ -91,7 +82,7 @@ def test_coset_reps_longer_word(ctx_stab):
 def _planted(ctx, w, j, r, r_inv):
     """Copies of the families of w's transversal, its members and their
     inverses, with r and r_inv planted as member j: its valuations, leading
-    residues, entries and matrix."""
+    residues, digit rows, entries and matrix."""
     out = []
     for inverse, g in ((False, r), (True, r_inv)):
         base = copy.copy(ctx.base_family(w, inverse))
@@ -101,8 +92,21 @@ def _planted(ctx, w, j, r, r_inv):
         base.residues[j] = tuple(0 if x.is_zero else x.unit_residue() for x in entries)
         base.members[j] = g
         base.entry = lambda i, k, entry=base.entry, entries=entries: entries[k] if i == j else entry(i, k)
+        base._rows = [_planted_rows(rows, j, x, len(base)) for rows, x in zip(base._rows, entries)]
         out.append(base)
     return out
+
+
+def _planted_rows(rows, j, x, n):
+    """An entry's (lowest exponent, digit rows) over n members with member
+    j's digits replaced by those of x, the rows widened to cover x's digits."""
+    lo, digits = rows
+    lead = lo if x.is_zero else x.lead
+    start, stop = min(lo, lead), max(lo + len(digits), lead + len(x.coeffs))
+    out = [list(digits[k - lo]) if lo <= k < lo + len(digits) else [0] * n for k in range(start, stop)]
+    for k in range(start, stop):
+        out[k - start][j] = x.coeffs[k - lead] if 0 <= k - lead < len(x.coeffs) else 0
+    return start, out
 
 
 def test_duplicate_transversal_is_rejected(ctx_stab):
@@ -184,6 +188,30 @@ def test_keyed_validation_agrees_with_the_all_pairs_oracle(q, max_word, variant,
             assert _shared_coset_pairs(ctx, w, pairs) == [(0, len(reps) - 1)]
             with pytest.raises(TransversalError, match="duplicate"):
                 ctx._validate_transversal(w, *doctored)
+
+
+@pytest.mark.parametrize("q, max_word", [(5, 3), (9, 2), (13, 2)])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_validation_keys_are_the_matrix_coset_keys(q, max_word, variant, request, monkeypatch):
+    # validation reads each member's key from the family's valuations and
+    # digit rows and builds no Laurent element; every key equals coset_key of
+    # r * lift(w) on the matrix, member by member
+    import sl8hecke.hecke as hecke
+
+    keys, key_of = [], hecke._coset_key
+    monkeypatch.setattr(hecke, "_coset_key", lambda *args: keys.append(key_of(*args)) or keys[-1])
+    built = _count_calls(monkeypatch, Tower, "from_coeffs")
+    ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    expected = []
+    for word in sorted({w.word for w in ctx.window(max_word, 1)}):
+        ctx.base_family(WeylElem(word))
+        expected.append((word, len(keys)))
+    assert not built
+    got = list(keys)
+    for word, end in reversed(expected):
+        w = WeylElem(word)
+        start = end - len(ctx.base_family(w))
+        assert got[start:end] == [hecke.coset_key(r * ctx.lift(w)) for r in ctx.coset_reps(w)], word
 
 
 @pytest.mark.parametrize("q", [5, 13])
@@ -272,8 +300,6 @@ def test_classify_products_against_normal_form(ctx_stab, rng):
 @pytest.mark.parametrize("variant_fixture", ["ctx_stab", "ctx_par"])
 def test_classify_is_a_double_coset_invariant(variant_fixture, request, rng):
     # the label may not move under multiplication by compact elements
-    from sl8hecke.groupmodel import random_K0
-
     ctx = request.getfixturevalue(variant_fixture)
     window = ctx.window(2, 1)
     for _ in range(20):
@@ -347,8 +373,6 @@ def test_reflection_square_is_q_times_identity_function(ctx_stab, ctx_par, rng):
     # so it must equal q * phi_1 as a function: check at sample points.
     # convolve_at takes the monomial points; the random_K0 draws are not
     # monomial, so the per-point oracle sums them
-    from sl8hecke.groupmodel import random_K0
-
     for ctx in (ctx_stab, ctx_par):
         q = HeckeCoeff(ctx.tower.q, 0)
         for w_pair in (W_S, W_SP):
@@ -375,8 +399,6 @@ def test_identity_acts_as_unit(ctx_stab):
 
 
 def test_basis_function_equivariance_and_scale(ctx_stab, rng):
-    from sl8hecke.groupmodel import random_K0, rho0
-
     scale = HeckeCoeff(2, 1)
     s_lift = ctx_stab.lift(W_S)
     assert ctx_stab.phi(W_S, s_lift, scale) == HeckeCoeff(2, 1)

@@ -1,7 +1,7 @@
 """Sampled cross-checks of the facts the report certifies on residues.
 
-The report's weyl and cocycle rows read `hecke.cocycle_certificate` and
-`hecke.rho0_certificate`, which exhaust those facts over letter relations
+The report's weyl and cocycle rows read `cocycle.cocycle_certificate` and
+`cocycle.rho0_certificate`, which exhaust those facts over letter relations
 and residue pairs.  Each check here is the sampled form of one such row, on
 random compact-torus and compact-subgroup elements and perturbed lift
 families at full window precision, so the long-series kernels behind the
@@ -21,12 +21,12 @@ from sl8hecke.groupmodel import (
     in_KM0,
     letters,
     monomial_matrix,
-    random_K0,
-    random_KM0,
     rho0,
     rho_M0,
 )
-from sl8hecke.hecke import HeckeContext, multiplicative_family_search, sz_perturbed_table
+from sl8hecke.cocycle import multiplicative_family_search, sz_perturbed_table
+from sl8hecke.hecke import HeckeContext
+from sl8hecke.reference import random_K0, random_KM0
 from sl8hecke.residue import UNIT_MINUS_ONE, make_field
 from sl8hecke.tower import Tower
 from sl8hecke.weyl import W_S, W_Z, lift

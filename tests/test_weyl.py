@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from sl8hecke.groupmodel import PARAHORIC, STABILIZER, elem_eps, elem_z, in_KM0, letters
 from sl8hecke.residue import UNIT_I, UNIT_MINUS_ONE, UNIT_ONE, UnitI, eta_residue, make_field, sgn
 from sl8hecke.tower import Tower
+from sl8hecke.lattice import congruence_lattice_members, hermite_normal_form, lattice_check, norm_condition_holds
 from sl8hecke.weyl import (
     S,
     SP,
@@ -17,13 +18,9 @@ from sl8hecke.weyl import (
     W_Z,
     WeylElem,
     _reduce,
-    congruence_lattice_members,
     group_structure_check,
     h_M0,
-    hermite_normal_form,
-    lattice_check,
     lift,
-    norm_condition_holds,
     plength,
     translation_power,
     window_elements,
@@ -221,7 +218,7 @@ def _shared_tower():
 
 
 def test_h_M0_homomorphism_and_unit_kernel(tower5):
-    from sl8hecke.groupmodel import random_KM0
+    from sl8hecke.reference import random_KM0
 
     rng = random.Random(41)
     for _ in range(20):
