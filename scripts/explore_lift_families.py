@@ -11,8 +11,9 @@ itself dances.
 import argparse
 import random
 
+from sl8hecke.cocycle import CocycleTable, sz_perturbed_table
 from sl8hecke.groupmodel import STABILIZER
-from sl8hecke.hecke import CocycleTable, HeckeContext, sz_perturbed_table
+from sl8hecke.hecke import HeckeContext
 from sl8hecke.residue import make_field
 from sl8hecke.tower import Tower
 from sl8hecke.weyl import W_S, W_Z

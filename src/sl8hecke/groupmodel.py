@@ -36,8 +36,8 @@ quotient valuations that decide whether k1 and k2 are Iwahori, so callers
 that hold only invariants (the transversal families of the Hecke layer)
 need no matrix.  The factorisation of a matrix (`iwahori_decompose`,
 `Decomposition`) and the random members `random_KM0` and `random_K0` are in
-`reference`; this module still serves those names (`__getattr__`), loading
-`reference` on first read.
+`reference`; this module still serves the last three (`__getattr__`),
+loading `reference` on first read.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ PARAHORIC = "parahoric"
 VARIANTS = (STABILIZER, PARAHORIC)
 
 # the matrix factorisation and the random members moved to `reference`
-__getattr__ = moved_names(globals(), "reference", ("Decomposition", "iwahori_decompose", "random_KM0", "random_K0"))
+__getattr__ = moved_names(globals(), "reference", ("iwahori_decompose", "random_KM0", "random_K0"))
 
 
 class MembershipError(ValueError):

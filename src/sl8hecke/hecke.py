@@ -31,8 +31,8 @@ length and central exponent).  The main computations:
     in p, composed from the factors (the inverses' from the factors in
     reverse order at -p), and each entry's digits are evaluated over F_q at
     every point; the members are grouped by the valuation pattern of their
-    four entries (a handful per family).  The context builds, validates and
-    memoises both per word and direction (``base_family``).
+    four entries (a handful per family).  Both directions are built, validated
+    and memoised once per word and tower, for both variants (``base_family``).
 
   * :class:`TransversalFamily`: left * r(p) * right over a base family, for
     exact monomial frames left and right given as terms (canonical lifts,
@@ -50,7 +50,7 @@ length and central exponent).  The main computations:
     lift(w1)^-1 * r^-1 * g, one valuation pattern at a time: phi_{w2} at a
     member is the quadratic character of the discrepancy's y-residue, a
     pattern's fixed scale times a base residue, so each pattern adds its
-    scale's sign times a sum over its members memoised per word of w1.  The
+    scale's sign times a sum over its members (``BaseFamily.sign_sums``).  The
     left values phi_{w1}(r * lift(w1)) are all 1: every member r is a
     product of unipotents with d-entry residue 1 (checked), so the value is
     rho0(r) = eta(N(d)) = 1.
@@ -63,7 +63,8 @@ length and central exponent).  The main computations:
 The 2-cocycle of the lift family and its certificates are in `cocycle`; the
 matrix oracles (`iwahori_decompose`) and random members are in `reference`,
 which `classify` and `phi` import where they call it.  The moved names of
-`cocycle` are still served from here (`__getattr__`), loaded on first read.
+`cocycle` that callers still read here are served (`__getattr__`), loaded
+on first read.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ from .groupmodel import (
     PARAHORIC,
     STABILIZER,
     PIVOT_CASES,
+    VARIANTS,
     GroupElem,
     MembershipError,
     _ordn,
@@ -104,14 +106,11 @@ from .weyl import (
 if TYPE_CHECKING:
     from .reference import Decomposition
 
-# the 2-cocycle moved to `cocycle`; its names are still served from here
+# the 2-cocycle moved to `cocycle`; the names its callers still import from here
 __getattr__ = moved_names(
     globals(),
     "cocycle",
-    (
-        "CocycleTable", "Certificate", "nontriviality_certificate", "CocycleCertificate", "cocycle_certificate",
-        "Rho0Certificate", "rho0_certificate", "perturbed_table", "sz_perturbed_table", "multiplicative_family_search",
-    ),
+    ("CocycleTable", "nontriviality_certificate", "perturbed_table", "multiplicative_family_search"),
 )
 
 
@@ -203,7 +202,8 @@ def _series_digits(fld, n, d, count: int) -> tuple:
 
 
 class HeckeContext:
-    """Session state: tower + variant + window, with memoised transversals.
+    """Session state: tower + variant + window, with memoised labels; the
+    transversals, which both variants share, are memoised on the tower.
 
     Nothing here draws random numbers; `rng` is accepted for callers that
     still pass one and is ignored."""
@@ -222,8 +222,8 @@ class HeckeContext:
         self.variant = variant
         self.window_words = window_words
         self.window_z = window_z
-        self._bases: dict[tuple[tuple[str, ...], bool], BaseFamily] = {}
-        self._conv_patterns: dict[tuple[str, ...], list[tuple[int, dict[int, HeckeCoeff]]]] = {}
+        # word -> (its transversal's base family, the inverses'), shared by every context on the tower
+        self._transversals = tower.cache.setdefault("hecke_transversals", {})
         self._labels: dict[tuple, tuple | str] = {}
 
     # -- window -------------------------------------------------------------
@@ -258,21 +258,21 @@ class HeckeContext:
 
     def base_family(self, w: WeylElem, inverse: bool = False) -> "BaseFamily":
         """The transversal of K/(K cap wKw^-1) (its members, or their inverses
-        when `inverse`); it depends only on the word part.
+        when `inverse`); it depends only on the tower and the word part.
 
         For the reduced word a_1 ... a_L, member i is r(p) = X_1(p_1) ... X_L(p_L)
         with p the base-q digits of i, p_1 the most significant, and its
         inverse is X_L(-p_L) ... X_1(-p_1) (`_factors`).  Both directions are
-        built from their forms, validated, and memoised on the word."""
+        built from their forms, validated, and memoised on the tower."""
         self.require_window(w)
-        key = w.word
-        if (key, inverse) not in self._bases:
-            tw, factors = self.tower, self._factors(key)
+        got = self._transversals.get(w.word)
+        if got is None:
+            tw, length, factors = self.tower, len(w.word), self._factors(w.word)
             directions = (factors, [(i, lower, tw.field.neg(c), e) for i, lower, c, e in reversed(factors)])
-            bases = [BaseFamily(tw, len(key), _product_forms(tw.field, len(key), f)) for f in directions]
-            self._validate_transversal(w, *bases)
-            self._bases[(key, False)], self._bases[(key, True)] = bases
-        return self._bases[(key, inverse)]
+            got = tuple(BaseFamily(tw, length, _product_forms(tw.field, length, f)) for f in directions)
+            self._validate_transversal(w, *got)
+            self._transversals[w.word] = got
+        return got[inverse]
 
     def _factors(self, word: tuple[str, ...]) -> list[tuple[int, bool, int, int]]:
         """The root-subgroup factors X_i(p_i) = P Y_{a_i}(p_i) P^-1 of the
@@ -294,7 +294,7 @@ class HeckeContext:
     def _validate_transversal(self, w: WeylElem, base: "BaseFamily", inverse: "BaseFamily") -> None:
         """Every member r of `base` (`inverse` holds their inverses) must lie
         in K with d-entry residue 1, and distinct members in distinct cosets
-        of K cap wKw^-1, checked exhaustively.
+        of K cap wKw^-1, checked exhaustively and for both variants at once.
 
         Every member is a product of elementary unipotents, so its det and E4
         part are 1, and it lies in K (either variant) iff a and d are units,
@@ -303,12 +303,13 @@ class HeckeContext:
 
         r * k with k in K cap wKw^-1 gives (r * k) * lift(w) =
         (r * lift(w)) * (lift(w)^-1 k lift(w)), a right K-multiple, so the
-        right-K-invariant `coset_key` of r * lift(w) is constant on a coset:
-        distinct keys prove distinct cosets, and only members sharing a key
-        get the exact pair test.  Column j of r * lift(w) is a column of r,
-        swapped when lift(w) is antidiagonal, times one term of lift(w): the
-        key is read from r's entry valuations and, for a quotient that needs
-        them, its digits (`BaseFamily.quotient_digits`)."""
+        `coset_key` of r * lift(w), right-invariant under either K, is
+        constant on a coset of either variant: distinct keys prove distinct
+        cosets for both, and only members sharing a key get the exact pair
+        test (`_same_coset`), of both variants.  Column j of r * lift(w) is a
+        column of r, swapped when lift(w) is antidiagonal, times one term of
+        lift(w): the key is read from r's entry valuations and, for a quotient
+        that needs them, its digits (`BaseFamily.quotient_digits`)."""
         word = WeylElem(w.word)
         kind, ((_, e1), (_, e2), (_, e4)) = self.lift_terms(word)
         cols, shifts = (((0, 2), (1, 3)), (e1, e2)) if kind == "diag" else (((1, 3), (0, 2)), (e2, e1))
@@ -335,9 +336,12 @@ class HeckeContext:
                         raise TransversalError(f"duplicate coset in transversal of {w}")
 
     def _same_coset(self, w_lift_inv: GroupElem, r_i_inv: GroupElem, r_j: GroupElem, h_j: GroupElem) -> bool:
-        """r_i and r_j share a coset of K cap wKw^-1, with h_j = r_j * lift(w):
-        r_i^-1 r_j lies in wKw^-1 and in K, the first, rarely true, tested first."""
-        return in_K0(w_lift_inv * (r_i_inv * h_j), self.variant) and in_K0(r_i_inv * r_j, self.variant)
+        """r_i and r_j share a coset of K cap wKw^-1 for either variant's K,
+        with h_j = r_j * lift(w): r_i^-1 r_j lies in wKw^-1 and in K, the first,
+        rarely true, tested first.  Both products have det 1 and E4 part 1, so
+        the parahoric residue condition holds and the two variants agree."""
+        conjugate = w_lift_inv * (r_i_inv * h_j)
+        return any(in_K0(conjugate, v) and in_K0(r_i_inv * r_j, v) for v in VARIANTS)
 
     # -- classification -----------------------------------------------------------
 
@@ -440,21 +444,6 @@ class HeckeContext:
         value = eta_residue(fld, fld.mul(disc_ry, disc_ry)).as_coeff()
         return value if scale is COEFF_ONE else scale * value
 
-    def _left_patterns(self, w: WeylElem) -> list[tuple[int, dict[int, HeckeCoeff]]]:
-        """The valuation patterns of the inverse family of w, memoised per
-        word: (first member, S(k) = the sum of sgn(residue of base entry k
-        at i) over the pattern's members i, by base entry k, none for an entry
-        that is zero across the pattern and so never a pivot)."""
-        got = self._conv_patterns.get(w.word)
-        if got is None:
-            base = self.base_family(w, True)
-            fld, res = self.tower.field, base.residues
-            got = self._conv_patterns[w.word] = [
-                (members[0], {k: _sgn_sum(fld, (res[i][k] for i in members)) for k in range(4) if res[members[0]][k]})
-                for members in base.patterns
-            ]
-        return got
-
     def convolve_at(self, w1: WeylElem, w2: WeylElem, g: GroupElem) -> HeckeCoeff:
         """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer, at an exact
         monomial g (one exact term per entry, as at every canonical lift); any
@@ -469,7 +458,7 @@ class HeckeContext:
             raise ValueError("convolve_at needs an exact monomial g, one exact term per entry")
         fam = TransversalFamily(self, self.lift_terms(w1, inverse=True), self.base_family(w1, True), right)
         total = COEFF_ZERO
-        for first, sums in self._left_patterns(w1):
+        for first, sums in fam.base.sign_sums:
             label, in_iwahori, src, scale, _ = fam.pattern(first)
             value = self._phi_value(w2, label, in_iwahori, scale)
             if not value.is_zero():
@@ -649,6 +638,17 @@ class BaseFamily:
     def members(self) -> list[GroupElem]:
         one4 = self.tower.one(E4)
         return [GroupElem(*(self.entry(i, k) for k in range(4)), one4) for i in range(len(self))]
+
+    @cached_property
+    def sign_sums(self) -> list[tuple[int, dict[int, HeckeCoeff]]]:
+        """Per valuation pattern: (first member, S(k) = the sum of sgn(residue
+        of entry k at i) over the pattern's members i, by entry k, none for an
+        entry that is zero across the pattern and so never a pivot)."""
+        fld, res = self.tower.field, self.residues
+        return [
+            (members[0], {k: _sgn_sum(fld, (res[i][k] for i in members)) for k in range(4) if res[members[0]][k]})
+            for members in self.patterns
+        ]
 
 
 class TransversalFamily:

@@ -62,8 +62,8 @@ class Tower:
     """A session: the residue field plus the three Laurent-series fields.
 
     Immutable after construction.  ``cache`` is a scratch dict used by
-    higher layers to memoise the canonical lifts, their letters and the
-    identity element per session.
+    higher layers to memoise the canonical lifts, their letters, the
+    identity element and the coset transversals per session.
     """
 
     def __init__(self, field: ResidueField, precision: int = 40):

@@ -22,8 +22,8 @@ of `lift_memos`, which hot callers may read directly.  `h_M0` reads the
 valuation triple (ord x, ord y, ord z) of a torus element; on the
 compact-quotient level it identifies the torus part of the group with the
 integer lattice {n1 + n2 + n3 = 0, n3 even}, which `lattice.lattice_check`
-verifies.  This module still serves the names of `lattice` that it used to
-hold (`__getattr__`), loading `lattice` on first read.
+verifies.  This module still serves `lattice_check`, which it used to hold
+(`__getattr__`), loading `lattice` on first read.
 """
 
 from __future__ import annotations
@@ -52,11 +52,7 @@ S = "s"
 SP = "s'"
 
 # the lattice section's code moved to `lattice`
-__getattr__ = moved_names(
-    globals(),
-    "lattice",
-    ("hermite_normal_form", "_xgcd", "congruence_lattice_members", "norm_condition_holds", "lattice_check"),
-)
+__getattr__ = moved_names(globals(), "lattice", ("lattice_check",))
 
 
 def _reduce(word) -> tuple[str, ...]:

@@ -109,16 +109,52 @@ def _planted_rows(rows, j, x, n):
     return start, out
 
 
-def test_duplicate_transversal_is_rejected(ctx_stab):
-    # member 2 of the transversal of s is u(2); planted again as member 3
+def test_duplicate_transversal_is_rejected(ctx_stab, ctx_par):
+    # member 2 of the transversal of s is u(2); planted again as member 3,
+    # rejected whichever variant's context validates
     from sl8hecke.hecke import TransversalError
 
-    tw = ctx_stab.tower
-    u2 = upper_u(tw, 2)
-    assert ctx_stab.coset_reps(W_S)[2] == u2
-    doctored = _planted(ctx_stab, W_S, 3, u2, upper_u(tw, tw.field.neg(2)))
-    with pytest.raises(TransversalError, match="duplicate"):
-        ctx_stab._validate_transversal(W_S, *doctored)
+    for ctx in (ctx_stab, ctx_par):
+        tw = ctx.tower
+        u2 = upper_u(tw, 2)
+        assert ctx.coset_reps(W_S)[2] == u2
+        doctored = _planted(ctx, W_S, 3, u2, upper_u(tw, tw.field.neg(2)))
+        with pytest.raises(TransversalError, match="duplicate"):
+            ctx._validate_transversal(W_S, *doctored)
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_a_coset_shared_under_either_variant_fails_the_shared_build(variant, monkeypatch):
+    # both variants read one validated build, so a colliding pair that shares
+    # a coset under one variant's K only must fail it, whichever context asks;
+    # a fresh tower, as the membership test on the build path is doctored
+    import sl8hecke.hecke as hecke
+    from sl8hecke.hecke import TransversalError
+
+    tw = Tower(make_field(5), 40)
+    membership = hecke.in_K0
+    monkeypatch.setattr(hecke, "in_K0", lambda g, v: v == variant and membership(g, v))
+    w = W_S * W_SP
+    for asking in (STABILIZER, PARAHORIC):
+        ctx = HeckeContext(tw, asking)
+        doctored = _stabilised(ctx, w, 0, len(ctx.coset_reps(w)) - 1)
+        with pytest.raises(TransversalError, match="duplicate"):
+            ctx._validate_transversal(w, *doctored)
+
+
+def test_both_variants_share_one_validated_build_per_word(monkeypatch):
+    # the transversals depend on the tower and the word only: a stabiliser and
+    # a parahoric context on one tower read the same families, each word's
+    # built and validated once, central parts and sign bits included
+    tw = Tower(make_field(5), 40)
+    validated = _count_calls(monkeypatch, HeckeContext, "_validate_transversal")
+    stab, par = HeckeContext(tw, STABILIZER), HeckeContext(tw, PARAHORIC)
+    assert stab.omega_check() and par.omega_check()
+    window = par.window(2, 1)
+    for w in window:
+        for inverse in (False, True):
+            assert stab.base_family(w, inverse) is par.base_family(w, inverse)
+    assert len(validated) == len({w.word for w in window})
 
 
 def test_non_member_representative_is_rejected(ctx_stab):
@@ -132,7 +168,8 @@ def test_non_member_representative_is_rejected(ctx_stab):
 
 def _shared_coset_pairs(ctx, w, reps):
     """The all-pairs oracle: every (i, j), i < j, whose representatives share
-    a coset of K cap wKw^-1, by the exact pair test."""
+    a coset of K cap wKw^-1 for ctx's variant: r_i^-1 r_j lies in wKw^-1
+    and in K, by the exact membership tests."""
     word = WeylElem(w.word)
     w_lift, w_lift_inv = ctx.lift(word), ctx.lift_inverse(word)
     hs = [r * w_lift for r, _ in reps]
@@ -141,7 +178,7 @@ def _shared_coset_pairs(ctx, w, reps):
         (i, j)
         for i in range(n)
         for j in range(i + 1, n)
-        if ctx._same_coset(w_lift_inv, reps[i][1], reps[j][0], hs[j])
+        if in_K0(w_lift_inv * (reps[i][1] * hs[j]), ctx.variant) and in_K0(reps[i][1] * reps[j][0], ctx.variant)
     ]
 
 
@@ -192,16 +229,17 @@ def test_keyed_validation_agrees_with_the_all_pairs_oracle(q, max_word, variant,
 
 @pytest.mark.parametrize("q, max_word", [(5, 3), (9, 2), (13, 2)])
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
-def test_validation_keys_are_the_matrix_coset_keys(q, max_word, variant, request, monkeypatch):
+def test_validation_keys_are_the_matrix_coset_keys(q, max_word, variant, monkeypatch):
     # validation reads each member's key from the family's valuations and
     # digit rows and builds no Laurent element; every key equals coset_key of
-    # r * lift(w) on the matrix, member by member
+    # r * lift(w) on the matrix, member by member.  A fresh tower: the
+    # session's towers hold transversals that other tests built
     import sl8hecke.hecke as hecke
 
     keys, key_of = [], hecke._coset_key
     monkeypatch.setattr(hecke, "_coset_key", lambda *args: keys.append(key_of(*args)) or keys[-1])
     built = _count_calls(monkeypatch, Tower, "from_coeffs")
-    ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    ctx = HeckeContext(Tower(make_field(q), 40), variant)
     expected = []
     for word in sorted({w.word for w in ctx.window(max_word, 1)}):
         ctx.base_family(WeylElem(word))
@@ -722,12 +760,15 @@ def test_transversals_match_the_letter_products(q, max_word, variant, request):
             assert r.det2() == tw.one(E2) and r.g4 == tw.one(E4) and in_K0(r, variant)
 
 
-def test_a_member_with_d_residue_other_than_one_is_rejected(tower5, monkeypatch):
+def test_a_member_with_d_residue_other_than_one_is_rejected(monkeypatch):
     # negating a and d keeps every member in K with the same determinant, but
-    # its d-entry residue is -1, so the left values could not be taken as 1
+    # its d-entry residue is -1, so the left values could not be taken as 1.
+    # A fresh tower, so that the doctored build is not read from the session
+    # tower's memo
     import sl8hecke.hecke as hecke
     from sl8hecke.hecke import TransversalError
 
+    tower5 = Tower(make_field(5), 40)
     product_forms = hecke._product_forms
 
     def doctored(field, length, factors):
