@@ -15,21 +15,18 @@ its command needs them; the `Session` builds each variant's cocycle table on
 first read.  ``python -m sl8hecke.cli`` and the console script run `entry`,
 which skips the heap's teardown at exit.
 
-Runs are deterministic: all sampled checks draw from a seeded generator,
-and two runs with the same configuration and seed produce byte-identical
-JSON.
+Runs are deterministic: each row run draws its samples from its own
+generator, seeded by the string ``"{seed}:{id}"`` of the ``--seed`` and the
+reported check id, so two runs with the same configuration and seed produce
+byte-identical JSON, and ``verify <section>`` draws a report's samples.
 
 A run whose sections span both groups below uses both cores: right after
 the ``Session`` is built it forks one worker for the sections in
-``WORKER_SECTIONS`` (epsilon, lattice, convolution and omega), which draw
-nothing from ``Session.rng`` and read no ``Session.once`` certificate, and
-runs the rest (norms, genericity, weyl, cocycle and algebra) itself in
-report order; weyl and cocycle stay together so their certificates are built
-once.  The worker sends its rows back as JSON over a pipe and the rows are
-merged in report order, so the output bytes and the exit codes are those of
-a serial run.  In the worker ``rng`` and ``once`` raise on use.  A worker
-row that raises an error not the verifier's own, or a worker that dies,
-makes ``run_all`` raise with the worker's traceback, and the worker is
+``WORKER_SECTIONS`` and runs the rest itself in report order.  The worker
+sends its rows back as JSON over a pipe and the rows are merged in report
+order, so the output bytes and the exit codes are those of a serial run.  A
+worker row that raises an error not the verifier's own, or a worker that
+dies, makes ``run_all`` raise with the worker's traceback, and the worker is
 reaped whatever happens.  ``verify`` runs one section, and a host without
 ``os.fork`` every section, in one process through the same loop.
 """
@@ -187,7 +184,7 @@ class Session:
             )
             for v in config.variants()
         }
-        self.rng = random.Random(config.seed)
+        self.rng: random.Random | None = None  # the running row's, set by `_run_sections`
         self._once: dict = {}
 
     def once(self, key, make):
@@ -222,13 +219,8 @@ class Session:
 
 
 def sampled(n: int, draw: Callable[[], tuple], holds: Callable[..., bool]) -> bool:
-    """Draw all n samples, then test holds(*sample) on each.
-
-    Every sample is drawn whatever the verdict, so a failing check never
-    shifts the seeded samples of the checks after it.
-    """
-    samples = [draw() for _ in range(n)]
-    return all(holds(*x) for x in samples)
+    """Whether holds(*draw()) for each of n samples."""
+    return all(holds(*draw()) for _ in range(n))
 
 
 def _associative(mul):
@@ -404,8 +396,10 @@ class Row(NamedTuple):
     ``None`` marks a check that is out of scope.  A row with ``variants``
     runs once per configured variant among them, the variant appended to its
     id; any other row runs once, after those of its section, with the first
-    configured variant.  ``inputs`` is formatted with ``q``, ``units``
-    (q - 1), ``pairs`` ((q - 1)**2), ``zeta`` and ``variant``.
+    configured variant.  A check samples from ``session.rng``, which each
+    run of a row gets afresh (see the module docstring).  ``inputs`` is
+    formatted with ``q``, ``units`` (q - 1), ``pairs`` ((q - 1)**2), ``zeta``
+    and ``variant``.
     """
 
     id: str
@@ -550,9 +544,10 @@ CHECKS = (
 SECTIONS = tuple(dict.fromkeys(row.section for row in CHECKS))
 
 
-# the sections that draw nothing from Session.rng and read no Session.once
-# certificate: a run that also asks for other sections runs these in a
-# forked worker, so the parent's seeded stream is the serial one
+# a run that also asks for other sections runs these in a forked worker.  The
+# split only shares the cost between two cores: each row draws its own
+# samples, and a value read through Session.once is built in each process
+# that reads it, so weyl and cocycle, which share certificates, stay together
 WORKER_SECTIONS = ("epsilon", "lattice", "convolution", "omega")
 
 
@@ -581,6 +576,7 @@ def _run_sections(s: Session, sections) -> list[Check]:
             if row.check is None:
                 checks.append(Check(id_, row.module, row.claim, "", "", "", SKIP))
                 continue
+            s.rng = random.Random(f"{s.config.seed}:{id_}")
             try:
                 expected, got, *ok = row.check(s, variant)
                 passed = ok[0] if ok else str(expected) == str(got)
@@ -592,19 +588,6 @@ def _run_sections(s: Session, sections) -> list[Check]:
             )
             checks.append(Check(id_, row.module, row.claim, inputs, str(expected), str(got), PASS if passed else FAIL))
     return checks
-
-
-class _Unavailable:
-    """Session.rng and Session.once in the worker: any use raises, so a row
-    that breaks the partition fails the run instead of shifting the stream."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def _refuse(self, *args, **kwargs):
-        raise RuntimeError(f"a worker section read Session.{self.name}")
-
-    __getattr__ = __call__ = _refuse
 
 
 def _run_forked(s: Session, parent: list[str], worker: list[str]) -> list[Check]:
@@ -623,7 +606,6 @@ def _run_forked(s: Session, parent: list[str], worker: list[str]) -> list[Check]
         code = 1
         try:
             os.close(read_fd)
-            s.rng, s.once = _Unavailable("rng"), _Unavailable("once")
             try:
                 message = ["rows", _run_sections(s, worker)]
             except Exception:
@@ -683,10 +665,11 @@ def make_parser() -> argparse.ArgumentParser:
         choices=["stabilizer", "parahoric", "both"],
         help="compact subgroup variant",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks, one stream per check id")
     parser.add_argument("--format", dest="fmt", default="text", choices=["text", "json"])
-    parser.add_argument("--window-words", type=int, default=4)
-    parser.add_argument("--window-z", type=int, default=2)
+    window = "in the window that cocycle.identity samples from and the Hecke contexts accept"
+    parser.add_argument("--window-words", type=int, default=4, help=f"longest word {window}")
+    parser.add_argument("--window-z", type=int, default=2, help=f"largest |central exponent| {window}")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("report", help="run every check (default)")
     verify = sub.add_parser("verify", help="run a single section")

@@ -229,8 +229,11 @@ class HeckeContext:
     # -- window -------------------------------------------------------------
 
     def require_window(self, w: WeylElem) -> None:
+        """Raise WindowExceeded unless w lies in the window and in W, which holds eps in the parahoric variant only."""
         if len(w.word) > self.window_words or abs(w.zexp) > self.window_z:
             raise WindowExceeded(f"{w} outside window (words<={self.window_words}, |z|<={self.window_z})")
+        if w.ebit and self.variant == STABILIZER:
+            raise WindowExceeded(f"{w} is not an element of W in the stabilizer variant")
 
     def window(self, max_word: int | None = None, max_z: int | None = None) -> list[WeylElem]:
         return window_elements(

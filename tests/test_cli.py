@@ -2,6 +2,7 @@ import ast
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from sl8hecke.cli import (
+    CHECKS,
     Config,
     ConfigError,
     SECTIONS,
@@ -17,8 +19,8 @@ from sl8hecke.cli import (
     emit,
     main,
     run_all,
-    sampled,
 )
+from sl8hecke.weyl import W_S, W_Z
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -164,18 +166,6 @@ def test_a_row_that_raises_a_verifier_error_fails_and_later_rows_still_run(monke
     plant(KeyError("planted"))
     with pytest.raises(KeyError):
         main(args + ["verify", "convolution"])
-
-
-def test_sampled_draws_every_sample_even_after_a_failure():
-    drawn = []
-
-    def draw():
-        drawn.append(len(drawn))
-        return (drawn[-1],)
-
-    assert not sampled(7, draw, lambda i: i > 0)
-    assert drawn == list(range(7))
-    assert sampled(3, lambda: (1, 1), lambda a, b: a == b)
 
 
 def test_cocycle_json_matches_golden_output(capsysbinary):
@@ -547,22 +537,99 @@ def test_a_verifier_error_in_a_worker_row_is_the_serial_failing_row(monkeypatch)
 
 
 @pytest.mark.parametrize(
-    "read",
-    [lambda s: s.rng.random(), lambda s: s.once("planted", lambda: 0), lambda s: s.table("stabilizer")],
+    "read, want",
+    [
+        (lambda s: s.rng.random(), lambda seed: random.Random(f"{seed}:lattice.image_identity").random()),
+        (lambda s: s.once("planted", lambda: 7), lambda seed: 7),
+        (lambda s: s.table("stabilizer").beta(W_S, W_Z), lambda seed: -1),
+    ],
     ids=["rng", "once", "table"],
 )
-def test_a_worker_row_that_reads_the_seeded_state_fails_the_run(read, monkeypatch):
-    # a worker section that drew from the seeded stream would shift the
-    # parent's samples, so a row that breaks the partition ends the run; the
-    # session's cocycle tables are built through once
+def test_a_worker_row_that_reads_the_seeded_state_matches_the_serial_run(read, want, monkeypatch):
+    # a worker row may draw samples and read the session's memo: its stream
+    # is keyed by the seed and its id, and the memo's values (the cocycle
+    # tables among them) are built in the worker, so the forked report is
+    # the serial one
     def check(session, variant):
-        read(session)
-        return True, True
+        return "", repr(read(session))
 
     plant(monkeypatch, "lattice.image_identity", check)
-    with pytest.raises(RuntimeError, match="a worker section read Session"):
-        run_all(Config())
+    for seed in (0, 1):
+        forked = run_all(Config(seed=seed))
+        assert emit(forked, "json") == emit(serial(monkeypatch, lambda: run_all(Config(seed=seed))), "json")
+        got = next(c.got for c in forked.checks if c.id == "lattice.image_identity")
+        assert got == repr(want(seed))
     assert_no_child()
+
+
+# the rows that draw samples
+SAMPLED_ROWS = (
+    "norms.unit_image_quadratic",
+    "norms.unit_image_quartic",
+    "norms.field_axioms_sample",
+    "cocycle.identity",
+    "algebra.hecke_associativity",
+    "algebra.twisted_associativity",
+    "algebra.crossed_associativity",
+)
+
+class Recording(random.Random):
+    """A copy of a generator that keeps every value it draws."""
+
+    def __init__(self, rng):
+        super().__init__(0)
+        self.setstate(rng.getstate())
+        self.draws = []
+
+    def random(self):
+        self.draws.append(super().random())
+        return self.draws[-1]
+
+    def getrandbits(self, k):
+        self.draws.append(super().getrandbits(k))
+        return self.draws[-1]
+
+
+def record_draws(monkeypatch, config, sections=SECTIONS) -> dict:
+    """The values that each sampled row run of run_all(config, sections)
+    draws, by its reported id."""
+    drawn = {}
+
+    def recorded(row):
+        def check(session, variant):
+            session.rng = Recording(session.rng)
+            try:
+                return row.check(session, variant)
+            finally:
+                drawn[f"{row.id}.{variant}" if row.variants else row.id] = session.rng.draws
+
+        return check
+
+    with monkeypatch.context() as m:
+        for row in CHECKS:
+            if row.id in SAMPLED_ROWS:
+                plant(m, row.id, recorded(row))
+        run_all(config, sections)
+    return drawn
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_sampled_row_draws_the_same_samples_in_a_report_and_in_verify(seed, monkeypatch):
+    # a row's samples depend on the seed and its id only: `verify <section>`
+    # and a one-variant report replay the samples of the full report
+    report = record_draws(monkeypatch, Config(seed=seed))
+    variants = ("stabilizer", "parahoric")
+    rows = [row for row in CHECKS if row.id in SAMPLED_ROWS]
+    assert set(report) == {f"{row.id}.{v}" if row.variants else row.id for row in rows for v in variants}
+    assert all(report.values())
+    for section in ("norms", "cocycle", "algebra"):
+        alone = record_draws(monkeypatch, Config(seed=seed), (section,))
+        assert alone == {i: d for i, d in report.items() if i.startswith(section + ".")}, section
+    for v in variants:
+        one = record_draws(monkeypatch, Config(seed=seed, variant=v))
+        assert {i: d for i, d in one.items() if i.endswith("." + v)} == {
+            i: d for i, d in report.items() if i.endswith("." + v)
+        }, v
 
 
 def test_a_single_section_and_dump_constants_start_no_process(monkeypatch, capsysbinary):

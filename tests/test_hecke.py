@@ -74,6 +74,25 @@ def test_coset_reps_window_enforced(ctx_stab):
         ctx_stab.coset_reps(WeylElem(("s", "s'") * 3))
 
 
+def test_the_sign_element_is_outside_the_stabilizer_variant(ctx_stab, ctx_par):
+    # eps is an element of W in the parahoric variant only; a stabiliser
+    # context that took it would read phi_eps as phi_1 (its lift classifies
+    # as the identity there) and report 0 for a convolution whose value is 1
+    assert ctx_stab.classify(ctx_stab.lift(W_EPS)) == W_ID
+    for call in (
+        lambda ctx: ctx.convolve_at(W_EPS, W_EPS, ctx.lift(W_ID)),
+        lambda ctx: ctx.double_coset_product(W_EPS, W_S),
+        lambda ctx: ctx._omega_pair(W_EPS, W_S, None),
+        lambda ctx: ctx.coset_reps(W_S * W_EPS),
+    ):
+        with pytest.raises(WindowExceeded, match="not an element of W"):
+            call(ctx_stab)
+    assert ctx_par.classify(ctx_par.lift(W_EPS)) == W_EPS
+    assert ctx_par.convolve_at(W_EPS, W_EPS, ctx_par.lift(W_ID)) == COEFF_ONE
+    assert ctx_par.double_coset_product(W_EPS, W_S) == {W_S * W_EPS}
+    assert ctx_par._omega_pair(W_EPS, W_S, None)
+
+
 def test_coset_reps_longer_word(ctx_stab):
     reps = ctx_stab.coset_reps(WeylElem(("s", "s'", "s")))
     assert len(reps) == ctx_stab.tower.q ** 3
@@ -145,7 +164,8 @@ def test_a_coset_shared_under_either_variant_fails_the_shared_build(variant, mon
 def test_both_variants_share_one_validated_build_per_word(monkeypatch):
     # the transversals depend on the tower and the word only: a stabiliser and
     # a parahoric context on one tower read the same families, each word's
-    # built and validated once, central parts and sign bits included
+    # built and validated once, central parts and sign bits included (the
+    # stabiliser takes no sign bit, so it reads the family of w without it)
     tw = Tower(make_field(5), 40)
     validated = _count_calls(monkeypatch, HeckeContext, "_validate_transversal")
     stab, par = HeckeContext(tw, STABILIZER), HeckeContext(tw, PARAHORIC)
@@ -153,7 +173,7 @@ def test_both_variants_share_one_validated_build_per_word(monkeypatch):
     window = par.window(2, 1)
     for w in window:
         for inverse in (False, True):
-            assert stab.base_family(w, inverse) is par.base_family(w, inverse)
+            assert stab.base_family(WeylElem(w.word, w.zexp), inverse) is par.base_family(w, inverse)
     assert len(validated) == len({w.word for w in window})
 
 
