@@ -54,7 +54,7 @@ from .groupmodel import (
     rho_M0,
     torus,
 )
-from .hecke import ClassificationError, HeckeContext, TransversalError, WindowExceeded
+from .hecke import WINDOW_WORDS, WINDOW_Z, ClassificationError, HeckeContext, TransversalError, WindowExceeded
 from .residue import (
     COEFF_ONE,
     UNIT_I,
@@ -82,8 +82,6 @@ class Config(NamedTuple):
     q: int = 5
     precision: int = 40
     variant: str = "both"
-    window_words: int = 4
-    window_z: int = 2
     seed: int = 0
     fmt: str = "text"
 
@@ -98,8 +96,6 @@ class Config(NamedTuple):
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.fmt not in ("text", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
-        if self.window_words < 2 or self.window_z < 1:
-            raise ConfigError("window must allow words of length 2 and one central power")
 
     def variants(self) -> tuple[str, ...]:
         if self.variant == "both":
@@ -139,8 +135,8 @@ def emit(report: Report, fmt: str) -> bytes:
                 "q": report.config.q,
                 "precision": report.config.precision,
                 "variant": report.config.variant,
-                "window_words": report.config.window_words,
-                "window_z": report.config.window_z,
+                "window_words": WINDOW_WORDS,
+                "window_z": WINDOW_Z,
                 "seed": report.config.seed,
             },
             "checks": [c._asdict() for c in report.checks],
@@ -175,15 +171,7 @@ class Session:
         self.config = config
         self.field = make_field(config.q)
         self.tower = Tower(self.field, config.precision)
-        self.contexts = {
-            v: HeckeContext(
-                self.tower,
-                v,
-                window_words=config.window_words,
-                window_z=config.window_z,
-            )
-            for v in config.variants()
-        }
+        self.contexts = {v: HeckeContext(self.tower, v) for v in config.variants()}
         self.rng: random.Random | None = None  # the running row's, set by `_run_sections`
         self._once: dict = {}
 
@@ -667,9 +655,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks, one stream per check id")
     parser.add_argument("--format", dest="fmt", default="text", choices=["text", "json"])
-    window = "in the window that cocycle.identity samples from and the Hecke contexts accept"
-    parser.add_argument("--window-words", type=int, default=4, help=f"longest word {window}")
-    parser.add_argument("--window-z", type=int, default=2, help=f"largest |central exponent| {window}")
     sub = parser.add_subparsers(dest="command")
     sub.add_parser("report", help="run every check (default)")
     verify = sub.add_parser("verify", help="run a single section")
@@ -680,15 +665,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    config = Config(
-        q=args.q,
-        precision=args.precision,
-        variant=args.variant,
-        window_words=args.window_words,
-        window_z=args.window_z,
-        seed=args.seed,
-        fmt=args.fmt,
-    )
+    config = Config(q=args.q, precision=args.precision, variant=args.variant, seed=args.seed, fmt=args.fmt)
     try:
         config.validate()
     except ConfigError as exc:

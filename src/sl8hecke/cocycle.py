@@ -84,10 +84,12 @@ class CocycleTable:
         return k.inverse().to_group() * self.ctx.lift_inverse(w)
 
     def mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
-        """rho of the discrepancy lift(w1 w2)^-1 lift(w1) lift(w2)."""
+        """rho of the discrepancy lift(w1 w2)^-1 lift(w1) lift(w2), for w1, w2 in W of any size."""
         key = (w1, w2)
         got = self._mu.get(key)
         if got is None:
+            self.ctx.require_in_W(w1)
+            self.ctx.require_in_W(w2)
             got = self._mu[key] = self._matrix_mu(w1, w2) if self.perturbation else self._canonical_mu(w1, w2)
         return got
 

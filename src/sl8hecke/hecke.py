@@ -114,8 +114,12 @@ __getattr__ = moved_names(
 )
 
 
+# the verification window: words of length at most 4, central exponents of absolute value at most 2
+WINDOW_WORDS, WINDOW_Z = 4, 2
+
+
 class WindowExceeded(ValueError):
-    """A Weyl element fell outside the verification window."""
+    """A Weyl element fell outside the verification window, or outside W."""
 
 
 class ClassificationError(RuntimeError):
@@ -212,8 +216,8 @@ class HeckeContext:
         self,
         tower: Tower,
         variant: str = STABILIZER,
-        window_words: int = 4,
-        window_z: int = 2,
+        window_words: int = WINDOW_WORDS,
+        window_z: int = WINDOW_Z,
         rng: random.Random | None = None,
     ):
         if variant not in (STABILIZER, PARAHORIC):
@@ -228,12 +232,16 @@ class HeckeContext:
 
     # -- window -------------------------------------------------------------
 
-    def require_window(self, w: WeylElem) -> None:
-        """Raise WindowExceeded unless w lies in the window and in W, which holds eps in the parahoric variant only."""
-        if len(w.word) > self.window_words or abs(w.zexp) > self.window_z:
-            raise WindowExceeded(f"{w} outside window (words<={self.window_words}, |z|<={self.window_z})")
+    def require_in_W(self, w: WeylElem) -> None:
+        """Raise WindowExceeded unless w is an element of W, which holds eps in the parahoric variant only."""
         if w.ebit and self.variant == STABILIZER:
             raise WindowExceeded(f"{w} is not an element of W in the stabilizer variant")
+
+    def require_window(self, w: WeylElem) -> None:
+        """Raise WindowExceeded unless w lies in the window and in W."""
+        if len(w.word) > self.window_words or abs(w.zexp) > self.window_z:
+            raise WindowExceeded(f"{w} outside window (words<={self.window_words}, |z|<={self.window_z})")
+        self.require_in_W(w)
 
     def window(self, max_word: int | None = None, max_z: int | None = None) -> list[WeylElem]:
         return window_elements(

@@ -18,6 +18,7 @@ from sl8hecke.cli import (
     dump_constants,
     emit,
     main,
+    make_parser,
     run_all,
 )
 from sl8hecke.weyl import W_S, W_Z
@@ -41,7 +42,18 @@ def test_config_rejects_small_precision():
 def test_main_exit_codes(capsys):
     assert main(["--q", "7", "report"]) == 2
     assert main(["--q", "5", "verify", "lattice"]) == 0
+    # the window has no flag: an unknown option is a bad configuration
+    for argv in (["--window-words", "4", "report"], ["--window-z", "2", "report"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_the_options_are_exactly_the_config_fields():
+    options = {s for a in make_parser()._actions for s in a.option_strings} - {"-h", "--help"}
+    assert options == {"--q", "--precision", "--variant", "--seed", "--format"}
+    assert Config._fields == ("q", "precision", "variant", "seed", "fmt")
 
 
 def test_single_section_runs():
@@ -108,14 +120,16 @@ def test_all_sections_named():
 
 def test_report_json_matches_golden_output(capsysbinary):
     # each golden was recorded from `python -m sl8hecke.cli --q Q --variant V
-    # --seed S --format json report`; any byte of drift is a behaviour change.
+    # --seed S --format F report`; any byte of drift is a behaviour change.
     # q = 9 covers an F_{p^2} field, a non-zero seed and a single-variant run,
-    # where the section-wide checks take the parahoric context.
-    for name, q, variant, seed in (
-        ("report-q5-seed0.json", "5", "both", "0"),
-        ("report-q9-parahoric-seed1.json", "9", "parahoric", "1"),
+    # where the section-wide checks take the parahoric context; the text
+    # golden pins the text header and lines.
+    for name, q, variant, seed, fmt in (
+        ("report-q5-seed0.json", "5", "both", "0", "json"),
+        ("report-q9-parahoric-seed1.json", "9", "parahoric", "1", "json"),
+        ("report-q5-seed0.txt", "5", "both", "0", "text"),
     ):
-        assert main(["--q", q, "--variant", variant, "--seed", seed, "--format", "json", "report"]) == 0
+        assert main(["--q", q, "--variant", variant, "--seed", seed, "--format", fmt, "report"]) == 0
         assert capsysbinary.readouterr().out == (DATA / name).read_bytes(), name
 
 

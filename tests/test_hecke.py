@@ -77,13 +77,16 @@ def test_coset_reps_window_enforced(ctx_stab):
 def test_the_sign_element_is_outside_the_stabilizer_variant(ctx_stab, ctx_par):
     # eps is an element of W in the parahoric variant only; a stabiliser
     # context that took it would read phi_eps as phi_1 (its lift classifies
-    # as the identity there) and report 0 for a convolution whose value is 1
+    # as the identity there) and report 0 for a convolution whose value is 1;
+    # its cocycle table refuses eps as well
     assert ctx_stab.classify(ctx_stab.lift(W_EPS)) == W_ID
     for call in (
         lambda ctx: ctx.convolve_at(W_EPS, W_EPS, ctx.lift(W_ID)),
         lambda ctx: ctx.double_coset_product(W_EPS, W_S),
         lambda ctx: ctx._omega_pair(W_EPS, W_S, None),
         lambda ctx: ctx.coset_reps(W_S * W_EPS),
+        lambda ctx: CocycleTable(ctx).mu(W_S, W_EPS),
+        lambda ctx: CocycleTable(ctx).beta(W_S, W_EPS),
     ):
         with pytest.raises(WindowExceeded, match="not an element of W"):
             call(ctx_stab)
@@ -91,6 +94,7 @@ def test_the_sign_element_is_outside_the_stabilizer_variant(ctx_stab, ctx_par):
     assert ctx_par.convolve_at(W_EPS, W_EPS, ctx_par.lift(W_ID)) == COEFF_ONE
     assert ctx_par.double_coset_product(W_EPS, W_S) == {W_S * W_EPS}
     assert ctx_par._omega_pair(W_EPS, W_S, None)
+    CocycleTable(ctx_par).beta(W_S, W_EPS)
 
 
 def test_coset_reps_longer_word(ctx_stab):
