@@ -72,59 +72,75 @@ class CoxeterSystem(namedtuple("CoxeterSystem", "generators braid_order", defaul
             out = [self.generators[1 - self.generators.index(l)] for l in out]
         return tuple(out)
 
-    def length(self, word) -> int:
-        return len(self.reduce(word))
-
     def left_mul(self, s: str, word: tuple[str, ...]) -> tuple[str, ...]:
         return self.reduce((s,) + word)
 
 
-class GenericHeckeElem:
+def _collect(pairs) -> dict:
+    """Sum the coefficients of (key, coefficient) pairs per key, keys in the
+    order they first appear, and drop the keys whose sum is zero."""
+    out: dict = {}
+    for key, c in pairs:
+        out[key] = out.get(key, COEFF_ZERO) + c
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+class _Combination:
+    """Finite linear combination: a dict from basis key to HeckeCoeff, over an
+    owner (a Coxeter system or an algebra).  Owners compare with ``==``, value
+    equality for a CoxeterSystem and identity for an algebra; combinations
+    over different owners never mix, and mixing raises ``_MISMATCH``."""
+
+    __slots__ = ("owner", "terms")
+    _MISMATCH: tuple[type, str]
+
+    def __init__(self, owner, terms: dict):
+        self.owner = owner
+        self.terms = terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(owner={self.owner!r}, terms={self.terms!r})"
+
+    def _check(self, other: "_Combination") -> None:
+        if self.owner != other.owner:
+            error, message = self._MISMATCH
+            raise error(message)
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(self.owner, _collect([*self.terms.items(), *other.terms.items()]))
+
+    def scaled(self, c: HeckeCoeff):
+        return type(self)(self.owner, _collect((key, c * v) for key, v in self.terms.items()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.owner == other.owner and self.terms == other.terms
+
+
+class GenericHeckeElem(_Combination):
     """Finite linear combination of basis elements T_w, keys reduced words."""
 
-    __slots__ = ("system", "terms")
+    __slots__ = ()
+    _MISMATCH = (CoxeterError, "mismatched Coxeter systems")
 
     def __init__(self, system: CoxeterSystem, terms: dict[tuple[str, ...], HeckeCoeff] | None = None):
         terms = {} if terms is None else terms
         for w in terms:
             if system.reduce(w) != w:
                 raise CoxeterError(f"non-reduced key {w!r}")
-        self.system = system
-        self.terms = terms
-
-    def __repr__(self) -> str:
-        return f"GenericHeckeElem(system={self.system!r}, terms={self.terms!r})"
+        super().__init__(system, terms)
 
     @staticmethod
     def basis(system: CoxeterSystem, word=()) -> "GenericHeckeElem":
         return GenericHeckeElem(system, {system.reduce(tuple(word)): COEFF_ONE})
-
-    def __add__(self, other: "GenericHeckeElem") -> "GenericHeckeElem":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, COEFF_ZERO) + c
-        return GenericHeckeElem(self.system, {w: c for w, c in out.items() if not c.is_zero()})
-
-    def scaled(self, c: HeckeCoeff) -> "GenericHeckeElem":
-        if c.is_zero():
-            return GenericHeckeElem(self.system, {})
-        return GenericHeckeElem(self.system, {w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GenericHeckeElem)
-            and self.system == other.system
-            and self.terms == other.terms
-        )
 
 
 def hecke_mul(
     a: GenericHeckeElem, b: GenericHeckeElem, params: dict[str, HeckeCoeff]
 ) -> GenericHeckeElem:
     """Product in the parameterised Hecke algebra, bilinear over the bases."""
-    system = a.system
-    if system != b.system:
-        raise CoxeterError("mismatched Coxeter systems")
+    a._check(b)
+    system = a.owner
     if (
         system.braid_order is not None
         and system.braid_order % 2 == 1
@@ -133,13 +149,12 @@ def hecke_mul(
         # odd braid order makes the generators conjugate: the parameter
         # function must be constant or the presentation is not associative
         raise CoxeterError("odd braid order requires equal parameters")
-    out: dict[tuple[str, ...], HeckeCoeff] = {}
-    for v, cv in a.terms.items():
-        for w, cw in b.terms.items():
-            for word, c in _basis_product(system, v, w, params).items():
-                key_coeff = out.get(word, COEFF_ZERO) + cv * cw * c
-                out[word] = key_coeff
-    return GenericHeckeElem(system, {w: c for w, c in out.items() if not c.is_zero()})
+    return GenericHeckeElem(system, _collect(
+        (word, cv * cw * c)
+        for v, cv in a.terms.items()
+        for w, cw in b.terms.items()
+        for word, c in _basis_product(system, v, w, params).items()
+    ))
 
 
 def _basis_product(
@@ -148,19 +163,20 @@ def _basis_product(
     """T_v * T_w as a dict, by letterwise left multiplication."""
     acc = {w: COEFF_ONE}
     for s in reversed(v):
-        q_s = params[s]
-        nxt: dict[tuple[str, ...], HeckeCoeff] = {}
-        for word, c in acc.items():
-            grew = system.length((s,) + word) > len(word)
-            if grew:
-                key = system.left_mul(s, word)
-                nxt[key] = nxt.get(key, COEFF_ZERO) + c
-            else:
-                key = system.left_mul(s, word)
-                nxt[key] = nxt.get(key, COEFF_ZERO) + q_s * c
-                nxt[word] = nxt.get(word, COEFF_ZERO) + (q_s - COEFF_ONE) * c
-        acc = {k: c for k, c in nxt.items() if not c.is_zero()}
+        acc = _collect(_left_mul_terms(system, s, params[s], acc))
     return acc
+
+
+def _left_mul_terms(system: CoxeterSystem, s: str, q_s: HeckeCoeff, terms: dict):
+    """The pairs of T_s * sum(c T_u): c T_{su} where the length grows, else
+    q_s c T_{su} and (q_s - 1) c T_u."""
+    for word, c in terms.items():
+        key = system.left_mul(s, word)
+        if len(key) > len(word):
+            yield key, c
+        else:
+            yield key, q_s * c
+            yield word, (q_s - COEFF_ONE) * c
 
 
 # ---------------------------------------------------------------------------------
@@ -170,8 +186,9 @@ def _basis_product(
 class TwistedGroupAlgebra:
     """Group algebra twisted by a 2-cocycle: e_g e_h = mu(g, h) e_{gh}.
 
-    ``group_mul``/``group_inv`` act on hashable element keys; ``cocycle``
-    returns a HeckeCoeff.  Elements of different algebra handles never mix.
+    ``group_mul`` multiplies hashable element keys, ``cocycle`` returns a
+    HeckeCoeff, and ``identity_key`` is the group's identity.  Elements of
+    different algebra handles never mix.
     """
 
     def __init__(
@@ -188,47 +205,19 @@ class TwistedGroupAlgebra:
         return TwistedElem(self, {g: COEFF_ONE})
 
 
-class TwistedElem:
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: TwistedGroupAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
-
-    def __repr__(self) -> str:
-        return f"TwistedElem(algebra={self.algebra!r}, terms={self.terms!r})"
-
-    def __add__(self, other: "TwistedElem") -> "TwistedElem":
-        self._check(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            out[g] = out.get(g, COEFF_ZERO) + c
-        return TwistedElem(self.algebra, {g: c for g, c in out.items() if not c.is_zero()})
-
-    def _check(self, other: "TwistedElem") -> None:
-        if self.algebra is not other.algebra:
-            raise ValueError("elements of different twisted algebras")
-
-    def scaled(self, c: HeckeCoeff) -> "TwistedElem":
-        return TwistedElem(self.algebra, {g: c * v for g, v in self.terms.items() if not (c * v).is_zero()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TwistedElem)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
+class TwistedElem(_Combination):
+    __slots__ = ()
+    _MISMATCH = (ValueError, "elements of different twisted algebras")
 
 
 def twisted_mul(a: TwistedElem, b: TwistedElem) -> TwistedElem:
     a._check(b)
-    alg = a.algebra
-    out: dict = {}
-    for g, cg in a.terms.items():
-        for h, ch in b.terms.items():
-            key = alg.group_mul(g, h)
-            out[key] = out.get(key, COEFF_ZERO) + cg * ch * alg.cocycle(g, h)
-    return TwistedElem(alg, {g: c for g, c in out.items() if not c.is_zero()})
+    alg = a.owner
+    return TwistedElem(alg, _collect(
+        (alg.group_mul(g, h), cg * ch * alg.cocycle(g, h))
+        for g, cg in a.terms.items()
+        for h, ch in b.terms.items()
+    ))
 
 
 # ---------------------------------------------------------------------------------
@@ -263,47 +252,22 @@ class CrossedProductAlgebra:
         return self.system.reduce(tuple(self.action(g, letter) for letter in word))
 
 
-class CrossedElem:
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: CrossedProductAlgebra, terms: dict):
-        self.algebra = algebra
-        self.terms = terms
-
-    def __repr__(self) -> str:
-        return f"CrossedElem(algebra={self.algebra!r}, terms={self.terms!r})"
-
-    def __add__(self, other: "CrossedElem") -> "CrossedElem":
-        if self.algebra is not other.algebra:
-            raise ValueError("elements of different crossed products")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, COEFF_ZERO) + c
-        return CrossedElem(self.algebra, {k: c for k, c in out.items() if not c.is_zero()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CrossedElem)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
+class CrossedElem(_Combination):
+    __slots__ = ()
+    _MISMATCH = (ValueError, "elements of different crossed products")
 
 
 def crossed_mul(a: CrossedElem, b: CrossedElem) -> CrossedElem:
-    if a.algebra is not b.algebra:
-        raise ValueError("elements of different crossed products")
-    alg = a.algebra
-    out: dict = {}
-    for (g, w), c1 in a.terms.items():
-        for (h, v), c2 in b.terms.items():
-            scalar = c1 * c2 * alg.twisted.cocycle(g, h)
-            moved = alg.act_on_word(alg.inverse(h), w)
-            hecke_part = _basis_product(alg.system, moved, v, alg.params)
-            gh = alg.twisted.group_mul(g, h)
-            for word, c in hecke_part.items():
-                key = (gh, word)
-                out[key] = out.get(key, COEFF_ZERO) + scalar * c
-    return CrossedElem(alg, {k: c for k, c in out.items() if not c.is_zero()})
+    a._check(b)
+    alg = a.owner
+    twisted = alg.twisted
+    return CrossedElem(alg, _collect(
+        ((gh, word), scalar * c)
+        for (g, w), c1 in a.terms.items()
+        for (h, v), c2 in b.terms.items()
+        for scalar, gh in [(c1 * c2 * twisted.cocycle(g, h), twisted.group_mul(g, h))]
+        for word, c in _basis_product(alg.system, alg.act_on_word(alg.inverse(h), w), v, alg.params).items()
+    ))
 
 
 # ---------------------------------------------------------------------------------

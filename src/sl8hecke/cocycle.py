@@ -42,9 +42,10 @@ from .groupmodel import (
     TorusElem,
     admissible_torus_residues,
     commutator,
-    compact_torus_conditions,
+    in_compact_torus,
     in_K0,
     in_KM0,
+    letter_relations,
     letters,
     lower_l,
     rho0,
@@ -108,12 +109,16 @@ class CocycleTable:
         # memos of `lift_terms` (terms are non-empty, so `or` marks a miss)
         tower, (fwd, inv) = self.ctx.tower, self._lift_memos
         fld, w = tower.field, w1 * w2
-        disc = term_product(fld, inv.get(w) or lift_terms(tower, w, True), fwd.get(w1) or lift_terms(tower, w1))
-        disc = term_product(fld, disc, fwd.get(w2) or lift_terms(tower, w2))
-        kind, ((rx, nx), (ry, ny), (rz, nz)) = disc
+        disc = term_product(
+            fld,
+            inv.get(w) or lift_terms(tower, w, True),
+            fwd.get(w1) or lift_terms(tower, w1),
+            fwd.get(w2) or lift_terms(tower, w2),
+        )
+        kind, ((rx, _), (ry, _), (rz, _)) = disc
         if kind != "diag":
             raise ClassificationError("lift discrepancy is not diagonal")
-        if not compact_torus_conditions(fld, self.ctx.variant, (nx, ny, nz), (rx, ry, rz)):
+        if not in_compact_torus(fld, self.ctx.variant, disc):
             raise ClassificationError("lift discrepancy left the compact torus")
         return rho_residues(fld, rx, ry, rz)
 
@@ -206,29 +211,12 @@ def cocycle_certificate(ctx: HeckeContext) -> CocycleCertificate:
     terms of the letter lifts and on residues, with no Laurent arithmetic."""
     fld, variant = ctx.tower.field, ctx.variant
     terms = letters(ctx.tower)
-    inverse = {name: term_inverse(fld, m) for name, m in terms.items()}
-
-    def product(*factors):
-        out = factors[0]
-        for f in factors[1:]:
-            out = term_product(fld, out, f)
-        return out
-
-    def in_torus(m) -> bool:
-        kind, ((rx, nx), (ry, ny), (rz, nz)) = m
-        return kind == "diag" and compact_torus_conditions(fld, variant, (nx, ny, nz), (rx, ry, rz))
-
-    relations = {}
-    for a in ("s", "s'"):
-        relations[f"{a}^2"] = in_torus(product(terms[a], terms[a]))
-        for b in ("z", "eps"):
-            relations[f"[{a}, {b}]"] = in_torus(product(terms[a], terms[b], inverse[a], inverse[b]))
-    relations["eps^2"] = in_torus(product(terms["eps"], terms["eps"]))
     # a witness with three distinct residues shows each letter's permutation
     x, y, z = ((fld.pow(fld.zeta, k), 0) for k in (1, 2, 3))
     normalizes = all(
-        product(m, ("diag", (x, y, z)), inverse[n]) == ("diag", (y, x, z) if m[0] == "anti" else (x, y, z))
-        for n, m in terms.items()
+        term_product(fld, m, ("diag", (x, y, z)), term_inverse(fld, m))
+        == ("diag", (y, x, z) if m[0] == "anti" else (x, y, z))
+        for m in terms.values()
     )
     invariant = all(
         rho_residues(fld, rx, ry, rz) == rho_residues(fld, ry, rx, rz)
@@ -236,7 +224,7 @@ def cocycle_certificate(ctx: HeckeContext) -> CocycleCertificate:
         for ry in range(1, fld.q)
         for rx in (fld.mul(xy, fld.inv(ry)),)
     )
-    return CocycleCertificate(relations, normalizes, invariant)
+    return CocycleCertificate(letter_relations(ctx.tower, variant), normalizes, invariant)
 
 
 class Rho0Certificate(NamedTuple):

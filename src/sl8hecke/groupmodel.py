@@ -20,12 +20,14 @@ its E4 part, is held as terms: (kind, ((r1, e1), (r2, e2), (r4, e4))), kind
 "diag" or "anti" and (r, e) each entry's residue and exponent.
 `term_product` and `term_inverse` are its product and inverse, one F_q
 operation and one integer sum per entry with no Laurent arithmetic;
-`monomial_matrix` gives its matrix and `monomial_terms` reads it back from
-one.  The letters of the canonical Weyl lifts are defined once, as terms
-(`letters`): the unit-determinant reflection s, its affine partner s', the
-central-direction torus element z with E4 part pi4**(-2) and the sign
-element eps = (-1, 1, 1); `elem_s`, `elem_s_prime`, `elem_z` and `elem_eps`
-are their matrices.  The unipotents u(x), l(c) are matrices.
+`in_compact_torus` tests it against the compact torus, `monomial_matrix`
+gives its matrix and `monomial_terms` reads it back from one.  The letters
+of the canonical Weyl lifts are defined once, as terms (`letters`): the
+unit-determinant reflection s, its affine partner s', the central-direction
+torus element z with E4 part pi4**(-2) and the sign element eps = (-1, 1,
+1); `elem_s`, `elem_s_prime`, `elem_z` and `elem_eps` are their matrices,
+and `letter_relations` checks their relations on terms.  The unipotents
+u(x), l(c) are matrices.
 
 `pivot_step` is the pivot step of the Iwahori factorisation g = k1 * m * k2
 (k1, k2 unipotent Iwahori, m monomial; pivots prefer the diagonal, then row
@@ -357,17 +359,20 @@ class Monomial:
 IDENTITY_TERMS = ("diag", ((1, 0), (1, 0), (1, 0)))
 
 
-def term_product(field, left, right) -> tuple[str, tuple]:
-    """The product of two exact monomials given as terms (kind, ((r1, e1),
-    (r2, e2), (r4, e4))), the (residue, exponent) pairs of first, second and
-    the E4 part: one F_q product and one exponent sum per entry.  Row i of
-    left meets row i of right (diag) or row 1 - i (anti)."""
-    (kind1, ((r1, e1), (r2, e2), (r4, e4))), (kind2, ((s1, f1), (s2, f2), (s4, f4))) = left, right
-    if kind1 != "diag":
-        s1, f1, s2, f2 = s2, f2, s1, f1
+def term_product(field, first, *rest) -> tuple[str, tuple]:
+    """The product, left to right, of exact monomials given as terms (kind,
+    ((r1, e1), (r2, e2), (r4, e4))), the (residue, exponent) pairs of first,
+    second and the E4 part: one F_q product and one exponent sum per entry
+    and factor.  Row i of the left factor meets row i of the right one (diag)
+    or row 1 - i (anti)."""
+    kind, ((r1, e1), (r2, e2), (r4, e4)) = first
     mul = field.mul_table
-    terms = ((mul[r1][s1], e1 + f1), (mul[r2][s2], e2 + f2), (mul[r4][s4], e4 + f4))
-    return ("diag" if kind1 == kind2 else "anti"), terms
+    for kind2, ((s1, f1), (s2, f2), (s4, f4)) in rest:
+        if kind != "diag":
+            s1, f1, s2, f2 = s2, f2, s1, f1
+        r1, e1, r2, e2, r4, e4 = mul[r1][s1], e1 + f1, mul[r2][s2], e2 + f2, mul[r4][s4], e4 + f4
+        kind = "diag" if kind == kind2 else "anti"
+    return kind, ((r1, e1), (r2, e2), (r4, e4))
 
 
 def term_inverse(field, m) -> tuple[str, tuple]:
@@ -378,6 +383,26 @@ def term_inverse(field, m) -> tuple[str, tuple]:
     if kind == "anti":
         first, second = second, first
     return kind, (first, second, (field.inv(r4), -e4))
+
+
+def in_compact_torus(field, variant: str, m) -> bool:
+    """Whether an exact monomial given as terms lies in the variant's compact torus."""
+    kind, ((rx, nx), (ry, ny), (rz, nz)) = m
+    return kind == "diag" and compact_torus_conditions(field, variant, (nx, ny, nz), (rx, ry, rz))
+
+
+def letter_relations(tower: Tower, variant: str) -> dict[str, bool]:
+    """Whether each relation of the letters lies in the variant's compact
+    torus: a**2, [a, z] and [a, eps] for a in {s, s'}, and eps**2, on terms."""
+    fld, let = tower.field, letters(tower)
+    inv = {name: term_inverse(fld, m) for name, m in let.items()}
+    relations = {}
+    for a in ("s", "s'"):
+        relations[f"{a}^2"] = in_compact_torus(fld, variant, term_product(fld, let[a], let[a]))
+        for b in ("z", "eps"):
+            relations[f"[{a}, {b}]"] = in_compact_torus(fld, variant, term_product(fld, let[a], let[b], inv[a], inv[b]))
+    relations["eps^2"] = in_compact_torus(fld, variant, term_product(fld, let["eps"], let["eps"]))
+    return relations
 
 
 def monomial_matrix(tower: Tower, m) -> GroupElem:

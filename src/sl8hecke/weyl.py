@@ -33,13 +33,8 @@ from .groupmodel import (
     IDENTITY_TERMS,
     GroupElem,
     TorusElem,
-    commutator,
-    elem_eps,
-    elem_s,
-    elem_s_prime,
-    elem_z,
-    identity,
-    in_KM0,
+    in_compact_torus,
+    letter_relations,
     letters,
     monomial_matrix,
     term_inverse,
@@ -204,13 +199,9 @@ def lift_inverse(tower: Tower, w: WeylElem) -> GroupElem:
 
 def _letter_product(tower: Tower, w: WeylElem) -> tuple[str, tuple]:
     fld, let = tower.field, letters(tower)
-    got = IDENTITY_TERMS
-    for letter in w.word:
-        got = term_product(fld, got, let[letter])
     z = let["z"] if w.zexp >= 0 else term_inverse(fld, let["z"])
-    for _ in range(abs(w.zexp)):
-        got = term_product(fld, got, z)
-    return term_product(fld, got, let["eps"]) if w.ebit else got
+    factors = [let[letter] for letter in w.word] + [z] * abs(w.zexp) + [let["eps"]] * w.ebit
+    return term_product(fld, IDENTITY_TERMS, *factors)
 
 
 def _memo(tower: Tower, name: str, w: WeylElem, make):
@@ -230,46 +221,34 @@ def h_M0(tt: TorusElem) -> tuple[int, int, int]:
 
 
 def group_structure_check(tower: Tower, variant: str, order_bound: int = 50) -> bool:
-    """Matrix-level verification of the presentation.
+    """Verification of the presentation on the letters' terms.
 
     Checks: the letter lifts square into the compact torus; z and (for the
     parahoric) eps are central modulo the compact torus with eps of order
-    two outside it; the translations (ss')**n and z**n stay non-trivial for
-    1 <= n <= order_bound, certified by their valuation triples (which
-    prove non-triviality for every n by linearity).
+    two outside it (`letter_relations`, with [z, eps]); the translations
+    (ss')**n and z**n stay non-trivial for 1 <= n <= order_bound, certified
+    by their valuation triples, the exponents of their terms (which prove
+    non-triviality for every n by linearity).
     """
-    s_t = elem_s(tower)
-    sp_t = elem_s_prime(tower)
-    z_t = elem_z(tower)
-    for letter in (s_t, sp_t):
-        sq = letter * letter
-        if not (sq.is_diagonal() and in_KM0(sq.to_torus(), variant)):
-            return False
-    # z central: its commutator with each letter lands in the compact torus
-    for letter in (s_t, sp_t):
-        com = commutator(letter, z_t)
-        if not (com.is_diagonal() and in_KM0(com.to_torus(), variant)):
-            return False
+    fld, let = tower.field, letters(tower)
+    relations = letter_relations(tower, variant)
     if variant == PARAHORIC:
-        eps_t = elem_eps(tower)
-        if in_KM0(eps_t.to_torus(), PARAHORIC):
-            return False  # eps must be non-trivial in the parahoric quotient
-        if not in_KM0((eps_t * eps_t).to_torus(), PARAHORIC):
-            return False  # but its square is trivial
-        for letter in (s_t, sp_t, z_t):
-            com = commutator(letter, eps_t)
-            if not (com.is_diagonal() and in_KM0(com.to_torus(), PARAHORIC)):
+        z, eps = let["z"], let["eps"]
+        relations["[z, eps]"] = in_compact_torus(fld, variant, term_product(
+            fld, z, eps, term_inverse(fld, z), term_inverse(fld, eps)
+        ))
+        relations["eps"] = not in_compact_torus(fld, variant, eps)  # non-trivial in the parahoric quotient
+    else:
+        relations = {name: held for name, held in relations.items() if "eps" not in name}
+    if not all(relations.values()):
+        return False
+    for letter, triple in ((term_product(fld, let["s"], let["s'"]), (1, -1, 0)), (let["z"], (1, 1, -2))):
+        acc = IDENTITY_TERMS
+        for n in range(1, order_bound + 1):
+            acc = term_product(fld, acc, letter)
+            kind, ((_, e1), (_, e2), (_, e4)) = acc
+            if kind != "diag" or (e1, e2, e4) != tuple(n * e for e in triple):
                 return False
-    trans = s_t * sp_t
-    acc = identity(tower)
-    accz = identity(tower)
-    for n in range(1, order_bound + 1):
-        acc = acc * trans
-        accz = accz * z_t
-        if h_M0(acc.to_torus()) != (n, -n, 0):
-            return False
-        if h_M0(accz.to_torus()) != (n, n, -2 * n):
-            return False
     return True
 
 

@@ -79,6 +79,20 @@ def test_equality_distinguishes_systems():
     assert GenericHeckeElem.basis(A2, ("s",)) == GenericHeckeElem.basis(A2, ("s",))
 
 
+def test_sum_over_different_systems_raises():
+    # the sum checks its operands' systems as hecke_mul does
+    with pytest.raises(CoxeterError, match="mismatched Coxeter systems"):
+        GenericHeckeElem.basis(A2, ("s",)) + GenericHeckeElem.basis(AFF_A1, ("s", "t"))
+
+
+def test_sums_and_scalings_drop_zero_coefficients():
+    ts = GenericHeckeElem.basis(B2, ("s",))
+    both = ts + GenericHeckeElem.basis(B2, ("t",))
+    assert (both + ts.scaled(coeff(-1))).terms == {("t",): COEFF_ONE}
+    assert both.scaled(coeff(0)) == GenericHeckeElem(B2, {})
+    assert list((both + ts).terms) == [("s",), ("t",)]
+
+
 # -- Hecke multiplication ---------------------------------------------------------------
 
 
@@ -207,6 +221,15 @@ def test_broken_cocycle_breaks_associativity(table5):
 
 
 # -- crossed products -------------------------------------------------------------------------
+
+
+def test_sums_over_different_algebras_raise():
+    twisted = [TwistedGroupAlgebra(lambda u, v: "1", lambda u, v: COEFF_ONE, "1") for _ in range(2)]
+    with pytest.raises(ValueError, match="elements of different twisted algebras"):
+        twisted[0].basis("1") + twisted[1].basis("1")
+    crossed = [CrossedProductAlgebra(t, AFF_A1, {"s": coeff(3), "t": coeff(3)}) for t in twisted]
+    with pytest.raises(ValueError, match="elements of different crossed products"):
+        crossed_mul(crossed[0].basis("1"), crossed[1].basis("1"))
 
 
 def test_crossed_degenerates_to_twisted(table5, ctx5):

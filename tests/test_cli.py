@@ -104,6 +104,14 @@ def test_dump_constants_csv():
         assert (int(re), int(im)) != (0, 0)
 
 
+def test_dump_constants_matches_golden_output(capsysbinary):
+    # recorded from `python -m sl8hecke.cli --q 5 --variant parahoric
+    # dump-constants`: the window with the sign bit, every structure constant
+    # read through `crossed_mul`
+    assert main(["--q", "5", "--variant", "parahoric", "dump-constants"]) == 0
+    assert capsysbinary.readouterr().out == (DATA / "dump-constants-q5-parahoric.csv").read_bytes()
+
+
 def test_all_sections_named():
     assert set(SECTIONS) == {
         "norms",

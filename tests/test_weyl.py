@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from sl8hecke.groupmodel import PARAHORIC, STABILIZER, elem_eps, elem_z, in_KM0, letters
+from sl8hecke.groupmodel import PARAHORIC, STABILIZER, GroupElem, elem_eps, elem_z, in_KM0, letters
 from sl8hecke.residue import UNIT_I, UNIT_MINUS_ONE, UNIT_ONE, UnitI, eta_residue, make_field, sgn
 from sl8hecke.tower import Tower
 from sl8hecke.lattice import congruence_lattice_members, hermite_normal_form, lattice_check, norm_condition_holds
@@ -296,6 +296,23 @@ def test_group_structure_rejects_an_eps_inside_the_compact_torus():
     tower = tower_with_letter("eps", ("diag", ((1, 0), (1, 0), (1, 0))))
     assert in_KM0(elem_eps(tower).to_torus(), PARAHORIC)
     assert group_structure_check(tower, PARAHORIC) is False
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_group_structure_rejects_a_rescaled_affine_letter(variant):
+    # s' with its first entry scaled by pi2: s'^2 = diag(-pi2, -pi2) leaves T0
+    tower = tower_with_letter("s'", ("anti", ((1, 0), (make_field(5).neg(1), 1), (1, 0))))
+    assert group_structure_check(tower, variant) is False
+
+
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_group_structure_multiplies_no_matrix(variant, monkeypatch):
+    # the relations and the translations' valuation triples are read from terms
+    def refuse(self, other):
+        raise AssertionError("group_structure_check multiplied a GroupElem")
+
+    monkeypatch.setattr(GroupElem, "__mul__", refuse)
+    assert group_structure_check(Tower(make_field(5), precision=40), variant)
 
 
 def test_translations_have_expected_valuations(tower5):
