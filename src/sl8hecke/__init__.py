@@ -9,9 +9,11 @@ scalars), and the headline computation is a machine-checked certificate
 that the lift 2-cocycle on the Weyl group is cohomologically non-trivial.
 
 Each section's code is its own module: `residue`, `tower`, `groupmodel`,
-`weyl` and `hecke` are the layers every command loads; `cocycle`,
-`lattice`, `generic` and `algebra` are loaded by the rows that call them,
-and `reference` (matrix oracles and samplers) by no command.
+`weyl` and `hecke`, on exact terms and residues, are the layers every
+command loads; `matrices` (the matrix model), `series` (elements of more
+than one term), `cocycle`, `lattice`, `generic` and `algebra` are loaded by
+the rows that call them, and `reference` (matrix oracles and samplers) by
+no command.  `cli` lists which command loads what.
 """
 
 __version__ = "0.1.0"
@@ -26,13 +28,17 @@ from .residue import (
     sgn,
 )
 from .tower import E2, E4, F, LaurentElem, PrecisionExhausted, Tower
-from .groupmodel import PARAHORIC, STABILIZER, GroupElem, TorusElem
-from .weyl import WeylElem, lift, plength
+from .groupmodel import PARAHORIC, STABILIZER
+from .weyl import WeylElem, plength
 from .hecke import HeckeContext
 from .residue import moved_names as _moved_names
 
-# the 2-cocycle lives in `cocycle`, which is loaded on first read of these names
-__getattr__ = _moved_names(globals(), "cocycle", ("CocycleTable", "nontriviality_certificate"))
+# the 2-cocycle and the matrix model are loaded on first read of these names
+__getattr__ = _moved_names(
+    globals(),
+    cocycle=("CocycleTable", "nontriviality_certificate"),
+    matrices=("GroupElem", "TorusElem", "lift"),
+)
 
 __all__ = [
     "HeckeCoeff",

@@ -98,6 +98,14 @@ class _Combination:
         self.owner = owner
         self.terms = terms
 
+    @classmethod
+    def _trusted(cls, owner, terms: dict):
+        """A combination whose keys are valid by construction, built
+        without the subclass's checks, which the public constructor applies."""
+        out = object.__new__(cls)
+        out.owner, out.terms = owner, terms
+        return out
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(owner={self.owner!r}, terms={self.terms!r})"
 
@@ -108,17 +116,19 @@ class _Combination:
 
     def __add__(self, other):
         self._check(other)
-        return type(self)(self.owner, _collect([*self.terms.items(), *other.terms.items()]))
+        return self._trusted(self.owner, _collect([*self.terms.items(), *other.terms.items()]))
 
     def scaled(self, c: HeckeCoeff):
-        return type(self)(self.owner, _collect((key, c * v) for key, v in self.terms.items()))
+        return self._trusted(self.owner, _collect((key, c * v) for key, v in self.terms.items()))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, type(self)) and self.owner == other.owner and self.terms == other.terms
 
 
 class GenericHeckeElem(_Combination):
-    """Finite linear combination of basis elements T_w, keys reduced words."""
+    """Finite linear combination of basis elements T_w, keys reduced words.
+    The constructor checks that each key is reduced; sums, scalings, products
+    and basis elements, whose keys `CoxeterSystem.reduce` gave, skip it."""
 
     __slots__ = ()
     _MISMATCH = (CoxeterError, "mismatched Coxeter systems")
@@ -132,7 +142,7 @@ class GenericHeckeElem(_Combination):
 
     @staticmethod
     def basis(system: CoxeterSystem, word=()) -> "GenericHeckeElem":
-        return GenericHeckeElem(system, {system.reduce(tuple(word)): COEFF_ONE})
+        return GenericHeckeElem._trusted(system, {system.reduce(tuple(word)): COEFF_ONE})
 
 
 def hecke_mul(
@@ -149,7 +159,7 @@ def hecke_mul(
         # odd braid order makes the generators conjugate: the parameter
         # function must be constant or the presentation is not associative
         raise CoxeterError("odd braid order requires equal parameters")
-    return GenericHeckeElem(system, _collect(
+    return GenericHeckeElem._trusted(system, _collect(
         (word, cv * cw * c)
         for v, cv in a.terms.items()
         for w, cw in b.terms.items()
@@ -249,6 +259,8 @@ class CrossedProductAlgebra:
         return CrossedElem(self, {(g, self.system.reduce(tuple(word))): COEFF_ONE})
 
     def act_on_word(self, g, word: tuple[str, ...]) -> tuple[str, ...]:
+        if not word:  # every g fixes the empty word
+            return word
         return self.system.reduce(tuple(self.action(g, letter) for letter in word))
 
 

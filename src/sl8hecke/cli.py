@@ -8,12 +8,25 @@ its row, with the error in ``got``, and the later rows still run; any other
 exception propagates.  ``verify <section>`` runs a single section.  The
 checks, in report order, are the rows of ``CHECKS``; the section names are
 the id prefixes of those rows.  ``dump-constants`` prints the structure
-constants of the example twisted group algebra as CSV.  The rows that call
-``generic``, ``algebra``, ``cocycle`` or ``lattice``, and ``dump_constants``,
-import them where they call them, so a run loads those modules only when
-its command needs them; the `Session` builds each variant's cocycle table on
-first read.  ``python -m sl8hecke.cli`` and the console script run `entry`,
-which skips the heap's teardown at exit.
+constants of the example twisted group algebra as CSV.  Every command loads
+``residue``, ``tower``, ``groupmodel``, ``weyl`` and ``hecke``; the rows that
+call ``generic``, ``algebra``, ``cocycle`` or ``lattice``, or take a matrix
+(``matrices``) or an element of more than one term (``series``), and
+``dump_constants``, import them where they call them, so a run loads a
+module only when its command needs it:
+
+    verify omega, convolution, epsilon   none of them
+    verify lattice                       lattice
+    verify norms                         series
+    verify genericity                    generic, series
+    verify weyl                          cocycle, matrices, series
+    verify cocycle                       cocycle, matrices
+    verify algebra, dump-constants       algebra, cocycle, matrices
+    report                               all but reference (lattice in the worker)
+
+The `Session` builds each variant's cocycle table on first read.  ``python
+-m sl8hecke.cli`` and the console script run `entry`, which skips the
+heap's teardown at exit.
 
 Runs are deterministic: each row run draws its samples from its own
 generator, seeded by the string ``"{seed}:{id}"`` of the ``--seed`` and the
@@ -43,17 +56,7 @@ import random
 import sys
 from typing import Callable, NamedTuple
 
-from .groupmodel import (
-    PARAHORIC,
-    STABILIZER,
-    MembershipError,
-    commutator,
-    elem_s,
-    elem_z,
-    sign_character_trivial,
-    rho_M0,
-    torus,
-)
+from .groupmodel import PARAHORIC, STABILIZER, MembershipError, sign_character_trivial
 from .hecke import WINDOW_WORDS, WINDOW_Z, ClassificationError, HeckeContext, TransversalError, WindowExceeded
 from .residue import (
     COEFF_ONE,
@@ -66,7 +69,7 @@ from .residue import (
     make_field,
     sgn,
 )
-from .tower import E2, E4, F, PrecisionExhausted, Tower, norm_unit_image_check, random_element
+from .tower import E2, E4, F, PrecisionExhausted, Tower
 from .weyl import W_EPS, W_ID, W_S, W_SP, W_Z, group_structure_check
 
 PASS = "pass"
@@ -225,7 +228,15 @@ def _canonical_generator(s: Session, v: str):
     return fld.zeta, fld.zeta, ok
 
 
+def _unit_norms(s: Session, tag: str) -> bool:
+    from .series import norm_unit_image_check
+
+    return norm_unit_image_check(s.tower, tag, rng=s.rng, samples=100)
+
+
 def _field_axioms(s: Session, v: str):
+    from .series import random_element
+
     def draw():
         tag = s.rng.choice((F, E2, E4))
         return tuple(random_element(s.tower, tag, s.rng, depth=4, val_range=2) for _ in range(3))
@@ -272,6 +283,8 @@ def _galois_stable(s: Session, v: str):
 
 
 def _commutator(s: Session, v: str):
+    from .matrices import commutator, elem_s, elem_z, rho_M0, torus
+
     tw, fld = s.tower, s.field
     com = commutator(elem_s(tw), elem_z(tw))
     expected = torus(tw, tw.constant(E2, fld.inv(fld.zeta)), tw.constant(E2, fld.zeta), tw.one(E4))
@@ -311,14 +324,13 @@ def _lattice(s: Session, v: str):
 
 
 def _self_convolution(s: Session, v: str, w, at) -> str:
-    return repr(s.contexts[v].convolve_at(w, w, s.contexts[v].lift(at)))
+    return repr(s.contexts[v].convolve_at(w, w, at))
 
 
 def _unit_element(s: Session, v: str):
     ctx = s.contexts[v]
     return True, all(
-        ctx.convolve_at(W_ID, w, ctx.lift(w)) == COEFF_ONE
-        and ctx.convolve_at(w, W_ID, ctx.lift(w)) == COEFF_ONE
+        ctx.convolve_at(W_ID, w, w) == COEFF_ONE and ctx.convolve_at(w, W_ID, w) == COEFF_ONE
         for w in (W_S, W_SP, W_Z)
     )
 
@@ -428,10 +440,10 @@ CHECKS = (
                                and s.tower.one(E4).trace_to_F() == s.tower.integer(F, 4))),
     Row("norms.unit_image_quadratic", "tower", "eta^2 kills every unit norm from the quadratic extension",
         "all residues + 100 sampled units",
-        lambda s, v: (True, norm_unit_image_check(s.tower, E2, rng=s.rng, samples=100))),
+        lambda s, v: (True, _unit_norms(s, E2))),
     Row("norms.unit_image_quartic", "tower", "eta kills every unit norm from the quartic extension",
         "all residues + 100 sampled units",
-        lambda s, v: (True, norm_unit_image_check(s.tower, E4, rng=s.rng, samples=100))),
+        lambda s, v: (True, _unit_norms(s, E4))),
     Row("norms.field_axioms_sample", "tower",
         "associativity and distributivity hold exactly at window precision",
         "20 seeded triples per run", _field_axioms),

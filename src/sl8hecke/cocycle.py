@@ -38,24 +38,18 @@ import random
 from typing import NamedTuple
 
 from .groupmodel import (
-    GroupElem,
-    TorusElem,
     admissible_torus_residues,
-    commutator,
     in_compact_torus,
-    in_K0,
-    in_KM0,
     letter_relations,
     letters,
     lower_l,
-    rho0,
-    rho_M0,
     rho_residues,
     term_inverse,
     term_product,
     upper_u,
 )
 from .hecke import ClassificationError, HeckeContext
+from .matrices import GroupElem, TorusElem, commutator, in_K0, in_KM0, rho0, rho_M0
 from .residue import UNIT_ONE, UnitI, sgn
 from .tower import E2, E4, LaurentElem
 from .weyl import W_ID, W_S, W_Z, WeylElem, lift_memos, lift_terms

@@ -1,4 +1,4 @@
-"""Concrete matrix model of the group and its compact subgroups.
+"""The group and its compact subgroups, read from exact terms and residues.
 
 The ambient group is (GL2(E2) x E4^x) intersected with SL8(F); an element
 is a pair (2x2 matrix over E2, nonzero scalar of E4).  The eight-by-eight
@@ -20,14 +20,11 @@ its E4 part, is held as terms: (kind, ((r1, e1), (r2, e2), (r4, e4))), kind
 "diag" or "anti" and (r, e) each entry's residue and exponent.
 `term_product` and `term_inverse` are its product and inverse, one F_q
 operation and one integer sum per entry with no Laurent arithmetic;
-`in_compact_torus` tests it against the compact torus, `monomial_matrix`
-gives its matrix and `monomial_terms` reads it back from one.  The letters
-of the canonical Weyl lifts are defined once, as terms (`letters`): the
+`in_compact_torus` tests it against the compact torus.  The letters of the
+canonical Weyl lifts are defined once, as terms (`letters`): the
 unit-determinant reflection s, its affine partner s', the central-direction
 torus element z with E4 part pi4**(-2) and the sign element eps = (-1, 1,
-1); `elem_s`, `elem_s_prime`, `elem_z` and `elem_eps` are their matrices,
-and `letter_relations` checks their relations on terms.  The unipotents
-u(x), l(c) are matrices.
+1); `letter_relations` checks their relations on terms.
 
 `pivot_step` is the pivot step of the Iwahori factorisation g = k1 * m * k2
 (k1, k2 unipotent Iwahori, m monomial; pivots prefer the diagonal, then row
@@ -36,145 +33,45 @@ leading residues and the valuation and residue of the exact determinant.
 It gives m's kind, the valuations and residues of m's entries and the
 quotient valuations that decide whether k1 and k2 are Iwahori, so callers
 that hold only invariants (the transversal families of the Hecke layer)
-need no matrix.  The factorisation of a matrix (`iwahori_decompose`,
-`Decomposition`) and the random members `random_KM0` and `random_K0` are in
-`reference`; this module still serves the last three (`__getattr__`),
-loading `reference` on first read.
+need no matrix.
+
+The matrices themselves (`GroupElem`, `TorusElem`, the letter matrices,
+the memberships `in_K0` and `in_KM0`, the characters `rho0` and `rho_M0`)
+are in `matrices`, and the factorisation of a matrix
+(`iwahori_decompose`) and the random members `random_KM0` and `random_K0`
+in `reference`; this module still serves those names (`__getattr__`),
+loading their home on first read.  The unipotents u(x) and l(c), which
+`PIVOT_CASES` names, stay here and build their matrices there.
 """
 
 from __future__ import annotations
 
-import math
+from typing import TYPE_CHECKING
 
-from .residue import Frozen, UnitI, eta_residue, moved_names, sgn
+from .residue import UnitI, eta_residue, moved_names, sgn
 from .tower import E2, E4, F, LaurentElem, Tower
+
+if TYPE_CHECKING:
+    from .matrices import GroupElem
 
 STABILIZER = "stabilizer"
 PARAHORIC = "parahoric"
 VARIANTS = (STABILIZER, PARAHORIC)
 
-# the matrix factorisation and the random members moved to `reference`
-__getattr__ = moved_names(globals(), "reference", ("iwahori_decompose", "random_KM0", "random_K0"))
+# the matrix model moved to `matrices`, the matrix factorisation and the random members to `reference`
+__getattr__ = moved_names(
+    globals(),
+    matrices=(
+        "GroupElem", "TorusElem", "Monomial", "identity", "torus", "elem_s", "elem_s_prime", "elem_z", "elem_eps",
+        "commutator", "in_g0", "in_iwahori", "_residue_condition", "in_K0", "in_KM0", "rho_M0", "rho0",
+        "monomial_matrix", "monomial_terms", "_ordn",
+    ),
+    reference=("iwahori_decompose", "random_KM0", "random_K0"),
+)
 
 
 class MembershipError(ValueError):
     """An element was used where a subgroup membership precondition fails."""
-
-
-_set = object.__setattr__
-
-
-class GroupElem(Frozen):
-    """(2x2 matrix over E2, unit-scale element of E4)."""
-
-    __slots__ = ("a", "b", "c", "d", "g4")
-
-    def __init__(self, a: LaurentElem, b: LaurentElem, c: LaurentElem, d: LaurentElem, g4: LaurentElem):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        _set(self, "g4", g4)
-
-    def __mul__(self, other: "GroupElem") -> "GroupElem":
-        return GroupElem(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-            self.g4 * other.g4,
-        )
-
-    def det2(self) -> LaurentElem:
-        return self.a * self.d - self.b * self.c
-
-    def inverse(self) -> "GroupElem":
-        inv = self.det2().inverse()
-        return GroupElem(
-            self.d * inv, -(self.b * inv), -(self.c * inv), self.a * inv, self.g4.inverse()
-        )
-
-    def __pow__(self, n: int) -> "GroupElem":
-        base = self if n >= 0 else self.inverse()
-        m = abs(n)
-        out = identity(self.a.tower)
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
-    def is_diagonal(self) -> bool:
-        return self.b.is_zero and self.c.is_zero
-
-    def to_torus(self) -> "TorusElem":
-        if not self.is_diagonal():
-            raise ValueError("not a diagonal element")
-        return TorusElem(self.a, self.d, self.g4)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElem):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-            and self.g4 == other.g4
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]] x {self.g4!r}"
-
-
-class TorusElem(Frozen):
-    """Diagonal element (x, y, z) of the maximal torus."""
-
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: LaurentElem, y: LaurentElem, z: LaurentElem):
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
-
-    def to_group(self) -> GroupElem:
-        tw = self.x.tower
-        return GroupElem(self.x, tw.zero(E2), tw.zero(E2), self.y, self.z)
-
-    def __mul__(self, other: "TorusElem") -> "TorusElem":
-        return TorusElem(self.x * other.x, self.y * other.y, self.z * other.z)
-
-    def inverse(self) -> "TorusElem":
-        return TorusElem(self.x.inverse(), self.y.inverse(), self.z.inverse())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusElem):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y and self.z == other.z
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TorusElem(x={self.x!r}, y={self.y!r}, z={self.z!r})"
-
-
-def commutator(g: GroupElem, h: GroupElem) -> GroupElem:
-    return g * h * g.inverse() * h.inverse()
-
-
-# -- named elements --------------------------------------------------------------
-
-
-def identity(tower: Tower) -> GroupElem:
-    got = tower.cache.get("identity_elem")
-    if got is None:
-        one2, zero2 = tower.one(E2), tower.zero(E2)
-        got = GroupElem(one2, zero2, zero2, one2, tower.one(E4))
-        tower.cache["identity_elem"] = got
-    return got
 
 
 def letters(tower: Tower) -> dict[str, tuple]:
@@ -195,28 +92,10 @@ def letters(tower: Tower) -> dict[str, tuple]:
     return got
 
 
-def elem_s(tower: Tower) -> GroupElem:
-    return monomial_matrix(tower, letters(tower)["s"])
-
-
-def elem_s_prime(tower: Tower) -> GroupElem:
-    return monomial_matrix(tower, letters(tower)["s'"])
-
-
-def elem_z(tower: Tower) -> GroupElem:
-    return monomial_matrix(tower, letters(tower)["z"])
-
-
-def elem_eps(tower: Tower) -> GroupElem:
-    return monomial_matrix(tower, letters(tower)["eps"])
-
-
-def torus(tower: Tower, x: LaurentElem, y: LaurentElem, z: LaurentElem) -> TorusElem:
-    return TorusElem(x, y, z)
-
-
 def upper_u(tower: Tower, x) -> GroupElem:
     """u(x) = ((1, x), (0, 1)) x 1; x a Laurent element of E2 or a residue encoding."""
+    from .matrices import GroupElem
+
     if not isinstance(x, LaurentElem):
         x = tower.constant(E2, x)
     z2 = tower.zero(E2)
@@ -225,6 +104,8 @@ def upper_u(tower: Tower, x) -> GroupElem:
 
 def lower_l(tower: Tower, c) -> GroupElem:
     """l(c) = ((1, 0), (c, 1)) x 1."""
+    from .matrices import GroupElem
+
     if not isinstance(c, LaurentElem):
         c = tower.constant(E2, c)
     z2 = tower.zero(E2)
@@ -232,42 +113,6 @@ def lower_l(tower: Tower, c) -> GroupElem:
 
 
 # -- memberships ------------------------------------------------------------------
-
-
-def in_g0(g: GroupElem) -> bool:
-    """Determinant-one condition: N(det g2) * N(g4) = 1."""
-    tw = g.a.tower
-    det = g.det2()
-    if det.is_zero or g.g4.is_zero:
-        return False
-    return det.norm_to_F() * g.g4.norm_to_F() == tw.one(F)
-
-
-def in_iwahori(g: GroupElem) -> bool:
-    return (
-        g.a.is_unit()
-        and g.d.is_unit()
-        and g.b.is_integral()
-        and g.c.in_maximal_ideal()
-        and g.g4.is_unit()
-    )
-
-
-def _residue_condition(g: GroupElem) -> bool:
-    tw = g.a.tower
-    det = g.det2()
-    lhs = tw.field.mul(det.unit_residue(), tw.field.pow(g.g4.unit_residue(), 2))
-    return lhs == 1
-
-
-def in_K0(g: GroupElem, variant: str) -> bool:
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if not (in_iwahori(g) and in_g0(g)):
-        return False
-    if variant == PARAHORIC:
-        return _residue_condition(g)
-    return True
 
 
 def compact_torus_conditions(field, variant: str, ords, residues, xy=None, z: LaurentElem | None = None) -> bool:
@@ -291,21 +136,7 @@ def compact_torus_conditions(field, variant: str, ords, residues, xy=None, z: La
     return (xy[0] * xy[1]).norm_to_F() * z.norm_to_F() == z.tower.one(F)
 
 
-def in_KM0(tt: TorusElem, variant: str) -> bool:
-    entries = (tt.x, tt.y, tt.z)
-    # a zero entry has infinite valuation, so its placeholder residue is never read
-    residues = [0 if e.is_zero else e.unit_residue() for e in entries]
-    return compact_torus_conditions(tt.z.tower.field, variant, list(map(_ordn, entries)), residues, (tt.x, tt.y), tt.z)
-
-
 # -- characters ---------------------------------------------------------------------
-
-
-def rho_M0(tt: TorusElem) -> UnitI:
-    """eta(N_{E2/F}(y)) on torus elements of the compact part."""
-    if not in_KM0(tt, STABILIZER):
-        raise MembershipError("torus element is outside the compact part")
-    return tt.y.norm_to_F().eta()
 
 
 def rho_residues(field, rx: int, ry: int, rz: int) -> UnitI:
@@ -314,46 +145,7 @@ def rho_residues(field, rx: int, ry: int, rz: int) -> UnitI:
     return eta_residue(field, field.mul(ry, ry))
 
 
-def rho0(g: GroupElem, variant: str = STABILIZER) -> UnitI:
-    """The depth-zero character of the compact subgroup: eta(N(d))."""
-    if not in_K0(g, variant):
-        raise MembershipError("element is outside the compact subgroup")
-    return g.d.norm_to_F().eta()
-
-
 # -- Iwahori factorisation ------------------------------------------------------------
-
-
-class Monomial:
-    """The middle factor of an Iwahori decomposition: diag(first, second) or
-    antidiag(first; second), with the E4 part g4.  Row i holds entry i of
-    (first, second), in column i for "diag" and in column 1 - i for "anti".
-    Its complementary entry may be a series; it only converts with
-    `as_group`.  An exact monomial, one term c * pi**e per entry, is held as
-    terms instead (`term_product`)."""
-
-    __slots__ = ("kind", "first", "second", "g4")
-
-    def __init__(self, kind: str, first: LaurentElem, second: LaurentElem, g4: LaurentElem):
-        self.kind = kind  # "diag" | "anti"
-        self.first = first
-        self.second = second
-        self.g4 = g4
-
-    def __eq__(self, other):
-        if other.__class__ is not Monomial:
-            return NotImplemented
-        return (self.kind, self.first, self.second, self.g4) == (other.kind, other.first, other.second, other.g4)
-
-    def __repr__(self) -> str:
-        return f"Monomial(kind={self.kind!r}, first={self.first!r}, second={self.second!r}, g4={self.g4!r})"
-
-    def as_group(self) -> GroupElem:
-        tw = self.first.tower
-        z2 = tw.zero(E2)
-        if self.kind == "diag":
-            return GroupElem(self.first, z2, z2, self.second, self.g4)
-        return GroupElem(z2, self.first, self.second, z2, self.g4)
 
 
 IDENTITY_TERMS = ("diag", ((1, 0), (1, 0), (1, 0)))
@@ -405,27 +197,6 @@ def letter_relations(tower: Tower, variant: str) -> dict[str, bool]:
     return relations
 
 
-def monomial_matrix(tower: Tower, m) -> GroupElem:
-    """The matrix of an exact monomial given as terms."""
-    kind, ((r1, e1), (r2, e2), (r4, e4)) = m
-    first, second = LaurentElem(tower, E2, e1, (r1,)), LaurentElem(tower, E2, e2, (r2,))
-    return Monomial(kind, first, second, LaurentElem(tower, E4, e4, (r4,))).as_group()
-
-
-def monomial_terms(g: GroupElem) -> tuple[str, tuple] | None:
-    """g as the terms of an exact monomial, or None unless g is diagonal or
-    antidiagonal with one exact term in every entry."""
-    if g.b.is_zero and g.c.is_zero:
-        kind, entries = "diag", (g.a, g.d, g.g4)
-    elif g.a.is_zero and g.d.is_zero:
-        kind, entries = "anti", (g.b, g.c, g.g4)
-    else:
-        return None
-    if not all(len(x.coeffs) == 1 and x.exact for x in entries):
-        return None
-    return kind, tuple((x.coeffs[0], x.lead) for x in entries)
-
-
 # Each pivot case as (pivot, num, rest, y), indices into the entries
 # (a, b, c, d), then m's kind and the constructors of k1 and k2:
 # g = make_k1(x) * m * make_k2(y / pivot) with x = num / pivot, and m holds
@@ -475,10 +246,6 @@ def quotients_in_iwahori(quotient_ords, make_k1, make_k2) -> bool:
     """k1 and k2 are Iwahori: the quotient valuation is >= 0 for u(x) and
     >= 1 for l(c) (math.inf for a zero quotient)."""
     return quotient_ords[0] >= (make_k1 is lower_l) and quotient_ords[1] >= (make_k2 is lower_l)
-
-
-def _ordn(x: LaurentElem):
-    return math.inf if x.is_zero else x.ord_norm()
 
 
 # -- the sign-character triviality check ------------------------------------------------

@@ -15,7 +15,8 @@ length and central exponent).  The main computations:
     in K, and r gets ``coset_key(r * lift(w))``, read from r's own entries,
     a right-K-invariant key (Hermite data of two Iwahori-stable lattices
     and ord of the E4 part).  Only members sharing a key get the exact pair
-    test on their matrices, which are read off the forms on request.
+    test on their matrices, which are read off the forms on request
+    (`matrices.coset_key` is the key of a matrix, the tests' oracle).
 
   * ``classify(g)``: the double-coset label of g, obtained by the pivot
     step of the Iwahori factorisation on g's invariants (entry valuations
@@ -44,9 +45,10 @@ length and central exponent).  The main computations:
 
   * ``convolve_at(w1, w2, g)``: the finite convolution sum
     sum_h phi_{w1}(h) phi_{w2}(h^-1 g) over h in the left cosets of
-    K w1 K, evaluated exactly in Gaussian integers at an exact monomial g
-    (one exact term per entry, as at every canonical lift), read once as
-    terms (`monomial_terms`).  The second factors come from one family
+    K w1 K, evaluated exactly in Gaussian integers at g = lift(v), given as
+    the Weyl element v and read as its lift's terms, or at an exact monomial
+    matrix g (one exact term per entry), read once as terms
+    (`matrices.monomial_terms`).  The second factors come from one family
     lift(w1)^-1 * r^-1 * g, one valuation pattern at a time: phi_{w2} at a
     member is the quadratic character of the discrepancy's y-residue, a
     pattern's fixed scale times a base residue, so each pattern adds its
@@ -61,10 +63,12 @@ length and central exponent).  The main computations:
     K/(K cap w2 K w2^-1), one label per pattern.
 
 The 2-cocycle of the lift family and its certificates are in `cocycle`; the
-matrix oracles (`iwahori_decompose`) and random members are in `reference`,
-which `classify` and `phi` import where they call it.  The moved names of
-`cocycle` that callers still read here are served (`__getattr__`), loaded
-on first read.
+matrix model and the bodies of the methods that take or give a matrix
+(`classify`, `phi`, `coset_reps`, the pair test of a shared key) are in
+`matrices`, which those methods import on first call, and the matrix
+oracles (`iwahori_decompose`) and random members in `reference`.  The moved
+names that callers still read here are served (`__getattr__`), loaded on
+first read.
 """
 
 from __future__ import annotations
@@ -78,25 +82,18 @@ from .groupmodel import (
     PARAHORIC,
     STABILIZER,
     PIVOT_CASES,
-    VARIANTS,
-    GroupElem,
     MembershipError,
-    _ordn,
     compact_torus_conditions,
-    in_K0,
-    monomial_terms,
     pivot_step,
     quotients_in_iwahori,
     term_product,
 )
-from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, eta_residue, moved_names
+from .residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, eta_residue, moved_method, moved_names
 from .tower import E2, E4, LaurentElem, Tower
 from .weyl import (
     S,
     W_S,
     WeylElem,
-    lift,
-    lift_inverse,
     lift_terms,
     plength,
     translation_power,
@@ -104,13 +101,13 @@ from .weyl import (
 )
 
 if TYPE_CHECKING:
-    from .reference import Decomposition
+    from .matrices import GroupElem
 
-# the 2-cocycle moved to `cocycle`; the names its callers still import from here
+# the 2-cocycle moved to `cocycle` and the matrix path to `matrices`; the names callers still import from here
 __getattr__ = moved_names(
     globals(),
-    "cocycle",
-    ("CocycleTable", "nontriviality_certificate", "perturbed_table", "multiplicative_family_search"),
+    cocycle=("CocycleTable", "nontriviality_certificate", "perturbed_table", "multiplicative_family_search"),
+    matrices=("coset_key", "_quotient_digits", "GroupElem", "in_K0", "monomial_terms", "lift", "lift_inverse", "_ordn"),
 )
 
 
@@ -131,29 +128,8 @@ class TransversalError(RuntimeError):
     members in one coset, or a member whose d-entry residue is not 1."""
 
 
-def coset_key(h: GroupElem) -> tuple:
-    """A key of h that is invariant under h -> h * k for k in the Iwahori x O4^x,
-    hence for k in either compact subgroup.
-
-    The key holds ord of the E4 part and the Hermite data of two lattices
-    that the Iwahori preserves: the span of the columns of h's 2x2 part, and
-    of h * diag(1, pi2).  Such a lattice has the basis (pi^e1, pi^e1 * y),
-    (0, pi^beta), with e1 the least valuation in its top row, beta =
-    ord(det) - e1, and y the quotient bottom / top of a column attaining e1,
-    determined modulo pi^(beta - e1).
-    """
-    cols = ((h.a, h.c), (h.b, h.d))
-    return _coset_key(
-        [_ordn(top) for top, _ in cols],
-        (0, 0),
-        h.det2().lead,
-        h.g4.lead,
-        lambda j, bound: _quotient_digits(cols[j][1], cols[j][0], bound),
-    )
-
-
 def _coset_key(tops, shifts, det_ord: int, g4_ord: int, quotient) -> tuple:
-    """`coset_key` of the matrix whose column j has a top entry of valuation
+    """`matrices.coset_key` of the matrix whose column j has a top entry of valuation
     tops[j] (math.inf for zero) and is scaled by a term of exponent
     shifts[j], given ord of its det and E4 part; quotient(j, bound) is
     `_quotient_digits` of column j's bottom entry over its top to that bound."""
@@ -167,23 +143,6 @@ def _coset_key(tops, shifts, det_ord: int, g4_ord: int, quotient) -> tuple:
         beta = det_ord + shift - e1
         key.append((e1, beta, quotient(j, beta - e1)))
     return tuple(key)
-
-
-def _quotient_digits(num: LaurentElem, den: LaurentElem, bound: int) -> tuple:
-    """num / den modulo pi^bound, by truncated division: (exponent of the
-    leading digit, the digits up to exponent bound - 1), or () when the
-    quotient lies in pi^bound O.  Raises TransversalError when a digit it
-    needs lies beyond an inexact operand's window."""
-    if num.is_zero:
-        return ()
-    lead = num.lead - den.lead
-    count = bound - lead
-    if count <= 0:
-        return ()
-    tw = num.tower
-    if count > tw.N and not (num.exact and den.exact):
-        raise TransversalError(f"coset key needs {count} quotient digits; the window certifies {tw.N}")
-    return lead, _series_digits(tw.field, num.coeffs, den.coeffs, count)
 
 
 def _series_digits(fld, n, d, count: int) -> tuple:
@@ -229,6 +188,7 @@ class HeckeContext:
         # word -> (its transversal's base family, the inverses'), shared by every context on the tower
         self._transversals = tower.cache.setdefault("hecke_transversals", {})
         self._labels: dict[tuple, tuple | str] = {}
+        self._windows: dict[tuple[int, int], list[WeylElem]] = {}
 
     # -- window -------------------------------------------------------------
 
@@ -244,16 +204,22 @@ class HeckeContext:
         self.require_in_W(w)
 
     def window(self, max_word: int | None = None, max_z: int | None = None) -> list[WeylElem]:
-        return window_elements(
-            self.window_words if max_word is None else max_word,
-            self.window_z if max_z is None else max_z,
-            include_eps=(self.variant == PARAHORIC),
-        )
+        """The elements of W with words of length <= max_word and |zexp| <= max_z
+        (the context's window by default), sorted; memoised, each call a new list."""
+        key = (self.window_words if max_word is None else max_word, self.window_z if max_z is None else max_z)
+        got = self._windows.get(key)
+        if got is None:
+            got = self._windows[key] = window_elements(*key, include_eps=(self.variant == PARAHORIC))
+        return list(got)
 
     def lift(self, w: WeylElem) -> GroupElem:
+        from .matrices import lift
+
         return lift(self.tower, w)
 
     def lift_inverse(self, w: WeylElem) -> GroupElem:
+        from .matrices import lift_inverse
+
         return lift_inverse(self.tower, w)
 
     def lift_terms(self, w: WeylElem, inverse: bool = False) -> tuple[str, tuple]:
@@ -317,8 +283,8 @@ class HeckeContext:
         `coset_key` of r * lift(w), right-invariant under either K, is
         constant on a coset of either variant: distinct keys prove distinct
         cosets for both, and only members sharing a key get the exact pair
-        test (`_same_coset`), of both variants.  Column j of r * lift(w) is a
-        column of r, swapped when lift(w) is antidiagonal, times one term of
+        test on their matrices (`_same_coset`), of both variants.  Column j of
+        r * lift(w) is a column of r, swapped when lift(w) is antidiagonal, times one term of
         lift(w): the key is read from r's entry valuations and, for a quotient
         that needs them, its digits (`BaseFamily.quotient_digits`)."""
         word = WeylElem(w.word)
@@ -347,12 +313,10 @@ class HeckeContext:
                         raise TransversalError(f"duplicate coset in transversal of {w}")
 
     def _same_coset(self, w_lift_inv: GroupElem, r_i_inv: GroupElem, r_j: GroupElem, h_j: GroupElem) -> bool:
-        """r_i and r_j share a coset of K cap wKw^-1 for either variant's K,
-        with h_j = r_j * lift(w): r_i^-1 r_j lies in wKw^-1 and in K, the first,
-        rarely true, tested first.  Both products have det 1 and E4 part 1, so
-        the parahoric residue condition holds and the two variants agree."""
-        conjugate = w_lift_inv * (r_i_inv * h_j)
-        return any(in_K0(conjugate, v) and in_K0(r_i_inv * r_j, v) for v in VARIANTS)
+        """r_i and r_j share a coset of K cap wKw^-1 for either variant's K (`matrices.same_coset`)."""
+        from .matrices import same_coset
+
+        return same_coset(w_lift_inv, r_i_inv, r_j, h_j)
 
     # -- classification -----------------------------------------------------------
 
@@ -416,30 +380,13 @@ class HeckeContext:
                 return cand, lyr, pos
         return "no sign bit matches the discrepancy"
 
-    def _analyze_matrix(self, g: GroupElem) -> tuple[WeylElem, Decomposition, int]:
-        from .reference import iwahori_decompose
-
-        dec = iwahori_decompose(g)
-        got = self._choose_label(dec.kind, dec.ords, dec.residues, dec.product, dec.g4)
-        if isinstance(got, str):
-            raise ClassificationError(got)
-        label, ly_res, pos = got
-        return label, dec, self.tower.field.mul(ly_res, dec.residues[pos])
-
-    def classify(self, g: GroupElem) -> WeylElem:
-        """Double-coset label of g; raises WindowExceeded outside the window."""
-        w = self._analyze_matrix(g)[0]
-        self.require_window(w)
-        return w
+    # on a matrix g: (label, decomposition, discrepancy y-residue), and the label alone
+    _analyze_matrix = moved_method("matrices", "analyze_matrix")
+    classify = moved_method("matrices", "classify")
 
     # -- basis functions and convolution ----------------------------------------------
 
-    def phi(self, w: WeylElem, g: GroupElem, scale: HeckeCoeff = COEFF_ONE) -> HeckeCoeff:
-        """Value at g of the basis function supported on the double coset of w,
-        normalised to `scale` at the canonical lift; raises ClassificationError
-        when g has no double-coset label."""
-        label, dec, disc_ry = self._analyze_matrix(g)
-        return self._phi_value(w, label, dec.factors_in_iwahori(), disc_ry, scale)
+    phi = moved_method("matrices", "phi")  # (w, g, scale=1): the basis function of w at the matrix g
 
     def _phi_value(
         self, w: WeylElem, label: WeylElem, factors_in_iwahori: bool, disc_ry: int, scale: HeckeCoeff = COEFF_ONE
@@ -455,18 +402,24 @@ class HeckeContext:
         value = eta_residue(fld, fld.mul(disc_ry, disc_ry)).as_coeff()
         return value if scale is COEFF_ONE else scale * value
 
-    def convolve_at(self, w1: WeylElem, w2: WeylElem, g: GroupElem) -> HeckeCoeff:
-        """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer, at an exact
-        monomial g (one exact term per entry, as at every canonical lift); any
-        other g raises ValueError.  The left value phi_{w1}(r * lift(w1)) is 1
-        at every member r (`base_family` checks its d-residue),
-        so each valuation pattern of the family lift(w1)^-1 * r^-1 * g adds
-        its value at its scale times S(source)."""
+    def convolve_at(self, w1: WeylElem, w2: WeylElem, g: WeylElem | GroupElem) -> HeckeCoeff:
+        """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer, at g = lift(v)
+        given as the Weyl element v, whose lift's terms are read from the memo,
+        or at an exact monomial matrix g (one exact term per entry, as at every
+        canonical lift); any other g raises ValueError.  The left value
+        phi_{w1}(r * lift(w1)) is 1 at every member r (`base_family` checks
+        its d-residue), so each valuation pattern of the family
+        lift(w1)^-1 * r^-1 * g adds its value at its scale times S(source)."""
         self.require_window(w1)
         self.require_window(w2)
-        right = monomial_terms(g)
-        if right is None:
-            raise ValueError("convolve_at needs an exact monomial g, one exact term per entry")
+        if g.__class__ is WeylElem:
+            right = self.lift_terms(g)
+        else:
+            from .matrices import monomial_terms
+
+            right = monomial_terms(g)
+            if right is None:
+                raise ValueError("convolve_at needs an exact monomial g, one exact term per entry")
         fam = TransversalFamily(self, self.lift_terms(w1, inverse=True), self.base_family(w1, True), right)
         total = COEFF_ZERO
         for first, sums in fam.base.sign_sums:
@@ -517,7 +470,7 @@ class HeckeContext:
         if passed and not additive:
             for v in cosets:
                 if v != product:
-                    vanishing[v] = value = self.convolve_at(w1, w2, self.lift(v))
+                    vanishing[v] = value = self.convolve_at(w1, w2, v)
                     if not value.is_zero():
                         passed = False
                         break
@@ -624,13 +577,10 @@ class BaseFamily:
                 break
         return ords, residues
 
-    def entry(self, i: int, k: int) -> LaurentElem:
-        """Entry k (of a, b, c, d) of member i, with `Tower.from_coeffs`'s window."""
-        lo, rows = self._rows[k]
-        return self.tower.from_coeffs(E2, lo, [row[i] for row in rows])
+    entry = moved_method("matrices", "family_entry")  # (i, k): entry k of member i as a Laurent element
 
     def quotient_digits(self, i: int, num: int, den: int, bound: int) -> tuple:
-        """`_quotient_digits` of entry num over entry den of member i, read
+        """`matrices._quotient_digits` of entry num over entry den of member i, read
         from the valuations and digit rows with no Laurent element.  The rows
         hold every digit of the entries' exact forms, so no operand is
         inexact and it never raises."""
@@ -645,10 +595,7 @@ class BaseFamily:
         d = [row[i] for row in rows_d[ords[den] - lo_d :]]
         return lead, _series_digits(self.tower.field, n, d, count)
 
-    @cached_property
-    def members(self) -> list[GroupElem]:
-        one4 = self.tower.one(E4)
-        return [GroupElem(*(self.entry(i, k) for k in range(4)), one4) for i in range(len(self))]
+    members = cached_property(moved_method("matrices", "family_members"))
 
     @cached_property
     def sign_sums(self) -> list[tuple[int, dict[int, HeckeCoeff]]]:
@@ -721,13 +668,7 @@ class TransversalFamily:
             raise ClassificationError(got)
         return got
 
-    def analyze(self, i: int) -> tuple[WeylElem, bool, int]:
-        """(label, k1 and k2 Iwahori, residue of the discrepancy's y-entry) at member i."""
-        label, in_iwahori, src, scale, at_pivot = self.pattern(i)
-        # the y-entry meets m's pivot entry, or the complement product / pivot
-        fld = self.ctx.tower.field
-        rb = self.base.residues[i][src]
-        return label, in_iwahori, fld.mul(scale, rb if at_pivot else fld.inv(rb))
+    analyze = moved_method("matrices", "family_analyze")  # (i): label, k1 and k2 Iwahori, disc y-residue
 
     def _pattern(self, base_ords, base_residues):
         """All of `analyze` that the base's four entry valuations decide, from
@@ -755,6 +696,4 @@ class TransversalFamily:
         scale = mul[scale][c] if at_pivot else mul[scale][fld.inv(c)]
         return label, quotients_in_iwahori(quotient_ords, make_k1, make_k2), self.source[piv], scale, at_pivot
 
-    def phi(self, w: WeylElem, i: int) -> HeckeCoeff:
-        """The basis function of w at member i."""
-        return self.ctx._phi_value(w, *self.analyze(i))
+    phi = moved_method("matrices", "family_phi")  # (w, i): the basis function of w at member i

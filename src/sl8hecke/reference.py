@@ -30,23 +30,10 @@ import random
 from collections import namedtuple
 from functools import cached_property
 
-from .groupmodel import (
-    PIVOT_CASES,
-    STABILIZER,
-    VARIANTS,
-    GroupElem,
-    Monomial,
-    TorusElem,
-    _ordn,
-    identity,
-    in_K0,
-    in_KM0,
-    lower_l,
-    pivot_step,
-    quotients_in_iwahori,
-    upper_u,
-)
-from .tower import E2, E4, LaurentElem, PrecisionExhausted, Tower, random_unit
+from .groupmodel import PIVOT_CASES, STABILIZER, VARIANTS, lower_l, pivot_step, quotients_in_iwahori, upper_u
+from .matrices import GroupElem, Monomial, TorusElem, _ordn, identity, in_K0, in_KM0
+from .series import random_unit
+from .tower import E2, E4, LaurentElem, PrecisionExhausted, Tower
 
 # -- Iwahori factorisation ------------------------------------------------------------
 

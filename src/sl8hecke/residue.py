@@ -20,18 +20,15 @@ tables: the truncated product ``mul_trunc`` (the schoolbook loop),
 ``series_inverse`` (the one series division, a recurrence) and the
 root-squaring step ``graeffe`` that norms are built from.  None of them
 uses numpy; ``convolve`` is numpy's convolution, kept as the reference that
-the tests compare these kernels against.
+the tests compare these kernels against.  Their code is in `series`, which
+the methods import on first call: only arithmetic on elements of more than
+one term calls them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import sys
 from functools import lru_cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 class DomainError(ValueError):
     """An operation was evaluated outside its mathematical domain."""
@@ -62,17 +59,19 @@ class Frozen:
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
-def moved_names(namespace: dict, home: str, names: tuple[str, ...]):
-    """A module ``__getattr__`` (PEP 562) that serves `names`, which moved
-    from the module whose globals are `namespace` to the package's module
-    `home`.  The first read of a name imports `home` and keeps the name in
-    `namespace`, so later reads, rebinding and monkeypatching meet one plain
-    global; any other name raises AttributeError, as a plain module does."""
-    served = frozenset(names)
+def moved_names(namespace: dict, **homes: tuple[str, ...]):
+    """A module ``__getattr__`` (PEP 562) that serves names which moved from
+    the module whose globals are `namespace` to other modules of the
+    package: each keyword is a home module, its value the names it took.  The
+    first read of a name imports its home and keeps the name in `namespace`,
+    so later reads, rebinding and monkeypatching meet one plain global; any
+    other name raises AttributeError, as a plain module does."""
+    served = {name: home for home, names in homes.items() for name in names}
     module, package = namespace["__name__"], namespace["__package__"]
 
     def __getattr__(name: str):
-        if name not in served:
+        home = served.get(name)
+        if home is None:
             raise AttributeError(f"module {module!r} has no attribute {name!r}")
         import importlib
 
@@ -80,6 +79,26 @@ def moved_names(namespace: dict, home: str, names: tuple[str, ...]):
         return value
 
     return __getattr__
+
+
+def moved_method(home: str, name: str):
+    """A method whose body moved to the function `name` of the package's
+    module `home`, which takes the instance first.  The first call imports
+    `home`; every call reads the function from it, so a replaced function,
+    like a replaced method, takes effect."""
+    path = f"{__package__}.{home}"
+
+    def method(*args, **kwargs):
+        module = sys.modules.get(path)
+        if module is None:
+            import importlib
+
+            module = importlib.import_module(path)
+        return getattr(module, name)(*args, **kwargs)
+
+    method.__name__ = method.__qualname__ = name
+    method.__doc__ = f"`{home}.{name}`, imported on first call."
+    return method
 
 
 _set = object.__setattr__
@@ -324,77 +343,13 @@ class ResidueField:
                 return a
         raise AssertionError(f"no generator found for q={self.q}")
 
-    # -- coefficient sequences (the Laurent-series kernels) ------------------
+    # -- coefficient sequences (the Laurent-series kernels, in `series`) -----
 
-    def convolve(self, a, b) -> np.ndarray:
-        """Full linear convolution of two coefficient sequences (series product).
-
-        numpy's convolution, the reference that the tests compare the
-        table-driven kernels against; nothing in the package calls it, so no
-        run of the package loads numpy."""
-        import numpy as np
-
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.f == 1:
-            return np.convolve(a, b) % self.p
-        p, n = self.p, self.nonsquare
-        a0, a1 = a % p, a // p
-        b0, b1 = b % p, b // p
-        r0 = (np.convolve(a0, b0) + n * np.convolve(a1, b1)) % p
-        r1 = (np.convolve(a0, b1) + np.convolve(a1, b0)) % p
-        return r0 + p * r1
-
-    def mul_trunc(self, a, b, n: int) -> list[int]:
-        """First n coefficients of the product of two coefficient sequences.
-
-        The schoolbook loop on the field's tables, one path for every q and
-        every operand size: each a_i picks one row of the multiplication
-        table, and its products with b are added into their slots."""
-        add, mul = self.add_table, self.mul_table
-        out = [0] * min(len(a) + len(b) - 1, n)
-        for i, x in enumerate(a[:n]):
-            row = mul[x]
-            for k, y in enumerate(b[: n - i], i):
-                out[k] = add[out[k]][row[y]]
-        return out
-
-    def graeffe(self, a, n: int) -> list[int]:
-        """First n coefficients of a(x) * a(-x) read in x**2, Graeffe's
-        root-squaring step: with a(x) = A(x**2) + x * B(x**2) it is
-        A**2 - x * B**2, two `mul_trunc` squares of half-length operands."""
-        even, odd = a[::2], a[1::2]
-        out = self.mul_trunc(even, even, n)
-        if odd and n > 1:
-            sq = self.mul_trunc(odd, odd, n - 1)
-            out += [0] * (len(sq) + 1 - len(out))
-            sub = self.sub
-            for k, y in enumerate(sq, 1):
-                out[k] = sub(out[k], y)
-        return out
-
-    def series_inverse(self, b, n: int) -> list[int]:
-        """First n coefficients of 1 / (b0 + b1*T + ...); requires b[0] != 0.
-
-        x_0 = 1 / b_0 and x_k = -(b_1 x_{k-1} + b_2 x_{k-2} + ...) / b_0, in
-        O(n * len(b)) table reads: the taps -b_j / b_0 are scaled once, and a
-        window of the last len(b) - 1 terms, oldest first, slides along."""
-        coeffs = [int(v) for v in b[:n]]
-        if coeffs[0] == 0:
-            raise DomainError("series division needs an invertible constant term")
-        while not coeffs[-1]:
-            coeffs.pop()
-        add, mul = self.add_table, self.mul_table
-        c = self.inv(coeffs[0])
-        taps = [mul[self.neg(c)][v] for v in coeffs[:0:-1]]
-        window = deque([0] * len(taps), maxlen=len(taps))
-        out = []
-        for v in [c] + [0] * (n - 1):
-            for u, w in zip(taps, window):
-                v = add[v][mul[u][w]]
-            window.append(v)
-            out.append(v)
-        return out
+    convolve = moved_method("series", "convolve")  # numpy's, the kernels' reference
+    mul_trunc = moved_method("series", "mul_trunc")
+    graeffe = moved_method("series", "graeffe")
+    # every series division of the package goes through this method
+    series_inverse = moved_method("series", "series_inverse")
 
     def __repr__(self) -> str:
         return f"ResidueField(q={self.q}, zeta={self.zeta})"

@@ -32,13 +32,18 @@ conjugates: for U = A(pi**2) + pi*B(pi**2), U(pi) * U(-pi) = A**2 - pi**2 * B**2
 where U(i4*pi) * U(-i4*pi) is the same step with pi**2 -> -pi**2.  Division
 is the product with the inverse, and `LaurentElem.inverse` is the one caller
 of the field's series inverse.
+
+A monomial, one term c * pi**e, is multiplied, inverted and normed here;
+longer elements, the Galois action, traces, `Tower.embed` and the samplers
+are `series`'s, imported on first call (this module still serves the
+samplers, `__getattr__`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .residue import DomainError, ResidueField, UnitI, eta_residue
+from .residue import DomainError, ResidueField, UnitI, eta_residue, moved_method, moved_names
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -48,6 +53,9 @@ E2 = "E2"
 E4 = "E4"
 
 RAMIFICATION = {F: 1, E2: 2, E4: 4}
+
+# the samplers moved to `series`
+__getattr__ = moved_names(globals(), series=("norm_unit_image_check", "random_unit", "random_element"))
 
 
 class PrecisionExhausted(ArithmeticError):
@@ -131,25 +139,7 @@ class Tower:
         # t = t_unit[tag] * pi_e**e in every field of the tower.
         return self.from_coeffs(tag, RAMIFICATION[tag], [self.t_unit[tag]])
 
-    def embed(self, x: "LaurentElem", tag: str) -> "LaurentElem":
-        """View an F-element inside E2 or E4 (identity for tag F)."""
-        if x.tag != F:
-            raise TagMismatch(f"can only embed F-elements, got {x.tag}")
-        if tag == F or x.is_zero:
-            return x if tag == F else self.zero(tag)
-        e = RAMIFICATION[tag]
-        u = self.t_unit[tag]
-        fld = self.field
-        # base digit j lands at position e*j with the factor u**(lead + j)
-        kept = x.coeffs[: -(-self.N // e)]
-        out = [0] * (e * (len(kept) - 1) + 1)
-        scale = fld.pow(u, x.lead) if x.lead != 0 else 1
-        for j, c in enumerate(kept):
-            if c:
-                out[e * j] = fld.mul(c, scale)
-            scale = fld.mul(scale, u)
-        exact = x.exact and e * (x.supp - 1) < self.N
-        return LaurentElem(self, tag, e * x.lead, _trim(out)[1], exact)
+    embed = moved_method("series", "embed")  # (x, tag): an F-element viewed in E2 or E4
 
     def __repr__(self) -> str:
         return f"Tower(q={self.q}, N={self.N})"
@@ -288,8 +278,9 @@ class LaurentElem:
             raise ZeroDivisionError(f"division by zero in {self.tag}")
         if self.supp == 1:  # monomial: exact O(1) inversion
             return LaurentElem(tw, self.tag, -self.lead, (tw.field.inv(self.coeffs[0]),), self.exact)
-        inv = tw.field.series_inverse(self.coeffs, tw.N)
-        return LaurentElem(tw, self.tag, -self.lead, _trim(inv)[1], False)
+        from .series import inverse_series
+
+        return inverse_series(self)
 
     def __truediv__(self, other: "LaurentElem") -> "LaurentElem":
         self._check(other)
@@ -316,54 +307,8 @@ class LaurentElem:
 
     # -- Galois, norm, trace --------------------------------------------------
 
-    def galois(self, k: int) -> "LaurentElem":
-        """Apply the k-th power of the chosen Galois generator of this field."""
-        tw = self.tower
-        e = RAMIFICATION[self.tag]
-        k %= e
-        if k == 0 or self.is_zero:
-            return self
-        fld = tw.field
-        # multiplier at position j is (generator image unit)**(k*(lead+j)),
-        # a periodic pattern cached per (tag, k, lead mod period)
-        key = (self.tag, k, self.lead % e)
-        pattern = tw._galois_patterns.get(key)
-        if pattern is None:
-            if self.tag == E2:
-                unit = fld.neg(1)  # pi2 -> -pi2
-            else:
-                unit = fld.pow(tw.i4, k)  # pi4 -> i4**k * pi4
-            vals = []
-            acc = fld.pow(unit, self.lead % e) if self.lead % e else 1
-            for _ in range(tw.N):
-                vals.append(acc)
-                acc = fld.mul(acc, unit)
-            pattern = tuple(vals)
-            tw._galois_patterns[key] = pattern
-        coeffs = tuple(map(fld.mul, self.coeffs, pattern))
-        return LaurentElem(tw, self.tag, self.lead, coeffs, self.exact)
-
-    def _to_base(self, w0: int, digits, exact: bool, sign: int = 1) -> "LaurentElem":
-        """Read sign * pi**(e*w0) * sum_j digits[j] * pi**(e*j) (trimmed, at most N/e digits rounded up)
-        in F: t = t_unit * pi**e, so base digit j is sign * t_unit**-(w0 + j) * digits[j]."""
-        tw = self.tower
-        fld = tw.field
-        # the w-independent part of the scale is cached
-        pattern = tw._base_patterns.get(self.tag)
-        if pattern is None:
-            u_inv = fld.inv(tw.t_unit[self.tag])
-            vals = []
-            acc = 1
-            for _ in range(tw.N):
-                vals.append(acc)
-                acc = fld.mul(acc, u_inv)
-            pattern = tuple(vals)
-            tw._base_patterns[self.tag] = pattern
-        scaled = map(fld.mul, digits, pattern)
-        head_scale = fld.mul(sign, fld.pow(fld.inv(tw.t_unit[self.tag]), w0))
-        if head_scale != 1:
-            scaled = [fld.mul(head_scale, c) for c in scaled]
-        return LaurentElem(tw, F, w0, tuple(scaled), exact)
+    galois = moved_method("series", "galois")  # (k): the k-th power of the chosen generator
+    _to_base = moved_method("series", "to_base")
 
     def norm_to_F(self) -> "LaurentElem":
         """Product of all Galois conjugates, read in F."""
@@ -383,47 +328,11 @@ class LaurentElem:
             else:
                 value = fld.mul(fld.pow(c, 4), fld.pow(fld.zeta, self.lead))
             return LaurentElem(tw, F, self.lead, (value,), self.exact)
-        # the conjugates of pi**lead * U(pi) are r**lead * pi**lead * U(r*pi) over
-        # the e-th roots of unity r, whose product is (-1)**lead; the first N
-        # coefficients of the product need only the first N of U
-        e = RAMIFICATION[self.tag]
-        digits, n = self.coeffs, tw.N
-        for _ in range(e.bit_length() - 1):
-            n = -(-n // 2)
-            digits = fld.graeffe(digits, n)
-        # the product of e windows of supp s is exact while its e * (s - 1) + 1 terms fit
-        exact = self.exact and e * (self.supp - 1) < tw.N
-        sign = fld.neg(1) if self.lead % 2 else 1
-        return self._to_base(self.lead, _trim(digits)[1], exact, sign)
+        from .series import norm_series
 
-    def trace_to_F(self) -> "LaurentElem":
-        """Sum of all Galois conjugates, read in F."""
-        if self.tag == F:
-            return self
-        if self.is_zero:
-            return self.tower.zero(F)
-        tw = self.tower
-        e = RAMIFICATION[self.tag]
-        add = tw.field.add
-        # All conjugates share the window [lead, lead+N); sum positionally in
-        # one pass so intermediate partial sums cannot masquerade as zero.
-        acc = self.coeffs
-        for k in range(1, e):
-            acc = tuple(map(add, acc, self.galois(k).coeffs))
-        j, acc = _trim(acc)
-        if not acc:
-            if self.exact:
-                return tw.zero(F)  # genuinely trace-free (all conjugates cancel)
-            raise PrecisionExhausted(
-                f"trace cancelled every retained coefficient in {self.tag}"
-            )
-        lead = self.lead + j
-        if lead % e or any(c for k, c in enumerate(acc) if k % e):
-            raise AssertionError("Galois-symmetric element has stray coefficients")
-        # Window tails beyond N/e base digits are exact only for polynomial
-        # support, signalled by the exact flag.  The last coefficient sits
-        # at a multiple of e (no strays), so the reading stays trimmed.
-        return self._to_base(lead // e, acc[::e], self.exact)
+        return norm_series(self)
+
+    trace_to_F = moved_method("series", "trace_to_F")
 
     def eta(self) -> UnitI:
         """The character of F^x that is trivial on t and 1 + tF_q[[t]] and
@@ -456,39 +365,3 @@ class LaurentElem:
         if self.lead == 0:
             return f"{self.tag}:({body})"
         return f"{self.tag}:pi^{self.lead}*({body})"
-
-
-def norm_unit_image_check(tower: Tower, tag: str, rng=None, samples: int = 100) -> bool:
-    """Check that eta**2 (for E2) resp. eta (for E4) kills all unit norms.
-
-    Exhausts the residue classes of the unit group and samples `samples`
-    units with random higher-order terms.
-    """
-    if tag not in (E2, E4):
-        raise ValueError("unit-norm image check applies to E2 or E4")
-    power = 2 if tag == E2 else 1
-    units = [tower.constant(tag, u) for u in tower.field.units()]
-    if rng is not None:
-        units += [random_unit(tower, tag, rng) for _ in range(samples)]
-    for u in units:
-        value = u.norm_to_F().eta() ** power
-        if value.exp != 0:
-            return False
-    return True
-
-
-def random_unit(tower: Tower, tag: str, rng, depth: int = 6) -> LaurentElem:
-    """A random unit with polynomial support (exact under norms and traces)."""
-    coeffs = [rng.randrange(1, tower.q)]
-    coeffs += [rng.randrange(tower.q) for _ in range(depth)]
-    return tower.from_coeffs(tag, 0, coeffs)
-
-
-def random_element(tower: Tower, tag: str, rng, depth: int = 6, val_range: int = 4) -> LaurentElem:
-    return tower.from_coeffs(
-        tag,
-        rng.randrange(-val_range, val_range + 1),
-        [rng.randrange(1, tower.q)] + [rng.randrange(tower.q) for _ in range(depth)],
-    )
-
-

@@ -16,14 +16,13 @@ words cancels only at the junction and is reduced without a scan.
 its inverse, as the terms of an exact monomial (see `groupmodel`): the
 letter lifts in word order, times the z-lift to the zexp, times the
 eps-lift to the ebit, every product one F_q operation and one exponent sum
-per entry.  `lift` and `lift_inverse` are the matrices of those terms.
-Each is memoised per tower, the terms once per direction in the two dicts
-of `lift_memos`, which hot callers may read directly.  `h_M0` reads the
-valuation triple (ord x, ord y, ord z) of a torus element; on the
-compact-quotient level it identifies the torus part of the group with the
-integer lattice {n1 + n2 + n3 = 0, n3 even}, which `lattice.lattice_check`
-verifies.  This module still serves `lattice_check`, which it used to hold
-(`__getattr__`), loading `lattice` on first read.
+per entry, memoised per tower and direction in the two dicts of
+`lift_memos`, which hot callers may read directly.  The matrices of those
+terms, `lift` and `lift_inverse`, and `h_M0`, the valuation triple of a
+torus element, are in `matrices`; `lattice_check`, which verifies that the
+triples form the lattice {n1 + n2 + n3 = 0, n3 even}, is in `lattice`.  This
+module still serves those names (`__getattr__`), loading their home on
+first read.
 """
 
 from __future__ import annotations
@@ -31,12 +30,9 @@ from __future__ import annotations
 from .groupmodel import (
     PARAHORIC,
     IDENTITY_TERMS,
-    GroupElem,
-    TorusElem,
     in_compact_torus,
     letter_relations,
     letters,
-    monomial_matrix,
     term_inverse,
     term_product,
 )
@@ -46,8 +42,12 @@ from .tower import Tower
 S = "s"
 SP = "s'"
 
-# the lattice section's code moved to `lattice`
-__getattr__ = moved_names(globals(), "lattice", ("lattice_check",))
+# the lift matrices moved to `matrices`, the lattice section's code to `lattice`
+__getattr__ = moved_names(
+    globals(),
+    matrices=("lift", "lift_inverse", "_memo", "h_M0", "GroupElem", "TorusElem", "monomial_matrix"),
+    lattice=("lattice_check",),
+)
 
 
 def _reduce(word) -> tuple[str, ...]:
@@ -187,34 +187,11 @@ def lift_terms(tower: Tower, w: WeylElem, inverse: bool = False) -> tuple[str, t
     return got
 
 
-def lift(tower: Tower, w: WeylElem) -> GroupElem:
-    """Canonical matrix representative, the matrix of `lift_terms`; memoised."""
-    return _memo(tower, "weyl_lift", w, lambda: monomial_matrix(tower, lift_terms(tower, w)))
-
-
-def lift_inverse(tower: Tower, w: WeylElem) -> GroupElem:
-    """Memoised inverse of the canonical representative."""
-    return _memo(tower, "weyl_lift_inv", w, lambda: monomial_matrix(tower, lift_terms(tower, w, True)))
-
-
 def _letter_product(tower: Tower, w: WeylElem) -> tuple[str, tuple]:
     fld, let = tower.field, letters(tower)
     z = let["z"] if w.zexp >= 0 else term_inverse(fld, let["z"])
     factors = [let[letter] for letter in w.word] + [z] * abs(w.zexp) + [let["eps"]] * w.ebit
     return term_product(fld, IDENTITY_TERMS, *factors)
-
-
-def _memo(tower: Tower, name: str, w: WeylElem, make):
-    cache = tower.cache.setdefault(name, {})
-    got = cache.get(w)
-    if got is None:
-        got = cache[w] = make()
-    return got
-
-
-def h_M0(tt: TorusElem) -> tuple[int, int, int]:
-    """(ord x, ord y, ord z) in each field's own uniformizer units."""
-    return (tt.x.ord_norm(), tt.y.ord_norm(), tt.z.ord_norm())
 
 
 # -- group-structure verification ----------------------------------------------------

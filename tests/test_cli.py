@@ -307,23 +307,98 @@ def test_cocycle_lattice_and_reference_load_only_where_called(command, cocycle, 
     assert run.stderr.splitlines()[-1] == f"0 {cocycle} {lattice} False"
 
 
+# Whether the matrix model and the long-series kernels are loaded, each as
+# (its module is imported, its code is defined in some module of the package):
+# loaded in their own modules, both read True, and never loaded, both False
+LOADED_CODE = (
+    "mods = [m for name, m in list(sys.modules.items()) if name.startswith('sl8hecke') and m]\n"
+    "defined = lambda name: any(name in vars(m) for m in mods)\n"
+    "print(*('sl8hecke.matrices' in sys.modules, defined('GroupElem')), "
+    "*('sl8hecke.series' in sys.modules, defined('random_unit')), file=sys.stderr)\n"
+)
+
+
+def _loaded_code(prelude: str, argv=()) -> list[str]:
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys\n" + prelude + LOADED_CODE, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stderr.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("q", ["5", "13"])
+@pytest.mark.parametrize(
+    "command, matrices, series",
+    [(f"verify {s}", False, False) for s in ("omega", "convolution", "epsilon", "lattice")]
+    + [
+        ("verify norms", False, True),
+        ("verify genericity", False, True),
+        ("verify weyl", True, True),
+        ("verify cocycle", True, False),
+        ("dump-constants", True, False),
+        # the forked worker's sections load neither; the parent's rows load both
+        ("report", True, True),
+    ],
+)
+def test_the_matrix_model_and_the_series_kernels_load_only_where_called(q, command, matrices, series):
+    # omega and the convolution rows read exact monomial terms and residues,
+    # so they run without either; the rows that take a matrix or an element of
+    # more than one term import its module where they call it
+    prelude = "import sl8hecke.cli\nassert sl8hecke.cli.main(sys.argv[1:]) == 0\n"
+    argv = ["--q", q, "--variant", "both", "--format", "json", *command.split()]
+    assert _loaded_code(prelude, argv) == [str(matrices)] * 2 + [str(series)] * 2
+
+
+@pytest.mark.parametrize("q", [5, 13])
+def test_set_up_loads_neither_the_matrix_model_nor_the_series_kernels(q):
+    # what a run builds before its first check: the CLI, the field, the tower
+    # and one Hecke context per variant
+    prelude = (
+        "import sl8hecke.cli\n"
+        "from sl8hecke import PARAHORIC, STABILIZER, HeckeContext, Tower, make_field\n"
+        f"tower = Tower(make_field({q}), 40)\n"
+        "contexts = [HeckeContext(tower, v) for v in (STABILIZER, PARAHORIC)]\n"
+    )
+    assert _loaded_code(prelude) == ["False"] * 4
+
+
 def test_moved_names_still_resolve_from_their_old_modules():
     # the acceptance tests and the benchmark's probe read these names from the
     # modules that held them before cocycle, lattice and reference; each
     # resolves to the object of its new home and is then an ordinary global
     import importlib
 
-    from sl8hecke import cocycle, lattice, reference
+    from sl8hecke import cocycle, lattice, matrices, reference, series
 
-    moved = {
-        "sl8hecke": (cocycle, ("CocycleTable", "nontriviality_certificate")),
-        "sl8hecke.hecke": (
-            cocycle, ("CocycleTable", "nontriviality_certificate", "perturbed_table", "multiplicative_family_search")
+    moved = [
+        ("sl8hecke", cocycle, ("CocycleTable", "nontriviality_certificate")),
+        (
+            "sl8hecke.hecke",
+            cocycle,
+            ("CocycleTable", "nontriviality_certificate", "perturbed_table", "multiplicative_family_search"),
         ),
-        "sl8hecke.groupmodel": (reference, ("iwahori_decompose", "random_KM0", "random_K0")),
-        "sl8hecke.weyl": (lattice, ("lattice_check",)),
-    }
-    for old, (home, names) in moved.items():
+        ("sl8hecke.groupmodel", reference, ("iwahori_decompose", "random_KM0", "random_K0")),
+        ("sl8hecke.weyl", lattice, ("lattice_check",)),
+        ("sl8hecke", matrices, ("GroupElem", "TorusElem", "lift")),
+        (
+            "sl8hecke.groupmodel",
+            matrices,
+            (
+                "GroupElem", "TorusElem", "Monomial", "identity", "torus", "elem_s", "elem_s_prime", "elem_z",
+                "elem_eps", "commutator", "in_g0", "in_iwahori", "_residue_condition", "in_K0", "in_KM0",
+                "rho_M0", "rho0", "monomial_matrix", "monomial_terms", "_ordn",
+            ),
+        ),
+        ("sl8hecke.weyl", matrices, ("lift", "lift_inverse", "_memo", "h_M0")),
+        ("sl8hecke.hecke", matrices, ("coset_key", "_quotient_digits", "in_K0", "monomial_terms", "lift")),
+        ("sl8hecke.tower", series, ("norm_unit_image_check", "random_unit", "random_element")),
+    ]
+    for old, home, names in moved:
         module = importlib.import_module(old)
         for name in names:
             assert getattr(module, name) is getattr(home, name), (old, name)

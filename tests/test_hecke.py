@@ -151,12 +151,12 @@ def test_a_coset_shared_under_either_variant_fails_the_shared_build(variant, mon
     # both variants read one validated build, so a colliding pair that shares
     # a coset under one variant's K only must fail it, whichever context asks;
     # a fresh tower, as the membership test on the build path is doctored
-    import sl8hecke.hecke as hecke
+    import sl8hecke.matrices as matrices
     from sl8hecke.hecke import TransversalError
 
     tw = Tower(make_field(5), 40)
-    membership = hecke.in_K0
-    monkeypatch.setattr(hecke, "in_K0", lambda g, v: v == variant and membership(g, v))
+    membership = matrices.in_K0
+    monkeypatch.setattr(matrices, "in_K0", lambda g, v: v == variant and membership(g, v))
     w = W_S * W_SP
     for asking in (STABILIZER, PARAHORIC):
         ctx = HeckeContext(tw, asking)
@@ -640,6 +640,39 @@ def test_pattern_sums_match_the_point_sums(q, variant, request):
             assert _outcome(lambda: ctx.double_coset_product(w1, w2)) == expected
 
 
+@pytest.mark.parametrize("q", [5, 9, 13])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_convolve_at_reads_a_weyl_target_as_its_lift(q, variant, request):
+    # convolve_at(w1, w2, v) reads the terms of lift(v) from the memo; the
+    # matrix form, whose terms are read off the matrix lift(v), is the oracle,
+    # on every pair of the window (2, 1) at every label of its double-coset product
+    ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    window = ctx.window(2, 1)
+    checked = 0
+    for w1 in window:
+        for w2 in window:
+            for v in sorted(ctx.double_coset_product(w1, w2), key=WeylElem.sort_key):
+                got = _outcome(lambda: ctx.convolve_at(w1, w2, v))
+                assert got == _outcome(lambda: ctx.convolve_at(w1, w2, ctx.lift(v))), (w1, w2, v)
+                checked += 1
+    assert checked > len(window) ** 2  # the non-additive pairs meet two labels or more
+
+
+def test_window_is_memoised_and_each_call_gets_its_own_list(ctx_stab, ctx_par):
+    # the same elements as window_elements, built once per (max_word, max_z);
+    # a caller that edits its list leaves the next call's as it was
+    from sl8hecke.weyl import window_elements
+
+    for ctx, eps in ((ctx_stab, False), (ctx_par, True)):
+        for args, bounds in (((), (4, 2)), ((2, 1), (2, 1)), ((3,), (3, 2)), ((None, 0), (4, 0))):
+            first = ctx.window(*args)
+            assert type(first) is list and first == window_elements(*bounds, eps)
+            first.clear()
+            second = ctx.window(*args)
+            assert second == window_elements(*bounds, eps) and second is not ctx.window(*args)
+            assert all(a is b for a, b in zip(second, ctx.window(*args)))
+
+
 @pytest.mark.parametrize("q", [5, 13])
 @pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
 def test_memoised_labels_match_the_uncached_analysis(q, variant, request):
@@ -729,11 +762,12 @@ def test_omega_and_convolution_sections_make_no_matrix_product_or_membership_tes
     # multiplied or tested for membership as a matrix
     import sl8hecke.groupmodel as groupmodel
     import sl8hecke.hecke as hecke
+    import sl8hecke.matrices as matrices
     from sl8hecke.cli import Config, run_all
 
     products = _count_calls(monkeypatch, groupmodel.GroupElem, "__mul__")
-    # hecke binds its own name for in_K0
-    memberships = [_count_calls(monkeypatch, module, "in_K0") for module in (groupmodel, hecke)]
+    # matrices holds in_K0, and groupmodel and hecke each serve their own name for it
+    memberships = [_count_calls(monkeypatch, module, "in_K0") for module in (groupmodel, hecke, matrices)]
     report = run_all(Config(q=13), sections=("omega", "convolution"))
     assert report.checks and all(check.status == "pass" for check in report.checks)
     assert (len(products), sum(map(len, memberships))) == (0, 0)
