@@ -20,8 +20,8 @@ module only when its command needs it:
     verify norms                         series
     verify genericity                    generic, series
     verify weyl                          cocycle, matrices, series
-    verify cocycle                       cocycle, matrices
-    verify algebra, dump-constants       algebra, cocycle, matrices
+    verify cocycle                       cocycle
+    verify algebra, dump-constants       algebra, cocycle
     report                               all but reference (lattice in the worker)
 
 The `Session` builds each variant's cocycle table on first read.  ``python
@@ -56,7 +56,15 @@ import random
 import sys
 from typing import Callable, NamedTuple
 
-from .groupmodel import PARAHORIC, STABILIZER, MembershipError, sign_character_trivial
+from .groupmodel import (
+    PARAHORIC,
+    STABILIZER,
+    MembershipError,
+    letters,
+    rho_terms,
+    sign_character_trivial,
+    term_commutator,
+)
 from .hecke import WINDOW_WORDS, WINDOW_Z, ClassificationError, HeckeContext, TransversalError, WindowExceeded
 from .residue import (
     COEFF_ONE,
@@ -283,12 +291,10 @@ def _galois_stable(s: Session, v: str):
 
 
 def _commutator(s: Session, v: str):
-    from .matrices import commutator, elem_s, elem_z, rho_M0, torus
-
-    tw, fld = s.tower, s.field
-    com = commutator(elem_s(tw), elem_z(tw))
-    expected = torus(tw, tw.constant(E2, fld.inv(fld.zeta)), tw.constant(E2, fld.zeta), tw.one(E4))
-    return True, com.is_diagonal() and com.to_torus() == expected and rho_M0(com.to_torus()) == UNIT_MINUS_ONE
+    fld, let = s.field, letters(s.tower)
+    com = term_commutator(fld, let["s"], let["z"])
+    expected = ("diag", ((fld.inv(fld.zeta), 0), (fld.zeta, 0), (1, 0)))
+    return True, com == expected and rho_terms(fld, com) == UNIT_MINUS_ONE
 
 
 def _normalised(s: Session, v: str):

@@ -6,36 +6,41 @@ algebra, so `hecke` does not import this module.
 
   * :class:`CocycleTable`: mu(w1, w2) = rho(lift(w1 w2)^-1 lift(w1)
     lift(w2)), the obstruction to the lift family being multiplicative.
-    For the canonical family the discrepancy is the `term_product` of the
-    lifts' terms, over F_q with no Laurent arithmetic; a family perturbed
-    by compact-torus factors, whose entries are series, multiplies matrices.
-    The commutator pairing beta(u, v) = mu(u,v)/mu(v,u) on commuting pairs
-    is invariant under changing the lift family by compact-torus factors,
-    so beta != 1 certifies that the cohomology class of mu is non-trivial
-    and that the torus character admits no extension to its normaliser
-    (``nontriviality_certificate``).  mu(s, z), mu(z, s) and beta(s, z)
-    read only the lifts of s, z and sz, so the checks that vary the family
-    for them perturb those three alone.
+    The discrepancy is the `term_product` of the canonical lifts' terms,
+    over F_q with no Laurent arithmetic.  The commutator pairing beta(u, v)
+    = mu(u,v)/mu(v,u) on commuting pairs is checked against rho of the
+    `term_commutator` of the lifts' terms.  It is invariant under changing
+    the lift family by compact-torus factors, so beta != 1 certifies that
+    the cohomology class of mu is non-trivial and that the torus character
+    admits no extension to its normaliser (``nontriviality_certificate``).
+    mu(s, z), mu(z, s) and beta(s, z) read only the lifts of s, z and sz,
+    so the checks that vary the family for them perturb those three alone.
 
   * ``cocycle_certificate`` and ``rho0_certificate``: the facts behind
     the cocycle and the depth-zero character, checked on the letter lifts'
     terms (`groupmodel.letters`) and exhausted over residues (every
     character involved has depth zero).  The letter relations lie in the
     compact torus, the letter lifts normalise it and fix rho, and rho0 is
-    the quadratic character of the d-entry residue.
+    the quadratic character of the d-entry residue.  The rho0 witnesses
+    are not monomials: ``rho0_certificate`` is the one place here that
+    builds matrices, and imports `matrices` when called.
 
   * ``perturbed_table``, ``sz_perturbed_table`` and
     ``multiplicative_family_search``: lift families twisted by random
     compact-torus members (`reference.random_KM0`), the sampled
-    cross-checks of the same facts.  They import `reference` when called,
-    so the report, which reads the certificates, never loads it.
+    cross-checks of the same facts.  A twisted family's entries are
+    series, so its table, `reference.PerturbedCocycleTable`, multiplies
+    matrices.  They import `reference` when called, so the report, which
+    reads the certificates, never loads it.
+
+Loading this module loads neither `matrices` nor `reference`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .groupmodel import (
     admissible_torus_residues,
@@ -44,39 +49,30 @@ from .groupmodel import (
     letters,
     lower_l,
     rho_residues,
+    rho_terms,
+    term_commutator,
     term_inverse,
     term_product,
     upper_u,
 )
 from .hecke import ClassificationError, HeckeContext
-from .matrices import GroupElem, TorusElem, commutator, in_K0, in_KM0, rho0, rho_M0
 from .residue import UNIT_ONE, UnitI, sgn
 from .tower import E2, E4, LaurentElem
-from .weyl import W_ID, W_S, W_Z, WeylElem, lift_memos, lift_terms
+from .weyl import W_S, W_Z, WeylElem, lift_memos, lift_terms
+
+if TYPE_CHECKING:
+    from .reference import PerturbedCocycleTable
 
 
 class CocycleTable:
-    """mu-values of a lift family: the canonical lifts, optionally perturbed
-    by compact-torus factors (the identity keeps its lift, so mu is
-    normalised)."""
+    """mu-values of the canonical lift family, read from the lifts' terms
+    (`reference.PerturbedCocycleTable` twists the family by compact-torus
+    factors and reads matrices)."""
 
-    def __init__(self, ctx: HeckeContext, perturbation: dict[WeylElem, TorusElem] | None = None):
+    def __init__(self, ctx: HeckeContext):
         self.ctx = ctx
-        self.perturbation = dict(perturbation or {})
-        self.perturbation.pop(W_ID, None)
         self._mu: dict[tuple[WeylElem, WeylElem], UnitI] = {}
         self._lift_memos = lift_memos(ctx.tower)
-
-    def family_lift(self, w: WeylElem) -> GroupElem:
-        base = self.ctx.lift(w)
-        k = self.perturbation.get(w)
-        return base * k.to_group() if k is not None else base
-
-    def family_lift_inverse(self, w: WeylElem) -> GroupElem:
-        k = self.perturbation.get(w)
-        if k is None:
-            return self.ctx.lift_inverse(w)
-        return k.inverse().to_group() * self.ctx.lift_inverse(w)
 
     def mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
         """rho of the discrepancy lift(w1 w2)^-1 lift(w1) lift(w2), for w1, w2 in W of any size."""
@@ -85,19 +81,10 @@ class CocycleTable:
         if got is None:
             self.ctx.require_in_W(w1)
             self.ctx.require_in_W(w2)
-            got = self._mu[key] = self._matrix_mu(w1, w2) if self.perturbation else self._canonical_mu(w1, w2)
+            got = self._mu[key] = self._compute_mu(w1, w2)
         return got
 
-    def _matrix_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
-        disc = self.family_lift_inverse(w1 * w2) * self.family_lift(w1) * self.family_lift(w2)
-        if not disc.is_diagonal():
-            raise ClassificationError("lift discrepancy is not diagonal")
-        tt = disc.to_torus()
-        if not in_KM0(tt, self.ctx.variant):
-            raise ClassificationError("lift discrepancy left the compact torus")
-        return rho_M0(tt)
-
-    def _canonical_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
+    def _compute_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
         # the canonical lifts are exact monomials: the discrepancy is the
         # product of their (residue, exponent) terms over F_q, read from the
         # memos of `lift_terms` (terms are non-empty, so `or` marks a miss)
@@ -122,13 +109,19 @@ class CocycleTable:
         if u * v != v * u:
             raise ValueError(f"{u} and {v} do not commute")
         ratio = self.mu(u, v) * self.mu(v, u).inverse()
-        com = commutator(self.family_lift(u), self.family_lift(v))
-        if not com.is_diagonal():
-            raise ClassificationError("commutator of lifts is not diagonal")
-        direct = rho_M0(com.to_torus())
+        direct = self._commutator_rho(u, v)
         if ratio != direct:
             raise ClassificationError("mu-ratio disagrees with the commutator value")
         return direct
+
+    def _commutator_rho(self, u: WeylElem, v: WeylElem) -> UnitI:
+        """rho of the commutator of the lifts of u and v, the `term_commutator`
+        of their terms; MembershipError outside the compact torus."""
+        tower = self.ctx.tower
+        com = term_commutator(tower.field, lift_terms(tower, u), lift_terms(tower, v))
+        if com[0] != "diag":
+            raise ClassificationError("commutator of lifts is not diagonal")
+        return rho_terms(tower.field, com)
 
     def cocycle_identity_holds(self, u: WeylElem, v: WeylElem, w: WeylElem) -> bool:
         return self.mu(u, v) * self.mu(u * v, w) == self.mu(v, w) * self.mu(u, v * w)
@@ -255,7 +248,10 @@ def _leading(x: LaurentElem) -> tuple:
 
 def rho0_certificate(ctx: HeckeContext) -> Rho0Certificate:
     """Check `Rho0Certificate` on the witnesses of the q - 1 unit residues
-    and on every pair of them."""
+    and on every pair of them.  The witnesses are not monomials, so this
+    multiplies matrices."""
+    from .matrices import TorusElem, in_K0, in_KM0, rho0, rho_M0
+
     tw, variant = ctx.tower, ctx.variant
     fld = tw.field
     lower, upper = lower_l(tw, tw.uniformizer(E2)), upper_u(tw, 1)
@@ -285,24 +281,24 @@ def rho0_certificate(ctx: HeckeContext) -> Rho0Certificate:
     return Rho0Certificate(reduction, multiplicative, restriction)
 
 
-def perturbed_table(ctx: HeckeContext, rng: random.Random) -> CocycleTable:
+def perturbed_table(ctx: HeckeContext, rng: random.Random) -> PerturbedCocycleTable:
     """A lift family twisted by random compact-torus factors on the whole
     window, so that mu can be read on any window pair of the family."""
-    from .reference import random_KM0
+    from .reference import PerturbedCocycleTable, random_KM0
 
     perturbation = {}
     for w in ctx.window():
         if not w.is_identity():
             perturbation[w] = random_KM0(ctx.tower, ctx.variant, rng)
-    return CocycleTable(ctx, perturbation)
+    return PerturbedCocycleTable(ctx, perturbation)
 
 
-def sz_perturbed_table(ctx: HeckeContext, rng: random.Random) -> CocycleTable:
+def sz_perturbed_table(ctx: HeckeContext, rng: random.Random) -> PerturbedCocycleTable:
     """A lift family twisted by random compact-torus factors on s, z and sz
     only: all that mu(s, z), mu(z, s) and beta(s, z) read."""
-    from .reference import random_KM0
+    from .reference import PerturbedCocycleTable, random_KM0
 
-    return CocycleTable(ctx, {w: random_KM0(ctx.tower, ctx.variant, rng) for w in (W_S, W_Z, W_S * W_Z)})
+    return PerturbedCocycleTable(ctx, {w: random_KM0(ctx.tower, ctx.variant, rng) for w in (W_S, W_Z, W_S * W_Z)})
 
 
 def multiplicative_family_search(ctx: HeckeContext, rng: random.Random, trials: int = 40) -> int:

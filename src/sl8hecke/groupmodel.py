@@ -19,9 +19,10 @@ An exact monomial, one term c * pi**e in each of its two E2 entries and
 its E4 part, is held as terms: (kind, ((r1, e1), (r2, e2), (r4, e4))), kind
 "diag" or "anti" and (r, e) each entry's residue and exponent.
 `term_product` and `term_inverse` are its product and inverse, one F_q
-operation and one integer sum per entry with no Laurent arithmetic;
-`in_compact_torus` tests it against the compact torus.  The letters of the
-canonical Weyl lifts are defined once, as terms (`letters`): the
+operation and one integer sum per entry with no Laurent arithmetic, and
+`term_commutator` the commutator of two; `in_compact_torus` tests it
+against the compact torus, and `rho_terms` reads rho on it.  The letters
+of the canonical Weyl lifts are defined once, as terms (`letters`): the
 unit-determinant reflection s, its affine partner s', the central-direction
 torus element z with E4 part pi4**(-2) and the sign element eps = (-1, 1,
 1); `letter_relations` checks their relations on terms.
@@ -145,6 +146,16 @@ def rho_residues(field, rx: int, ry: int, rz: int) -> UnitI:
     return eta_residue(field, field.mul(ry, ry))
 
 
+def rho_terms(field, m) -> UnitI:
+    """rho on an exact monomial given as terms, read as `matrices.rho_M0`
+    reads a torus element: MembershipError unless m lies in the compact
+    torus of the stabiliser variant."""
+    if not in_compact_torus(field, STABILIZER, m):
+        raise MembershipError("torus element is outside the compact part")
+    _, ((rx, _), (ry, _), (rz, _)) = m
+    return rho_residues(field, rx, ry, rz)
+
+
 # -- Iwahori factorisation ------------------------------------------------------------
 
 
@@ -177,6 +188,11 @@ def term_inverse(field, m) -> tuple[str, tuple]:
     return kind, (first, second, (field.inv(r4), -e4))
 
 
+def term_commutator(field, g, h) -> tuple[str, tuple]:
+    """The commutator g h g^-1 h^-1 of two exact monomials given as terms."""
+    return term_product(field, g, h, term_inverse(field, g), term_inverse(field, h))
+
+
 def in_compact_torus(field, variant: str, m) -> bool:
     """Whether an exact monomial given as terms lies in the variant's compact torus."""
     kind, ((rx, nx), (ry, ny), (rz, nz)) = m
@@ -187,12 +203,11 @@ def letter_relations(tower: Tower, variant: str) -> dict[str, bool]:
     """Whether each relation of the letters lies in the variant's compact
     torus: a**2, [a, z] and [a, eps] for a in {s, s'}, and eps**2, on terms."""
     fld, let = tower.field, letters(tower)
-    inv = {name: term_inverse(fld, m) for name, m in let.items()}
     relations = {}
     for a in ("s", "s'"):
         relations[f"{a}^2"] = in_compact_torus(fld, variant, term_product(fld, let[a], let[a]))
         for b in ("z", "eps"):
-            relations[f"[{a}, {b}]"] = in_compact_torus(fld, variant, term_product(fld, let[a], let[b], inv[a], inv[b]))
+            relations[f"[{a}, {b}]"] = in_compact_torus(fld, variant, term_commutator(fld, let[a], let[b]))
     relations["eps^2"] = in_compact_torus(fld, variant, term_product(fld, let["eps"], let["eps"]))
     return relations
 

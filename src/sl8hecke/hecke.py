@@ -406,13 +406,15 @@ class HeckeContext:
         """(phi_{w1} * phi_{w2})(g), an exact Gaussian integer, at g = lift(v)
         given as the Weyl element v, whose lift's terms are read from the memo,
         or at an exact monomial matrix g (one exact term per entry, as at every
-        canonical lift); any other g raises ValueError.  The left value
-        phi_{w1}(r * lift(w1)) is 1 at every member r (`base_family` checks
-        its d-residue), so each valuation pattern of the family
-        lift(w1)^-1 * r^-1 * g adds its value at its scale times S(source)."""
+        canonical lift); any other g raises ValueError, and a v outside W
+        WindowExceeded.  The left value phi_{w1}(r * lift(w1)) is 1 at every
+        member r (`base_family` checks its d-residue), so each valuation
+        pattern of the family lift(w1)^-1 * r^-1 * g adds its value at its
+        scale times S(source)."""
         self.require_window(w1)
         self.require_window(w2)
         if g.__class__ is WeylElem:
+            self.require_in_W(g)
             right = self.lift_terms(g)
         else:
             from .matrices import monomial_terms

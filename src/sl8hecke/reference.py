@@ -1,5 +1,5 @@
-"""Reference computations on matrices: the Iwahori factorisation and random
-compact members.
+"""Reference computations on matrices: the Iwahori factorisation, random
+compact members and the cocycle tables of perturbed lift families.
 
 None of this is on the report's path.  The report reads every double-coset
 label and basis-function value from the invariants of a transversal family
@@ -20,6 +20,11 @@ the oracle that tests and the sampled cross-checks compare against:
     and the compact subgroup, for property tests and the perturbed lift
     families of `cocycle`.
 
+  * :class:`PerturbedCocycleTable`, the cocycle table of a lift family
+    twisted by compact-torus factors, whose mu and beta multiply matrices;
+    with no factors it is the matrix oracle of `cocycle.CocycleTable`.
+    `cocycle.perturbed_table` and `cocycle.sz_perturbed_table` build it.
+
 `groupmodel` still serves these four names (`__getattr__`), loading this
 module on first read.
 """
@@ -30,10 +35,14 @@ import random
 from collections import namedtuple
 from functools import cached_property
 
+from .cocycle import CocycleTable
 from .groupmodel import PIVOT_CASES, STABILIZER, VARIANTS, lower_l, pivot_step, quotients_in_iwahori, upper_u
-from .matrices import GroupElem, Monomial, TorusElem, _ordn, identity, in_K0, in_KM0
+from .hecke import ClassificationError, HeckeContext
+from .matrices import GroupElem, Monomial, TorusElem, _ordn, commutator, identity, in_K0, in_KM0, rho_M0
+from .residue import UnitI
 from .series import random_unit
 from .tower import E2, E4, LaurentElem, PrecisionExhausted, Tower
+from .weyl import W_ID, WeylElem
 
 # -- Iwahori factorisation ------------------------------------------------------------
 
@@ -181,3 +190,45 @@ def random_K0(tower: Tower, variant: str, rng: random.Random) -> GroupElem:
             raise AssertionError("random compact-subgroup construction failed its membership")
         return g
     raise AssertionError("compact-subgroup sampling kept cancelling below window certainty")
+
+
+# -- perturbed lift families: the matrix form of the cocycle table ----------------------
+
+
+class PerturbedCocycleTable(CocycleTable):
+    """mu-values of the canonical lifts twisted by compact-torus factors,
+    lift(w) * k(w) (the identity keeps its lift, so mu is normalised).  The
+    factors' entries are series, so the discrepancies and the commutators
+    of beta are multiplied as matrices; with no factors, this is the matrix
+    oracle of the canonical `CocycleTable`."""
+
+    def __init__(self, ctx: HeckeContext, perturbation: dict[WeylElem, TorusElem] | None = None):
+        super().__init__(ctx)
+        self.perturbation = dict(perturbation or {})
+        self.perturbation.pop(W_ID, None)
+
+    def family_lift(self, w: WeylElem) -> GroupElem:
+        base = self.ctx.lift(w)
+        k = self.perturbation.get(w)
+        return base * k.to_group() if k is not None else base
+
+    def family_lift_inverse(self, w: WeylElem) -> GroupElem:
+        k = self.perturbation.get(w)
+        if k is None:
+            return self.ctx.lift_inverse(w)
+        return k.inverse().to_group() * self.ctx.lift_inverse(w)
+
+    def _compute_mu(self, w1: WeylElem, w2: WeylElem) -> UnitI:
+        disc = self.family_lift_inverse(w1 * w2) * self.family_lift(w1) * self.family_lift(w2)
+        if not disc.is_diagonal():
+            raise ClassificationError("lift discrepancy is not diagonal")
+        tt = disc.to_torus()
+        if not in_KM0(tt, self.ctx.variant):
+            raise ClassificationError("lift discrepancy left the compact torus")
+        return rho_M0(tt)
+
+    def _commutator_rho(self, u: WeylElem, v: WeylElem) -> UnitI:
+        com = commutator(self.family_lift(u), self.family_lift(v))
+        if not com.is_diagonal():
+            raise ClassificationError("commutator of lifts is not diagonal")
+        return rho_M0(com.to_torus())

@@ -33,6 +33,7 @@ from .groupmodel import (
     in_compact_torus,
     letter_relations,
     letters,
+    term_commutator,
     term_inverse,
     term_product,
 )
@@ -211,9 +212,7 @@ def group_structure_check(tower: Tower, variant: str, order_bound: int = 50) -> 
     relations = letter_relations(tower, variant)
     if variant == PARAHORIC:
         z, eps = let["z"], let["eps"]
-        relations["[z, eps]"] = in_compact_torus(fld, variant, term_product(
-            fld, z, eps, term_inverse(fld, z), term_inverse(fld, eps)
-        ))
+        relations["[z, eps]"] = in_compact_torus(fld, variant, term_commutator(fld, z, eps))
         relations["eps"] = not in_compact_torus(fld, variant, eps)  # non-trivial in the parahoric quotient
     else:
         relations = {name: held for name, held in relations.items() if "eps" not in name}

@@ -3,7 +3,7 @@ planted mutants that each certificate must reject."""
 
 import pytest
 
-from sl8hecke import cocycle, groupmodel
+from sl8hecke import cocycle, groupmodel, matrices
 from sl8hecke.cocycle import cocycle_certificate, rho0_certificate
 from sl8hecke.groupmodel import PARAHORIC, STABILIZER, letters
 from sl8hecke.hecke import HeckeContext
@@ -61,7 +61,7 @@ def test_character_of_the_x_entry_breaks_invariance(q, variant, monkeypatch):
 @pytest.mark.parametrize("q", (5, 9, 13))
 def test_eta_of_the_d_residue_breaks_the_norm_reduction(q, variant, monkeypatch):
     # eta(d_res) in place of eta(N(d)) = eta(d_res**2): multiplicative, but not rho0
-    monkeypatch.setattr(cocycle, "rho0", lambda g, v: eta_residue(g.d.tower.field, g.d.unit_residue()))
+    monkeypatch.setattr(matrices, "rho0", lambda g, v: eta_residue(g.d.tower.field, g.d.unit_residue()))
     cert = rho0_certificate(_context(q, variant))
     assert not cert.reduction and not cert.restriction and not cert.holds
 

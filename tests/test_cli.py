@@ -339,8 +339,10 @@ def _loaded_code(prelude: str, argv=()) -> list[str]:
         ("verify norms", False, True),
         ("verify genericity", False, True),
         ("verify weyl", True, True),
-        ("verify cocycle", True, False),
-        ("dump-constants", True, False),
+        # the cocycle table and the commutator row read the lifts' terms
+        ("verify cocycle", False, False),
+        ("verify algebra", False, False),
+        ("dump-constants", False, False),
         # the forked worker's sections load neither; the parent's rows load both
         ("report", True, True),
     ],
@@ -489,9 +491,9 @@ def test_cli_binds_no_sampler():
 
 def test_report_runs_without_samplers_or_series_inversion(monkeypatch, capsysbinary):
     # the weyl and cocycle rows read residue certificates: with every sampler,
-    # the matrix mu of perturbed families and the series inverse (every series
-    # division goes through it) made to raise, the report still passes with
-    # the goldens' ids and statuses
+    # the matrix mu and commutator of perturbed families and the series
+    # inverse (every series division goes through it) made to raise, the
+    # report still passes with the goldens' ids and statuses
     from sl8hecke import cocycle, groupmodel, hecke, reference
     from sl8hecke.residue import ResidueField
 
@@ -502,7 +504,8 @@ def test_report_runs_without_samplers_or_series_inversion(monkeypatch, capsysbin
         for name in SAMPLERS:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    monkeypatch.setattr(cocycle.CocycleTable, "_matrix_mu", forbidden)
+    monkeypatch.setattr(reference.PerturbedCocycleTable, "_compute_mu", forbidden)
+    monkeypatch.setattr(reference.PerturbedCocycleTable, "_commutator_rho", forbidden)
     monkeypatch.setattr(ResidueField, "series_inverse", forbidden)
 
     def verdicts(payload):
@@ -517,6 +520,28 @@ def test_report_runs_without_samplers_or_series_inversion(monkeypatch, capsysbin
         assert main(["--q", q, "--variant", variant, "--seed", seed, "--format", "json", "report"]) == 0
         out = capsysbinary.readouterr().out
         assert verdicts(out) == (both if name is None else verdicts((DATA / name).read_bytes()))
+
+
+def test_a_report_builds_matrices_only_in_the_rho0_certificate(monkeypatch, capsysbinary):
+    # the cocycle table, beta and the commutator row read the lifts' terms;
+    # the rho0 certificate's witnesses are not monomials, so every matrix a
+    # report builds is built under it (the run is serial, so the worker's
+    # sections are counted too)
+    from sl8hecke import cocycle, matrices
+
+    certificate, init, callers = cocycle.rho0_certificate.__code__, matrices.GroupElem.__init__, []
+
+    def counting(self, *args):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not certificate:
+            frame = frame.f_back
+        callers.append(frame is not None)
+        init(self, *args)
+
+    monkeypatch.setattr(matrices.GroupElem, "__init__", counting)
+    assert serial(monkeypatch, lambda: main(["--q", "5", "--variant", "both", "--format", "json", "report"])) == 0
+    capsysbinary.readouterr()
+    assert callers and all(callers)
 
 
 def plant(monkeypatch, row_id, check):

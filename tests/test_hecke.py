@@ -11,6 +11,8 @@ from sl8hecke import weyl
 from sl8hecke.groupmodel import (
     PARAHORIC,
     STABILIZER,
+    MembershipError,
+    commutator,
     elem_eps,
     elem_s,
     elem_s_prime,
@@ -23,6 +25,7 @@ from sl8hecke.groupmodel import (
     monomial_terms,
     rho0,
     rho_M0,
+    term_commutator,
     term_inverse,
     term_product,
     torus,
@@ -30,7 +33,7 @@ from sl8hecke.groupmodel import (
 )
 from sl8hecke.cocycle import CocycleTable, nontriviality_certificate, perturbed_table, sz_perturbed_table
 from sl8hecke.hecke import ClassificationError, HeckeContext, TransversalFamily, WindowExceeded
-from sl8hecke.reference import iwahori_decompose, random_K0
+from sl8hecke.reference import PerturbedCocycleTable, iwahori_decompose, random_K0
 from sl8hecke.residue import COEFF_ONE, COEFF_ZERO, HeckeCoeff, ResidueField, UNIT_MINUS_ONE, UNIT_ONE, make_field
 from sl8hecke.tower import E2, E4, Tower
 from sl8hecke.weyl import W_EPS, W_ID, W_S, W_SP, W_Z, WeylElem
@@ -95,6 +98,14 @@ def test_the_sign_element_is_outside_the_stabilizer_variant(ctx_stab, ctx_par):
     assert ctx_par.double_coset_product(W_EPS, W_S) == {W_S * W_EPS}
     assert ctx_par._omega_pair(W_EPS, W_S, None)
     CocycleTable(ctx_par).beta(W_S, W_EPS)
+
+
+def test_convolve_at_refuses_a_target_outside_w(ctx_stab, ctx_par):
+    # a Weyl target is checked like the two basis elements: eps is no element
+    # of W in the stabiliser variant, where its lift would read as the identity's
+    with pytest.raises(WindowExceeded, match="not an element of W"):
+        ctx_stab.convolve_at(W_S, W_S, W_EPS)
+    assert ctx_par.convolve_at(W_S, W_S, W_EPS) == ctx_par.convolve_at(W_S, W_S, ctx_par.lift(W_EPS))
 
 
 def test_coset_reps_longer_word(ctx_stab):
@@ -998,6 +1009,27 @@ def test_canonical_mu_makes_no_matrix_products(monkeypatch):
     assert not products
 
 
+@pytest.mark.parametrize("q", [5, 9, 13])
+@pytest.mark.parametrize("variant", [STABILIZER, PARAHORIC])
+def test_term_commutators_of_lifts_match_the_matrix_path(q, variant, request):
+    # every commuting pair of the (2, 1) window: the commutator of the lifts'
+    # terms against that of their matrices, and beta against the matrix
+    # oracle's; over every pair, rho of the commutator raises as the oracle's does
+    ctx = HeckeContext(request.getfixturevalue(f"tower{q}"), variant)
+    tw, table, oracle = ctx.tower, CocycleTable(ctx), PerturbedCocycleTable(ctx)
+    window = ctx.window(2, 1)
+    commuting = [(u, v) for u in window for v in window if u * v == v * u]
+    for u, v in commuting:
+        com = term_commutator(tw.field, ctx.lift_terms(u), ctx.lift_terms(v))
+        assert monomial_matrix(tw, com) == commutator(ctx.lift(u), ctx.lift(v))
+    betas = [_outcome(lambda: table.beta(u, v)) for u, v in commuting]
+    assert betas == [_outcome(lambda: oracle.beta(u, v)) for u, v in commuting]
+    assert {UNIT_ONE, UNIT_MINUS_ONE} <= set(betas)
+    outcomes = [_outcome(lambda: table._commutator_rho(u, v)) for u in window for v in window]
+    assert outcomes == [_outcome(lambda: oracle._commutator_rho(u, v)) for u in window for v in window]
+    assert MembershipError in outcomes
+
+
 # -- double cosets ------------------------------------------------------------------------
 
 
@@ -1093,7 +1125,7 @@ def test_sz_family_reads_like_a_window_family(tower_fixture, variant, request):
     seen = set()
     for _ in range(6):
         small = sz_perturbed_table(ctx, rng)
-        wide = CocycleTable(ctx, {**perturbed_table(ctx, rng).perturbation, **small.perturbation})
+        wide = PerturbedCocycleTable(ctx, {**perturbed_table(ctx, rng).perturbation, **small.perturbation})
         assert len(wide.perturbation) == len(ctx.window()) - 1
         pair = (small.mu(W_S, W_Z), small.mu(W_Z, W_S))
         assert pair == (wide.mu(W_S, W_Z), wide.mu(W_Z, W_S))
