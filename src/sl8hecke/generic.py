@@ -16,17 +16,17 @@ weight(i) - weight(j).  The genericity conditions assert that these
 pairings have valuation exactly -1/4 on the twelve coroots inside the E4
 block and exactly -1/2 on the forty coroots outside the quadratic-slot
 pattern, and that explicit diagonal witnesses pair to valuation 0.
-Coroots are handled purely through eigencoordinates; no 8x8 matrices are
-materialised.
+Valuations are compared as integers, in quarters of ord(t): the targets
+are -1 and -2.  Coroots are handled purely through eigencoordinates; no
+8x8 matrices are materialised.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from typing import NamedTuple
 
-from .tower import E2, E4, LaurentElem, Tower
+from .tower import E2, E4, RAMIFICATION, LaurentElem, Tower
 
 E2_SLOT1 = "e2-slot1"
 E2_SLOT2 = "e2-slot2"
@@ -38,7 +38,8 @@ X1 = "X1"  # depth-1/2 functional, supported on the E2 slots
 LEVEL_QUARTER = "G1/G0"  # coroots of G1 not in G0 (inside the E4 block)
 LEVEL_HALF = "G2/G1"  # coroots of G2 not in G1
 
-_TARGET = {LEVEL_QUARTER: Fraction(-1, 4), LEVEL_HALF: Fraction(-1, 2)}
+# valuations in quarters of ord(t), as integers: -1/4 and -1/2
+_TARGET = {LEVEL_QUARTER: -1, LEVEL_HALF: -2}
 _FUNCTIONAL = {LEVEL_QUARTER: X0, LEVEL_HALF: X1}
 
 
@@ -118,9 +119,9 @@ def pairing_on_coroot(tower: Tower, pair: RootPair) -> LaurentElem:
 
 class GenericityReport(NamedTuple):
     level: str
-    target: Fraction
-    valuations: list[tuple[RootPair, Fraction]]
-    witness_ord: Fraction
+    target: int  # in quarters of ord(t)
+    valuations: list[tuple[RootPair, int]]  # in quarters of ord(t)
+    witness_ord: int
     ge1_pass: bool
     ge0_pass: bool
 
@@ -130,23 +131,28 @@ class GenericityReport(NamedTuple):
 
 
 def check_ge1(tower: Tower, level: str) -> GenericityReport:
-    """Valuation of the pairing on every coroot at this level; all must equal
-    the level's depth exactly."""
+    """Valuation of the pairing on every coroot at this level, in quarters
+    of ord(t); all must equal the level's depth exactly."""
     target = _TARGET[level]
     rows = []
     ok = True
     for pair in root_pairs(level):
-        value = pairing_on_coroot(tower, pair)
-        v = value.ord()
+        v = _quarters(pairing_on_coroot(tower, pair))
         rows.append((pair, v))
         ok = ok and (v == target)
     witness = check_ge0_witness(tower, level)
     return GenericityReport(level, target, rows, witness, ok, witness == 0)
 
 
-def check_ge0_witness(tower: Tower, level: str) -> Fraction:
-    """Valuation of the functional on its explicit diagonal witness; must be 0."""
-    return witness_value(tower, level).ord()
+def _quarters(x: LaurentElem) -> int:
+    """ord(x) in quarters of ord(t), as an integer."""
+    return x.ord_norm() * (4 // RAMIFICATION[x.tag])
+
+
+def check_ge0_witness(tower: Tower, level: str) -> int:
+    """Valuation of the functional on its explicit diagonal witness; must be
+    0.  The witness lies in F, where ord_norm is ord."""
+    return witness_value(tower, level).ord_norm()
 
 
 def witness_value(tower: Tower, level: str) -> LaurentElem:

@@ -25,11 +25,12 @@ them (`__getattr__` of `groupmodel`, `weyl`, `hecke` and the package):
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .groupmodel import STABILIZER, VARIANTS, PARAHORIC, MembershipError, compact_torus_conditions, letters
 from .hecke import ClassificationError, TransversalError, _coset_key, _series_digits
-from .residue import COEFF_ONE, Frozen, HeckeCoeff, UnitI
+from .residue import COEFF_ONE, HeckeCoeff, UnitI
 from .tower import E2, E4, F, LaurentElem, Tower
 from .weyl import WeylElem, lift_terms
 
@@ -37,20 +38,10 @@ if TYPE_CHECKING:
     from .hecke import BaseFamily, HeckeContext, TransversalFamily
     from .reference import Decomposition
 
-_set = object.__setattr__
-
-
-class GroupElem(Frozen):
+class GroupElem(namedtuple("GroupElem", "a b c d g4")):
     """(2x2 matrix over E2, unit-scale element of E4)."""
 
-    __slots__ = ("a", "b", "c", "d", "g4")
-
-    def __init__(self, a: LaurentElem, b: LaurentElem, c: LaurentElem, d: LaurentElem, g4: LaurentElem):
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        _set(self, "g4", g4)
+    __slots__ = ()
 
     def __mul__(self, other: "GroupElem") -> "GroupElem":
         return GroupElem(
@@ -89,32 +80,16 @@ class GroupElem(Frozen):
             raise ValueError("not a diagonal element")
         return TorusElem(self.a, self.d, self.g4)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GroupElem):
-            return NotImplemented
-        return (
-            self.a == other.a
-            and self.b == other.b
-            and self.c == other.c
-            and self.d == other.d
-            and self.g4 == other.g4
-        )
-
     __hash__ = None
 
     def __repr__(self) -> str:
         return f"[[{self.a!r}, {self.b!r}], [{self.c!r}, {self.d!r}]] x {self.g4!r}"
 
 
-class TorusElem(Frozen):
+class TorusElem(namedtuple("TorusElem", "x y z")):
     """Diagonal element (x, y, z) of the maximal torus."""
 
-    __slots__ = ("x", "y", "z")
-
-    def __init__(self, x: LaurentElem, y: LaurentElem, z: LaurentElem):
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "z", z)
+    __slots__ = ()
 
     def to_group(self) -> GroupElem:
         tw = self.x.tower
@@ -126,15 +101,7 @@ class TorusElem(Frozen):
     def inverse(self) -> "TorusElem":
         return TorusElem(self.x.inverse(), self.y.inverse(), self.z.inverse())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusElem):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y and self.z == other.z
-
     __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TorusElem(x={self.x!r}, y={self.y!r}, z={self.z!r})"
 
 
 def commutator(g: GroupElem, h: GroupElem) -> GroupElem:
@@ -239,29 +206,15 @@ def rho0(g: GroupElem, variant: str = STABILIZER) -> UnitI:
 # -- monomials ----------------------------------------------------------------------
 
 
-class Monomial:
+class Monomial(namedtuple("Monomial", "kind first second g4")):
     """The middle factor of an Iwahori decomposition: diag(first, second) or
-    antidiag(first; second), with the E4 part g4.  Row i holds entry i of
-    (first, second), in column i for "diag" and in column 1 - i for "anti".
-    Its complementary entry may be a series; it only converts with
-    `as_group`.  An exact monomial, one term c * pi**e per entry, is held as
-    terms instead (`groupmodel.term_product`)."""
+    antidiag(first; second), with the E4 part g4; kind is "diag" or "anti".
+    Row i holds entry i of (first, second), in column i for "diag" and in
+    column 1 - i for "anti".  Its complementary entry may be a series; it
+    only converts with `as_group`.  An exact monomial, one term c * pi**e
+    per entry, is held as terms instead (`groupmodel.term_product`)."""
 
-    __slots__ = ("kind", "first", "second", "g4")
-
-    def __init__(self, kind: str, first: LaurentElem, second: LaurentElem, g4: LaurentElem):
-        self.kind = kind  # "diag" | "anti"
-        self.first = first
-        self.second = second
-        self.g4 = g4
-
-    def __eq__(self, other):
-        if other.__class__ is not Monomial:
-            return NotImplemented
-        return (self.kind, self.first, self.second, self.g4) == (other.kind, other.first, other.second, other.g4)
-
-    def __repr__(self) -> str:
-        return f"Monomial(kind={self.kind!r}, first={self.first!r}, second={self.second!r}, g4={self.g4!r})"
+    __slots__ = ()
 
     def as_group(self) -> GroupElem:
         tw = self.first.tower

@@ -6,8 +6,9 @@ primitive root (the smallest generator in a fixed total order), its
 discrete-log table, the order-four multiplicative character ``eta`` with
 eta(zeta) = i, and the quadratic character ``sgn``.  Character values are
 carried exactly: fourth roots of unity as :class:`UnitI`, sums and
-structure constants as Gaussian integers (:class:`HeckeCoeff`).  No
-floating point anywhere.
+structure constants as Gaussian integers (:class:`HeckeCoeff`), both
+namedtuples: immutable, and compared and hashed as the tuple of their
+fields.  No floating point anywhere.
 
 Field elements are encoded as plain integers 0..q-1.  For q = p the
 encoding is the residue itself; for q = p**2 the integer a + p*b encodes
@@ -28,35 +29,11 @@ one term calls them.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from functools import lru_cache
 
 class DomainError(ValueError):
     """An operation was evaluated outside its mathematical domain."""
-
-
-# ---------------------------------------------------------------------------
-# exact Gaussian-integer scalars and fourth roots of unity
-
-
-class Frozen:
-    """Base of the package's immutable values.  A subclass names its fields in
-    ``__slots__`` and sets each once, when the value is built, through
-    ``object.__setattr__``; any later assignment or deletion raises.  Copies
-    and pickles rebuild the value through its constructor, so the
-    constructor must take the fields in ``__slots__`` order; a subclass with
-    a slot that is not a constructor argument, such as a cached hash,
-    defines its own ``__reduce__``."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def moved_names(namespace: dict, **homes: tuple[str, ...]):
@@ -101,25 +78,14 @@ def moved_method(home: str, name: str):
     return method
 
 
-_set = object.__setattr__
+# ---------------------------------------------------------------------------
+# exact Gaussian-integer scalars and fourth roots of unity
 
 
-class HeckeCoeff(Frozen):
+class HeckeCoeff(namedtuple("HeckeCoeff", "re im")):
     """A Gaussian integer re + im*i, the exact carrier for all scalar values."""
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        _set(self, "re", re)
-        _set(self, "im", im)
-
-    def __eq__(self, other):
-        if other.__class__ is not HeckeCoeff:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
+    __slots__ = ()
 
     def __add__(self, other: "HeckeCoeff") -> "HeckeCoeff":
         return HeckeCoeff(self.re + other.re, self.im + other.im)
@@ -151,25 +117,17 @@ COEFF_ZERO = HeckeCoeff(0, 0)
 COEFF_ONE = HeckeCoeff(1, 0)
 
 
-class UnitI(Frozen):
+class UnitI(namedtuple("UnitI", "exp")):
     """i**exp for a fixed square root i of -1; exp is reduced mod 4.
 
     Interned: ``UnitI(k)``, products, powers, inverses and the characters
     ``eta_residue`` and ``sgn`` return one of four shared instances, so
     copies and pickles, which rebuild through the constructor, do too."""
 
-    __slots__ = ("exp",)
+    __slots__ = ()
 
     def __new__(cls, exp: int):
         return _UNITS[exp % 4]
-
-    def __eq__(self, other):
-        if other.__class__ is not UnitI:
-            return NotImplemented
-        return self.exp == other.exp
-
-    def __hash__(self):
-        return hash((self.exp,))
 
     def __mul__(self, other: "UnitI") -> "UnitI":
         return _UNITS[(self.exp + other.exp) % 4]
@@ -187,13 +145,7 @@ class UnitI(Frozen):
         return ("1", "i", "-1", "-i")[self.exp]
 
 
-def _unit(exp: int) -> UnitI:
-    u = object.__new__(UnitI)
-    _set(u, "exp", exp)
-    return u
-
-
-_UNITS = tuple(map(_unit, range(4)))
+_UNITS = tuple(tuple.__new__(UnitI, (exp,)) for exp in range(4))
 _UNIT_COEFFS = (COEFF_ONE, HeckeCoeff(0, 1), HeckeCoeff(-1, 0), HeckeCoeff(0, -1))
 UNIT_ONE, UNIT_I, UNIT_MINUS_ONE = _UNITS[:3]
 

@@ -186,7 +186,7 @@ class LaurentElem:
 
     def ord(self) -> Fraction:
         """Valuation normalised so that ord(t) = 1."""
-        # fractions is imported here: only the genericity rows read ord
+        # fractions is imported here: no report row reads ord, only tests do
         from fractions import Fraction
 
         if self.is_zero:

@@ -7,10 +7,11 @@ sign bit for the order-two element eps.  The sign bit is meaningful only
 for the parahoric variant; in the stabiliser variant eps lifts into the
 compact torus and its class is trivial.
 
-`WeylElem` is hashed once, at construction.  Its public constructor
-validates the word; products and inverses build their result through a
-trusted internal constructor, since the product of two reduced alternating
-words cancels only at the junction and is reduced without a scan.
+`WeylElem` is a namedtuple, compared and hashed as its field tuple.  Its
+public constructor validates the word; products and inverses build their
+result through a trusted internal constructor, since the product of two
+reduced alternating words cancels only at the junction and is reduced
+without a scan.
 
 `lift_terms` sends a normal form to the canonical representative, or to
 its inverse, as the terms of an exact monomial (see `groupmodel`): the
@@ -27,6 +28,8 @@ first read.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .groupmodel import (
     PARAHORIC,
     IDENTITY_TERMS,
@@ -37,7 +40,7 @@ from .groupmodel import (
     term_inverse,
     term_product,
 )
-from .residue import Frozen, moved_names
+from .residue import moved_names
 from .tower import Tower
 
 S = "s"
@@ -61,40 +64,22 @@ def _reduce(word) -> tuple[str, ...]:
     return tuple(out)
 
 
-_set = object.__setattr__
-
-
-class WeylElem(Frozen):
+class WeylElem(namedtuple("WeylElem", "word zexp ebit")):
     """A normal form (word, zexp, ebit).  The constructor checks that the word
-    is a reduced word in s and s' and that ebit is 0 or 1; the hash is
-    computed once, there.  Products and inverses of valid forms are built by
-    `_trusted`, which skips the checks; copies and pickles rebuild through
-    the validating constructor."""
+    is a reduced word in s and s' and that ebit is 0 or 1.  Products and
+    inverses of valid forms are built by `_trusted`, which skips the checks;
+    copies and pickles rebuild through the validating constructor."""
 
-    __slots__ = ("word", "zexp", "ebit", "_hash")
+    __slots__ = ()
 
-    def __init__(self, word: tuple[str, ...] = (), zexp: int = 0, ebit: int = 0):
+    def __new__(cls, word: tuple[str, ...] = (), zexp: int = 0, ebit: int = 0):
         if any(l not in (S, SP) for l in word):
             raise ValueError(f"bad letters in {word!r}")
         if _reduce(word) != word:
             raise ValueError(f"word {word!r} is not reduced")
         if ebit not in (0, 1):
             raise ValueError("ebit must be 0 or 1")
-        _fill(self, word, zexp, ebit)
-
-    def __reduce__(self):
-        return WeylElem, (self.word, self.zexp, self.ebit)
-
-    def __eq__(self, other):
-        if other.__class__ is not WeylElem:
-            return NotImplemented
-        return self.word == other.word and self.zexp == other.zexp and self.ebit == other.ebit
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"WeylElem(word={self.word!r}, zexp={self.zexp!r}, ebit={self.ebit!r})"
+        return _trusted(word, zexp, ebit)
 
     def __mul__(self, other: "WeylElem") -> "WeylElem":
         # both words are reduced and alternate, so cancellation at the junction
@@ -133,18 +118,9 @@ class WeylElem(Frozen):
         return (len(self.word), self.word, self.zexp, self.ebit)
 
 
-def _fill(w: WeylElem, word: tuple[str, ...], zexp: int, ebit: int) -> None:
-    _set(w, "word", word)
-    _set(w, "zexp", zexp)
-    _set(w, "ebit", ebit)
-    _set(w, "_hash", hash((word, zexp, ebit)))
-
-
 def _trusted(word: tuple[str, ...], zexp: int, ebit: int) -> WeylElem:
     """A WeylElem from a reduced word and an ebit of 0 or 1, unchecked."""
-    w = object.__new__(WeylElem)
-    _fill(w, word, zexp, ebit)
-    return w
+    return tuple.__new__(WeylElem, (word, zexp, ebit))
 
 
 W_ID = WeylElem()

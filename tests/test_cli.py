@@ -219,6 +219,23 @@ def test_report_goldens_reproduce_with_numpy_blocked():
         assert run.stdout == (DATA / name).read_bytes(), name
 
 
+def test_the_report_bytes_do_not_depend_on_the_hash_salt():
+    # a WeylElem hashes as its field tuple, whose word's letters have salted
+    # string hashes; whatever order a dict or set takes from them, the
+    # report must print the golden's bytes under every salt
+    args = ["--q", "5", "--variant", "both", "--seed", "0", "--format", "json", "report"]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    for salt in ("0", "1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-m", "sl8hecke.cli", *args],
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": salt},
+            capture_output=True,
+            timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (0, b""), salt
+        assert run.stdout == (DATA / "report-q5-seed0.json").read_bytes(), salt
+
+
 def test_cli_and_omega_at_q13_do_not_import_numpy():
     # no module of the package imports numpy (only the tests' reference
     # convolution does), so importing the CLI and running omega leave it unloaded
@@ -250,8 +267,9 @@ def test_cli_and_omega_at_q13_do_not_import_numpy():
 def test_a_run_loads_only_the_modules_its_rows_call(command, algebra, generic):
     # algebra and generic are imported by the rows that call them, so a command
     # loads them only when it runs those rows ("" only imports the CLI); no
-    # module of the package imports dataclasses, and fractions is loaded only
-    # for generic, whose valuations are the one reader of LaurentElem.ord
+    # module of the package imports dataclasses, and no command loads
+    # fractions: generic compares integer valuations, and only tests read
+    # LaurentElem.ord
     code = (
         "import sys\n"
         "import sl8hecke.cli\n"
@@ -269,7 +287,31 @@ def test_a_run_loads_only_the_modules_its_rows_call(command, algebra, generic):
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stderr.splitlines()[-1] == f"0 False {algebra} {generic} {generic}"
+    assert run.stderr.splitlines()[-1] == f"0 False {algebra} {generic} False"
+
+
+@pytest.mark.parametrize("command", ["report", "verify genericity"])
+@pytest.mark.parametrize("q", ["5", "13"])
+def test_the_genericity_rows_load_neither_fractions_nor_decimal(q, command):
+    # the valuations are integers in quarters of ord(t), and the witnesses'
+    # ords are exact in F, so neither module is imported
+    code = (
+        "import sys\n"
+        "import sl8hecke.cli\n"
+        "code = sl8hecke.cli.main(sys.argv[1:])\n"
+        "print(code, 'fractions' in sys.modules, 'decimal' in sys.modules, file=sys.stderr)\n"
+    )
+    argv = ["--q", q, "--variant", "both", "--format", "json", *command.split()]
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.splitlines()[-1] == "0 False False"
 
 
 @pytest.mark.parametrize(
@@ -529,16 +571,16 @@ def test_a_report_builds_matrices_only_in_the_rho0_certificate(monkeypatch, caps
     # sections are counted too)
     from sl8hecke import cocycle, matrices
 
-    certificate, init, callers = cocycle.rho0_certificate.__code__, matrices.GroupElem.__init__, []
+    certificate, new, callers = cocycle.rho0_certificate.__code__, matrices.GroupElem.__new__, []
 
-    def counting(self, *args):
+    def counting(cls, *args):
         frame = sys._getframe(1)
         while frame is not None and frame.f_code is not certificate:
             frame = frame.f_back
         callers.append(frame is not None)
-        init(self, *args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(matrices.GroupElem, "__init__", counting)
+    monkeypatch.setattr(matrices.GroupElem, "__new__", counting)
     assert serial(monkeypatch, lambda: main(["--q", "5", "--variant", "both", "--format", "json", "report"])) == 0
     capsysbinary.readouterr()
     assert callers and all(callers)

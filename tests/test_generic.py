@@ -77,7 +77,12 @@ def test_half_level_value_set(tower5):
         assert any(v == a for a in allowed)
 
 
-@pytest.mark.parametrize("level,target", [(LEVEL_QUARTER, Fraction(-1, 4)), (LEVEL_HALF, Fraction(-1, 2))])
+@pytest.mark.parametrize(
+    "level,target",
+    # in quarters of ord(t): -1/4 and -1/2, under the ids these two cases
+    # are known by
+    [pytest.param(LEVEL_QUARTER, -1, id="G1/G0-target0"), pytest.param(LEVEL_HALF, -2, id="G2/G1-target1")],
+)
 def test_ge1_all_valuations_exact(tower5, tower13, level, target):
     for tw in (tower5, tower13):
         report = check_ge1(tw, level)

@@ -6,8 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sl8hecke.groupmodel import PARAHORIC, STABILIZER, GroupElem, elem_eps, elem_z, in_KM0, letters
-from sl8hecke.residue import UNIT_I, UNIT_MINUS_ONE, UNIT_ONE, UnitI, eta_residue, make_field, sgn
-from sl8hecke.tower import Tower
+from sl8hecke.matrices import Monomial, TorusElem
+from sl8hecke.residue import (
+    COEFF_ZERO,
+    UNIT_I,
+    UNIT_MINUS_ONE,
+    UNIT_ONE,
+    HeckeCoeff,
+    UnitI,
+    eta_residue,
+    make_field,
+    sgn,
+)
+from sl8hecke.tower import E2, E4, Tower
 from sl8hecke.lattice import congruence_lattice_members, hermite_normal_form, lattice_check, norm_condition_holds
 from sl8hecke.weyl import (
     S,
@@ -114,11 +125,50 @@ def test_products_and_inverses_equal_the_validated_forms(u, v, mirror):
 
 
 @pytest.mark.parametrize(
-    "value", [W_ID, WeylElem((S, SP, S), -2, 1), W_SP * W_S * W_SP, UNIT_ONE, UNIT_I, UnitI(3)], ids=repr
+    "value",
+    [W_ID, WeylElem((S, SP, S), -2, 1), W_SP * W_S * W_SP, UNIT_ONE, UNIT_I, UnitI(3), HeckeCoeff(3, -2), COEFF_ZERO],
+    ids=repr,
 )
 def test_copies_and_pickles_rebuild_equal_values(value):
     for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert other == value and hash(other) == hash(value)
+
+
+# the matrix model's values, from a tower; their Laurent entries are unhashable
+MATRIX_VALUES = {
+    "GroupElem": elem_z,
+    "TorusElem": lambda tw: TorusElem(tw.uniformizer(E2), tw.integer(E2, 3), tw.uniformizer(E4) ** -2),
+    "Monomial": lambda tw: Monomial("anti", tw.uniformizer(E2), tw.integer(E2, 2), tw.one(E4)),
+}
+
+
+@pytest.mark.parametrize("make", MATRIX_VALUES.values(), ids=MATRIX_VALUES.keys())
+def test_copies_and_pickles_rebuild_equal_unhashable_values(make, tower5):
+    value = make(tower5)
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert other == value
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda tw: W_SP * W_S, "zexp"),
+        (lambda tw: HeckeCoeff(3, -2), "im"),
+        (lambda tw: UNIT_I, "exp"),
+        (MATRIX_VALUES["GroupElem"], "g4"),
+        (MATRIX_VALUES["TorusElem"], "x"),
+        (MATRIX_VALUES["Monomial"], "kind"),
+    ],
+    ids=["WeylElem", "HeckeCoeff", "UnitI", "GroupElem", "TorusElem", "Monomial"],
+)
+def test_a_value_refuses_to_assign_or_delete_a_field(make, field, tower5):
+    value = make(tower5)
+    before = getattr(value, field)
+    with pytest.raises(AttributeError):
+        setattr(value, field, before)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+    assert getattr(value, field) is before
 
 
 @pytest.mark.parametrize("q", [13, 9])
